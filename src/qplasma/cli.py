@@ -30,6 +30,7 @@ from .sweep import ConfigError, SweepConfig, load_config_file, parse_q_range, ru
 __all__ = ["main"]
 
 ORACLE_TOLERANCE = 1e-8
+_SWEEP_KEYS = ("model", "x", "y", "q", "xp", "output", "format")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,12 +79,12 @@ def _merge_sweep_config(args: argparse.Namespace) -> SweepConfig:
     values: dict[str, str] = {}
     if args.config:
         values = load_config_file(args.config)
+        unknown = sorted(set(values) - set(_SWEEP_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown sweep parameters in {args.config}: {', '.join(unknown)}")
     # command-line flags override the file
-    for key, flag in (
-        ("model", args.model), ("x", args.x), ("y", args.y),
-        ("q", args.q), ("xp", args.xp), ("output", args.output),
-        ("format", args.format),
-    ):
+    for key in _SWEEP_KEYS:
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = str(flag)
     missing = [k for k in ("model", "x", "y", "q", "xp", "output") if k not in values]

@@ -36,17 +36,15 @@ model, so all of them are real at x = 0.  All routines are pure functions.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .errors import (
     DegenerateQ,
     DenominatorVanishes,
     DivisionByZeroFrequency,
-    NonFiniteResult,
     StaticDenominatorVanishes,
 )
-from .kernels import clog_ratio, g0_a, g0_b, g_a, g_b
+from .kernels import _require_finite, clog_ratio, g0_a, g_a
 
 __all__ = [
     "Model",
@@ -140,12 +138,6 @@ class DielectricResult:
     model: Model
 
 
-def _finite(value: complex, what: str) -> complex:
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise NonFiniteResult(f"{what} is not finite: {value!r}")
-    return value
-
-
 def _numerator(z: complex, q: float) -> complex:
     """N(z, q) = 1 - g(z,+q) + g(z,-q)."""
     return 1.0 - g_a(z, q, +1) + g_a(z, q, -1)
@@ -157,6 +149,13 @@ def _collisional_ratio(z: complex, q: float) -> complex:
     if abs(den) < _DENOMINATOR_FLOOR:
         raise DenominatorVanishes(f"|1 - g0({z!r})| < {_DENOMINATOR_FLOOR}")
     return _numerator(z, q) / den
+
+
+def _sigma(x: float, y: float, ratio: complex) -> complex:
+    """Dimensionless conductivity from the kernel ratio: -(3i/2) x y ratio
+    (sigma_l/sigma_0) for y > 0, and the collisionless normalisation
+    -(3i/2) x ratio at y = 0."""
+    return -1.5j * (x if y == 0.0 else x * y) * ratio
 
 
 def _static_numerator(q: float) -> complex:
@@ -173,30 +172,25 @@ def epsilon_collisional_a(p: DimensionlessPointA) -> DielectricResult:
     eps = 1 + (3/2) xp^2 N(z,q)/(1 - g0(z)); sigma is filled through the
     eps = 1 + 4*pi*i*sigma/omega duality recast dimensionlessly.
     """
-    z = p.z
-    ratio = _collisional_ratio(z, p.q)
-    eps = _finite(1.0 + 1.5 * p.xp ** 2 * ratio, "epsilon_collisional_a")
-    if p.y == 0.0:
-        sigma = -1.5j * p.x * ratio
-    else:
-        sigma = -1.5j * (p.x * p.y) * ratio
-    return DielectricResult(eps, _finite(sigma, "sigma"), Model.CollisionalBGK)
+    ratio = _collisional_ratio(p.z, p.q)
+    eps = _require_finite(1.0 + 1.5 * p.xp ** 2 * ratio, "epsilon_collisional_a")
+    sigma = _require_finite(_sigma(p.x, p.y, ratio), "sigma")
+    return DielectricResult(eps, sigma, Model.CollisionalBGK)
 
 
 def epsilon_collisional_b(p: DimensionlessPointB) -> DielectricResult:
     """BGK-model permittivity in convention B:
-    eps = 1 + (3 xp2 / (2 q^2)) (1 - g+(z,q) + g-(z,q)) / (1 - g0(z,q))."""
-    z = p.z
-    den = 1.0 - g0_b(z, p.q)
-    if abs(den) < _DENOMINATOR_FLOOR:
-        raise DenominatorVanishes(f"|1 - g0_b({z!r}, {p.q})| < {_DENOMINATOR_FLOOR}")
-    ratio = (1.0 - g_b(z, p.q, +1) + g_b(z, p.q, -1)) / den
-    eps = _finite(1.0 + 1.5 * p.xp2 / p.q ** 2 * ratio, "epsilon_collisional_b")
-    if p.y == 0.0:
-        sigma = -1.5j * (p.x / p.q) * ratio
-    else:
-        sigma = -1.5j * (p.x * p.y / p.q ** 2) * ratio
-    return DielectricResult(eps, _finite(sigma, "sigma"), Model.CollisionalBGK)
+    eps = 1 + (3 xp2 / (2 q^2)) (1 - g+(z,q) + g-(z,q)) / (1 - g0(z,q)).
+
+    The kernel ratio is even in q and is the convention-A ratio at z/|q|.
+    sigma is the convention-A conductivity at the signed x/q, y/q, so it is
+    odd in q at y = 0 and even in q for y > 0.
+    """
+    q = abs(p.q)
+    ratio = _collisional_ratio(p.z / q, q)
+    eps = _require_finite(1.0 + 1.5 * p.xp2 / p.q ** 2 * ratio, "epsilon_collisional_b")
+    sigma = _require_finite(_sigma(p.x / p.q, p.y / p.q, ratio), "sigma")
+    return DielectricResult(eps, sigma, Model.CollisionalBGK)
 
 
 def epsilon_lindhard(x: float, q: float, xp: float) -> DielectricResult:
@@ -204,11 +198,10 @@ def epsilon_lindhard(x: float, q: float, xp: float) -> DielectricResult:
     Mermin models: eps = 1 + (3/2) xp^2 (1 - g(x,+q) + g(x,-q))."""
     if xp < 0.0:
         raise ValueError(f"xp must be >= 0, got {xp}")
-    z = complex(float(x), 0.0)
-    n = _numerator(z, q)
-    eps = _finite(1.0 + 1.5 * xp ** 2 * n, "epsilon_lindhard")
-    sigma = -1.5j * z.real * n
-    return DielectricResult(eps, sigma, Model.Lindhard)
+    x = float(x)
+    n = _numerator(complex(x, 0.0), q)
+    eps = _require_finite(1.0 + 1.5 * xp ** 2 * n, "epsilon_lindhard")
+    return DielectricResult(eps, _sigma(x, 0.0, n), Model.Lindhard)
 
 
 def epsilon_mermin(p: DimensionlessPointA) -> DielectricResult:
@@ -220,18 +213,18 @@ def epsilon_mermin(p: DimensionlessPointA) -> DielectricResult:
         eps = 1 + (3/2) xp^2 z N(z,q) / (x + i y N(z,q)/N0(q)).
     """
     if p.x == 0.0:
-        eps = _finite(1.0 + 1.5 * p.xp ** 2 * _static_numerator(p.q), "epsilon_mermin")
+        eps = _require_finite(1.0 + 1.5 * p.xp ** 2 * _static_numerator(p.q), "epsilon_mermin")
         return DielectricResult(eps, None, Model.Mermin)
     z = p.z
     n = _numerator(z, p.q)
     if p.y == 0.0:
-        eps = _finite(1.0 + 1.5 * p.xp ** 2 * n, "epsilon_mermin")
+        eps = _require_finite(1.0 + 1.5 * p.xp ** 2 * n, "epsilon_mermin")
         return DielectricResult(eps, None, Model.Mermin)
     n0 = _static_numerator(p.q)
     den = p.x + 1j * p.y * n / n0
     if abs(den) < _DENOMINATOR_FLOOR:
         raise DenominatorVanishes(f"Mermin denominator vanished at {p!r}")
-    eps = _finite(1.0 + 1.5 * p.xp ** 2 * (z * n) / den, "epsilon_mermin")
+    eps = _require_finite(1.0 + 1.5 * p.xp ** 2 * (z * n) / den, "epsilon_mermin")
     return DielectricResult(eps, None, Model.Mermin)
 
 
@@ -248,7 +241,7 @@ def epsilon_static_mermin(w: float, xp: float) -> DielectricResult:
         raise ValueError(f"w must be > 0, got {w}")
     if xp < 0.0:
         raise ValueError(f"xp must be >= 0, got {xp}")
-    eps = _finite(1.0 + 1.5 * xp ** 2 * _static_numerator(2.0 * w), "epsilon_static_mermin")
+    eps = _require_finite(1.0 + 1.5 * xp ** 2 * _static_numerator(2.0 * w), "epsilon_static_mermin")
     return DielectricResult(eps, None, Model.StaticMermin)
 
 
@@ -271,7 +264,7 @@ def epsilon_static_collisional(y: float, w: float, xp: float) -> DielectricResul
     if xp < 0.0:
         raise ValueError(f"xp must be >= 0, got {xp}")
     ratio = _collisional_ratio(complex(0.0, y), 2.0 * w)
-    eps = _finite(1.0 + 1.5 * xp ** 2 * ratio, "epsilon_static_collisional")
+    eps = _require_finite(1.0 + 1.5 * xp ** 2 * ratio, "epsilon_static_collisional")
     return DielectricResult(eps, None, Model.StaticCollisional)
 
 
@@ -292,7 +285,7 @@ def epsilon_classical_limit(z: complex, xp: float) -> DielectricResult:
     den = 1.0 - 0.5j * z.imag * ell if z.imag != 0.0 else 1.0 + 0.0j
     if abs(den) < _DENOMINATOR_FLOOR:
         raise DenominatorVanishes(f"classical-limit denominator vanished at {z!r}")
-    eps = _finite(1.0 + 1.5 * xp ** 2 * num / den, "epsilon_classical_limit")
+    eps = _require_finite(1.0 + 1.5 * xp ** 2 * num / den, "epsilon_classical_limit")
     return DielectricResult(eps, None, Model.ClassicalLimit)
 
 
@@ -307,10 +300,7 @@ def sigma_longitudinal(p: DimensionlessPointA) -> complex:
     """
     if p.x == 0.0:
         raise DivisionByZeroFrequency("sigma_0-normalised conductivity needs omega != 0")
-    ratio = _collisional_ratio(p.z, p.q)
-    if p.y == 0.0:
-        return _finite(-1.5j * p.x * ratio, "sigma_longitudinal")
-    return _finite(-1.5j * (p.x * p.y) * ratio, "sigma_longitudinal")
+    return _require_finite(_sigma(p.x, p.y, _collisional_ratio(p.z, p.q)), "sigma_longitudinal")
 
 
 def branch_points_q(x: float) -> tuple[float, ...]:

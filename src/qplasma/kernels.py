@@ -25,8 +25,10 @@ Convention B scales by k_F*v_F, with z = (omega + i*nu)/(k_F v_F):
     g_b(z, q, s) = ((u)^2 - q^2) / (2 q^3) * ln((u + q)/(u - q)),
                    u = z + s q^2/2
 
-The conventions agree under z_A = z_B / q.  Negative q is permitted and
-obeys g_a(z, -q, +1) == -g_a(z, q, -1) identically.
+Both are even in q and are the convention-A kernels under z_A = z_B / |q|,
+which is how they are evaluated: g0_b(z, q) = g0_a(z/|q|) and
+g_b(z, q, s) = g_a(z/|q|, |q|, s).  Negative q is permitted in
+convention A and obeys g_a(z, -q, +1) == -g_a(z, q, -1) identically.
 
 All functions are scalar, pure and binary64.  Arguments exactly on a branch
 point raise PoleAtBranchPoint; anything that would return inf/nan raises
@@ -80,13 +82,6 @@ def clog_ratio(a: complex) -> complex:
     return _require_finite(cmath.log(a + 1.0) - cmath.log(a - 1.0), "clog_ratio")
 
 
-def _uhp_ln_ratio(u: complex, q: float) -> complex:
-    """ln((u+q)/(u-q)) for real q != 0, continuous from the upper half-plane."""
-    if q > 0.0:
-        return clog_ratio(u / q)
-    return -clog_ratio(u / (-q))
-
-
 def g0_a(z: complex) -> complex:
     """Collision-broadening kernel (i Im z / 2) ln((z+1)/(z-1)), convention A.
 
@@ -117,19 +112,21 @@ def g_a(z: complex, q: float, sign: int) -> complex:
     return _require_finite(value, "g_a")
 
 
+def _b_to_a(z: complex, q: float, what: str) -> tuple[complex, float]:
+    """Map a convention-B (z, q) onto convention A: (z/|q|, |q|)."""
+    q = abs(float(q))
+    if q == 0.0:
+        raise DegenerateQ(f"{what} needs q != 0")
+    return z / q, q
+
+
 def g0_b(z: complex, q: float) -> complex:
     """(i Im z / (2q)) ln((z+q)/(z-q)), convention B.
 
-    Even in q, and equal to g0_a(z/q).  Real z returns exactly 0.
+    Even in q: evaluated as g0_a(z/|q|).  Real z returns exactly 0.
     """
-    q = float(q)
-    if q == 0.0:
-        raise DegenerateQ("g0_b needs q != 0")
-    z = _as_upper_half(z, "g0_b")
-    if z.imag == 0.0:
-        return 0.0j
-    value = 1j * z.imag / (2.0 * q) * _uhp_ln_ratio(z, q)
-    return _require_finite(value, "g0_b")
+    z_a, _ = _b_to_a(z, q, "g0_b")
+    return g0_a(z_a)
 
 
 def g_b(z: complex, q: float, sign: int) -> complex:
@@ -137,15 +134,8 @@ def g_b(z: complex, q: float, sign: int) -> complex:
 
         ((u)^2 - q^2) / (2 q^3) * ln((u + q)/(u - q)).
 
-    Equal to g_a(z/q, q, sign) under the convention map.  u = +-q raises
+    Even in q: evaluated as g_a(z/|q|, |q|, sign).  u = +-q raises
     PoleAtBranchPoint.
     """
-    if sign not in _VALID_SIGNS:
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    q = float(q)
-    if q == 0.0:
-        raise DegenerateQ("g_b needs q != 0")
-    z = _as_upper_half(z, "g_b")
-    u = z + sign * (q * q / 2.0)
-    value = (u * u - q * q) / (2.0 * q ** 3) * _uhp_ln_ratio(u, q)
-    return _require_finite(value, "g_b")
+    z_a, q_a = _b_to_a(z, q, "g_b")
+    return g_a(z_a, q_a, sign)

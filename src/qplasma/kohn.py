@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dielectric import DimensionlessPointA, branch_points_q, epsilon_collisional_a
-from .errors import QplasmaError, WindowContainsPole
+from .dielectric import branch_points_q
+from .errors import WindowContainsPole
+from .sweep import SkippedPoint, _evaluate_row, _evaluator, _on_singular_q
 
 __all__ = [
     "KohnRoot",
@@ -42,9 +43,6 @@ __all__ = [
     "kohn_wavenumbers_physical",
     "singularity_broadening_scan",
 ]
-
-_NODE_POLE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class KohnRoot:
@@ -127,15 +125,15 @@ def kohn_wavenumbers_physical(omega: float, kF: float, vF: float) -> tuple[compl
         k_{1,2} = k_F + sqrt(k_F^2 +- 2 k_F omega / v_F)
         k_{3,4} = -k_F - sqrt(k_F^2 +- 2 k_F omega / v_F)
 
-    Equals q_i * k_F with x = omega/(k_F v_F) (for x != 0, where no root
-    bookkeeping special case applies).  Negative discriminants give complex
-    values.
+    These are k_F times the principal roots of kohn_roots_dimless at
+    x = omega/(k_F v_F); at x = 0, where the (-,+) entry reports the
+    degenerate root 0, its principal root 2 is used, giving 2k_F, 2k_F,
+    -2k_F, -2k_F.  Negative discriminants give complex values.
     """
     if kF <= 0.0 or vF <= 0.0:
         raise ValueError("kF and vF must be positive")
-    dp = cmath.sqrt(complex(kF * kF + 2.0 * kF * omega / vF, 0.0))
-    dm = cmath.sqrt(complex(kF * kF - 2.0 * kF * omega / vF, 0.0))
-    return (kF + dp, kF + dm, -kF - dp, -kF - dm)
+    roots = kohn_roots_dimless(omega / (kF * vF)).roots
+    return tuple(kF * (r.q if r.principal else r.q_alt) for r in roots)
 
 
 @dataclass(frozen=True)
@@ -176,32 +174,27 @@ def singularity_broadening_scan(
     if not q_hi > q_lo:
         raise ValueError("q_window must satisfy q_min < q_max")
 
-    qs = np.linspace(q_lo, q_hi, int(n_points))
+    qs = [float(q) for q in np.linspace(q_lo, q_hi, int(n_points))]
     h = qs[1] - qs[0]
     poles = [b for b in branch_points_q(x) if q_lo - h <= b <= q_hi + h]
+    evaluate = _evaluator("bgk", x, xp)
 
     rows = []
     for y in y_list:
         y = float(y)
-        eps: list[complex | None] = []
-        skipped: list[float] = []
-        for q in qs:
-            if y == 0.0 and poles and min(abs(q - b) for b in poles) < _NODE_POLE_TOL:
-                if on_pole == "raise":
-                    raise WindowContainsPole(f"grid node q={q} sits on a branch point (y=0)")
-                skipped.append(float(q))
-                eps.append(None)
-                continue
-            try:
-                eps.append(epsilon_collisional_a(DimensionlessPointA(x, y, float(q), xp)).epsilon)
-            except QplasmaError:
-                skipped.append(float(q))
-                eps.append(None)
+        row_poles = poles if y == 0.0 else ()
+        if on_pole == "raise":
+            hit = next((q for q in qs if _on_singular_q(q, row_poles)), None)
+            if hit is not None:
+                raise WindowContainsPole(f"grid node q={hit} sits on a branch point (y=0)")
+        row = _evaluate_row(evaluate, qs, y, row_poles)
+        eps = [None if isinstance(v, SkippedPoint) else v for v in row]
+        skipped = tuple(v.q for v in row if isinstance(v, SkippedPoint))
         max_slope = 0.0
         for i in range(1, len(qs) - 1):
             lo, hi = eps[i - 1], eps[i + 1]
             if lo is None or hi is None:
                 continue
             max_slope = max(max_slope, abs(hi - lo) / (2.0 * h))
-        rows.append(BroadeningRow(y=y, max_abs_deps_dq=max_slope, skipped_q=tuple(skipped)))
+        rows.append(BroadeningRow(y=y, max_abs_deps_dq=max_slope, skipped_q=skipped))
     return rows

@@ -43,7 +43,7 @@ from scipy import integrate
 
 from .dielectric import DimensionlessPointA, epsilon_collisional_a
 from .errors import NonUpperHalfPlane, PoleOnContour, ToleranceNotReached
-from .kernels import clog_ratio
+from .kernels import _VALID_SIGNS, clog_ratio
 
 __all__ = [
     "QuadratureSpec",
@@ -54,8 +54,6 @@ __all__ = [
     "epsilon_from_quadrature",
     "oracle_scan",
 ]
-
-_VALID_SIGNS = (1, -1)
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,24 @@
 """Parameter sweeps over q for the figure-style curves, with CSV/SVG output.
 
 A sweep fixes the model, x, xp and a list of collision frequencies y, and
-evaluates the permittivity over a uniform q grid.  Output is deterministic:
-points are assembled in grid order no matter how many worker threads ran
-(QPLASMA_THREADS caps parallelism, 0 or unset means auto), and the CSV is
-written with 17 significant digits, LF line endings and a fixed column
-order (q, then one re/im pair per y).
+evaluates the permittivity over a uniform q grid, serially, one y-row at a
+time.  Output is deterministic: the CSV is written with 17 significant
+digits, LF line endings and a fixed column order (q, then one re/im pair
+per y).
 
-Grid nodes that would land exactly on a y = 0 branch point (or on the
+This module owns the rule for "a grid node sits on a singular q": within
+1e-9 of it.  Sweep nodes that land on a y = 0 branch point (or on the
 static screening pole at q = 2 for the Mermin model) are nudged by +1e-6
-with a warning.  Points whose evaluation still fails are left as empty CSV
-cells and summarised on stderr; they are never interpolated.
+with a warning; the broadening scan in :mod:`qplasma.kohn` reuses the same
+rule and the same row evaluator, but skips such nodes instead.  Points
+whose evaluation fails are left as empty CSV cells and summarised on
+stderr; they are never interpolated.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,6 +66,8 @@ class SweepConfig:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.fmt not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.fmt!r}")
+        if not all(math.isfinite(v) for v in (self.x, self.xp, self.q_min, self.q_max, *self.y)):
+            raise ConfigError("x, y, xp and the q range must be finite")
         if self.q_steps < 2:
             raise ConfigError(f"q range needs at least 2 steps, got {self.q_steps}")
         if not self.q_max > self.q_min:
@@ -77,6 +80,9 @@ class SweepConfig:
             raise ConfigError("the lindhard model is collisionless; use y=0")
         if self.xp < 0:
             raise ConfigError("xp must be >= 0")
+        labels = [format(y, "g") for y in self.y]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"y values must have distinct column labels, got {', '.join(labels)}")
 
 
 @dataclass(frozen=True)
@@ -156,19 +162,6 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QPLASMA_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"QPLASMA_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ConfigError(f"QPLASMA_THREADS must be >= 0, got {n}")
-    if n == 0:
-        n = min(8, os.cpu_count() or 1)
-    return n
-
-
 def _singular_q(cfg: SweepConfig) -> list[float]:
     """q values where evaluation is exactly singular for this config."""
     qs: list[float] = []
@@ -183,59 +176,57 @@ def _singular_q(cfg: SweepConfig) -> list[float]:
     return qs
 
 
+def _on_singular_q(q: float, poles) -> bool:
+    """Whether grid node q sits on one of the singular wavenumbers ``poles``."""
+    return any(abs(q - b) < _NODE_POLE_TOL for b in poles)
+
+
 def _grid(cfg: SweepConfig) -> tuple[list[float], list[tuple[float, float]]]:
     qs = [float(q) for q in np.linspace(cfg.q_min, cfg.q_max, cfg.q_steps)]
     nudged: list[tuple[float, float]] = []
     poles = _singular_q(cfg)
-    if poles:
-        for i, q in enumerate(qs):
-            if min(abs(q - b) for b in poles) < _NODE_POLE_TOL:
-                qs[i] = q + _NUDGE
-                nudged.append((q, qs[i]))
+    for i, q in enumerate(qs):
+        if _on_singular_q(q, poles):
+            qs[i] = q + _NUDGE
+            nudged.append((q, qs[i]))
     return qs, nudged
 
 
-def _evaluator(cfg: SweepConfig):
-    if cfg.model == "bgk":
-        return lambda q, y: epsilon_collisional_a(DimensionlessPointA(cfg.x, y, q, cfg.xp)).epsilon
-    if cfg.model == "mermin":
-        return lambda q, y: epsilon_mermin(DimensionlessPointA(cfg.x, y, q, cfg.xp)).epsilon
-    return lambda q, y: epsilon_lindhard(cfg.x, q, cfg.xp).epsilon
+def _evaluator(model: str, x: float, xp: float):
+    """eps(q, y) of one model at fixed x and xp; raises QplasmaError."""
+    if model == "bgk":
+        return lambda q, y: epsilon_collisional_a(DimensionlessPointA(x, y, q, xp)).epsilon
+    if model == "mermin":
+        return lambda q, y: epsilon_mermin(DimensionlessPointA(x, y, q, xp)).epsilon
+    return lambda q, y: epsilon_lindhard(x, q, xp).epsilon
+
+
+def _evaluate_row(evaluate, qs, y: float, poles=()) -> list[complex | SkippedPoint]:
+    """eps over the q grid at one y: a value per node, or the SkippedPoint
+    that says why there is none.  Nodes on one of ``poles`` are skipped
+    without being evaluated."""
+    row: list[complex | SkippedPoint] = []
+    for q in qs:
+        if _on_singular_q(q, poles):
+            row.append(SkippedPoint(q=q, y=y, reason="grid node sits on a singular q"))
+            continue
+        try:
+            row.append(evaluate(q, y))
+        except QplasmaError as exc:
+            row.append(SkippedPoint(q=q, y=y, reason=f"{type(exc).__name__}: {exc}"))
+    return row
 
 
 def run_sweep(cfg: SweepConfig, write: bool = True) -> SweepResult:
     """Evaluate the sweep and (optionally) write <output>.csv / <output>.svg."""
     qs, nudged = _grid(cfg)
-    evaluate = _evaluator(cfg)
-    tasks = [(q, y) for q in qs for y in cfg.y]
-
-    def eval_one(task: tuple[float, float]):
-        q, y = task
-        try:
-            return evaluate(q, y)
-        except QplasmaError as exc:
-            return SkippedPoint(q=q, y=y, reason=f"{type(exc).__name__}: {exc}")
-
-    n_threads = _thread_count()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            flat = list(pool.map(eval_one, tasks))
-    else:
-        flat = [eval_one(t) for t in tasks]
-
-    n_y = len(cfg.y)
-    eps_rows: list[tuple[complex | None, ...]] = []
+    evaluate = _evaluator(cfg.model, cfg.x, cfg.xp)
+    rows = [_evaluate_row(evaluate, qs, y) for y in cfg.y]
+    eps: list[tuple[complex | None, ...]] = []
     skipped: list[SkippedPoint] = []
-    for iq in range(len(qs)):
-        row: list[complex | None] = []
-        for iy in range(n_y):
-            value = flat[iq * n_y + iy]
-            if isinstance(value, SkippedPoint):
-                skipped.append(value)
-                row.append(None)
-            else:
-                row.append(value)
-        eps_rows.append(tuple(row))
+    for node in zip(*rows):
+        skipped.extend(v for v in node if isinstance(v, SkippedPoint))
+        eps.append(tuple(None if isinstance(v, SkippedPoint) else v for v in node))
 
     warns = tuple(
         f"grid node q={orig:.17g} sits on a singular point; nudged to {new:.17g}"
@@ -244,7 +235,7 @@ def run_sweep(cfg: SweepConfig, write: bool = True) -> SweepResult:
     result = SweepResult(
         config=cfg,
         q_values=tuple(qs),
-        eps=tuple(eps_rows),
+        eps=tuple(eps),
         skipped=tuple(skipped),
         nudged=tuple(nudged),
         warnings=warns,

@@ -271,6 +271,23 @@ def test_sigma_zero_frequency_raises():
         sigma_longitudinal(A(0.0, 0.1, 0.9, 1.0))
 
 
+@pytest.mark.parametrize("y", [0.0, 0.2])
+def test_bgk_b_sigma_matches_convention_a(y):
+    # sigma of a convention-B point equals sigma_longitudinal at the mapped
+    # A point (x/q, y/q) for q > 0; for q < 0 it is odd in q at y = 0 (the
+    # collisionless normalisation carries x/q) and even in q for y > 0
+    for x in (0.52, -0.3):
+        for q in (1.3, -1.3):
+            got = epsilon_collisional_b(B(x, y, q, 2.0)).sigma
+            if q > 0:
+                want = sigma_longitudinal(A(x / q, y / q, q, 1.0))
+                assert abs(got - want) <= 1e-14 * abs(want)
+            else:
+                mirror = epsilon_collisional_b(B(x, y, -q, 2.0)).sigma
+                want = -mirror if y == 0.0 else mirror
+                assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_result_sigma_field_consistent_with_op():
     p = A(0.4, 0.1, 0.9, 1.0)
     assert epsilon_collisional_a(p).sigma == sigma_longitudinal(p)

@@ -42,15 +42,6 @@ def test_sweep_nudges_singular_node(tmp_path):
     assert res.skipped_fraction == 0.0
 
 
-def test_sweep_deterministic_across_thread_counts(tmp_path, monkeypatch):
-    outputs = {}
-    for threads in ("1", "8"):
-        monkeypatch.setenv("QPLASMA_THREADS", threads)
-        res = run_sweep(_cfg(tmp_path, output=str(tmp_path / f"t{threads}"), q_steps=201))
-        outputs[threads] = res.csv_path.read_bytes()
-    assert outputs["1"] == outputs["8"]
-
-
 def test_sweep_repeat_runs_byte_identical(tmp_path):
     a = run_sweep(_cfg(tmp_path, output=str(tmp_path / "a"), fmt="both"))
     b = run_sweep(_cfg(tmp_path, output=str(tmp_path / "b"), fmt="both"))
@@ -82,7 +73,15 @@ def test_sweep_config_validation(tmp_path):
         _cfg(tmp_path, model="lindhard", y=(0.0, 0.01))
     with pytest.raises(ConfigError):
         _cfg(tmp_path, fmt="png")
-
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(x=inf), dict(xp=nan), dict(y=(0.0, nan)), dict(y=(inf,)),
+                dict(q_max=inf), dict(q_min=-inf), dict(q_min=nan)):
+        with pytest.raises(ConfigError):
+            _cfg(tmp_path, **bad)
+    # two y values printed as the same column label (re_eps_y0.1)
+    for ys in ((0.1, 0.1000001), (0.01, 0.01)):
+        with pytest.raises(ConfigError, match="distinct column labels"):
+            _cfg(tmp_path, y=ys)
 
 def test_parse_q_range():
     assert parse_q_range("1.5:2.5:501") == (1.5, 2.5, 501)
@@ -124,9 +123,26 @@ def test_cli_sweep_missing_params(capsys):
     assert "missing sweep parameters" in capsys.readouterr().err
 
 
-def test_cli_sweep_bad_flag():
+def test_cli_sweep_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text((ROOT / "configs" / "fig1.cfg").read_text() + "fromat = both\n")
+    rc = main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "s")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown sweep parameters" in err and "fromat" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_cli_sweep_bad_flag(tmp_path):
     assert main(["sweep", "--model", "nope", "--x", "0", "--y", "0",
                  "--q", "1:2:10", "--xp", "1", "--output", "/tmp/x"]) == 2
+    # non-finite numbers are config errors, not an all-empty CSV
+    for flag, value in (("--xp", "nan"), ("--x", "inf"), ("--y", "nan"), ("--q", "1.5:inf:11")):
+        argv = {"--model": "bgk", "--x": "0", "--y": "0.01", "--q": "1.5:2.5:11", "--xp": "1",
+                "--output": str(tmp_path / "s")}
+        argv[flag] = value
+        assert main(["sweep", *[tok for pair in argv.items() for tok in pair]]) == 2, flag
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_cli_compare_near_collisionless_agreement(capsys):
@@ -190,11 +206,3 @@ def test_cli_verify(capsys):
 def test_cli_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 
-
-def test_cli_bad_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("QPLASMA_THREADS", "lots")
-    rc = main([
-        "sweep", "--model", "bgk", "--x", "0", "--y", "0.01",
-        "--q", "1.5:2.5:11", "--xp", "1", "--output", str(tmp_path / "s"),
-    ])
-    assert rc == 2
