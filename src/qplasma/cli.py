@@ -13,19 +13,15 @@ Exit codes: 0 success, 1 evaluation failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 
-from .dielectric import (
-    DimensionlessPointA,
-    epsilon_collisional_a,
-    epsilon_lindhard,
-    epsilon_mermin,
-)
 from .errors import QplasmaError
 from .kohn import kohn_roots_dimless, kohn_wavenumbers_physical
 from .quadrature import oracle_scan
-from .sweep import ConfigError, SweepConfig, load_config_file, parse_q_range, run_sweep
+from .sweep import FORMATS, MODELS, ConfigError, SweepConfig, load_config_file, parse_q_range, run_sweep
 
 __all__ = ["main"]
 
@@ -42,13 +38,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep eps over q and write CSV/SVG")
     p_sweep.add_argument("--config", help="key=value config file; flags override it")
-    p_sweep.add_argument("--model", choices=("bgk", "mermin", "lindhard"))
+    p_sweep.add_argument("--model", choices=MODELS)
     p_sweep.add_argument("--x", type=float, help="omega/(k vF), held fixed over the sweep")
     p_sweep.add_argument("--y", help="comma-separated collision frequencies nu/(k vF)")
     p_sweep.add_argument("--q", help="q grid as min:max:steps")
     p_sweep.add_argument("--xp", type=float, help="coupling omega_p/(k vF)")
     p_sweep.add_argument("--output", help="output base path (suffixes .csv/.svg added)")
-    p_sweep.add_argument("--format", choices=("csv", "svg", "both"))
+    p_sweep.add_argument("--format", choices=FORMATS)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="compare the three models at one point")
@@ -131,13 +127,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.y < 0.0 or args.xp < 0.0:
         print("error: y and xp must be >= 0", file=sys.stderr)
         return 2
-    point = DimensionlessPointA(args.x, args.y, args.q, args.xp)
-    values = {
-        "bgk": epsilon_collisional_a(point).epsilon,
-        "mermin": epsilon_mermin(point).epsilon,
-        "lindhard": epsilon_lindhard(args.x, args.q, args.xp).epsilon,
-    }
-    pairs = [("bgk", "mermin"), ("bgk", "lindhard"), ("mermin", "lindhard")]
+    values = {name: eps(args.x, args.y, args.q, args.xp) for name, eps in MODELS.items()}
+    pairs = list(itertools.combinations(values, 2))
     if args.json:
         for model, eps in values.items():
             print(json.dumps({
@@ -175,6 +166,9 @@ def _cmd_kohn(args: argparse.Namespace) -> int:
         if args.kf <= 0 or args.vf <= 0:
             print("error: --kf and --vf must be positive", file=sys.stderr)
             return 2
+        if not all(math.isfinite(v) for v in (args.omega, args.kf, args.vf)):
+            print("error: --omega, --kf and --vf must be finite", file=sys.stderr)
+            return 2
         x = args.omega / (args.kf * args.vf)
         ks = kohn_wavenumbers_physical(args.omega, args.kf, args.vf)
         print(f"x = omega/(kF vF) = {x:.12g}")
@@ -204,6 +198,9 @@ def _cmd_kohn(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.points < 1:
         print("error: --points must be >= 1", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print("error: --tol must be a positive finite number", file=sys.stderr)
         return 2
     worst, (x, y, q) = oracle_scan(n_points=args.points, seed=args.seed)
     print(f"closed form vs quadrature on {args.points} random points (seed {args.seed})")

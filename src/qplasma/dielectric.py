@@ -143,11 +143,17 @@ def _numerator(z: complex, q: float) -> complex:
     return 1.0 - g_a(z, q, +1) + g_a(z, q, -1)
 
 
-def _collisional_ratio(z: complex, q: float) -> complex:
-    """N(z,q) / (1 - g0(z)), the kernel ratio shared by eps and sigma."""
+def _bgk_denominator(z: complex) -> complex:
+    """1 - g0(z), the BGK denominator; raises DenominatorVanishes near 0."""
     den = 1.0 - g0_a(z)
     if abs(den) < _DENOMINATOR_FLOOR:
         raise DenominatorVanishes(f"|1 - g0({z!r})| < {_DENOMINATOR_FLOOR}")
+    return den
+
+
+def _collisional_ratio(z: complex, q: float) -> complex:
+    """N(z,q) / (1 - g0(z)), the kernel ratio shared by eps and sigma."""
+    den = _bgk_denominator(z)
     return _numerator(z, q) / den
 
 
@@ -228,21 +234,25 @@ def epsilon_mermin(p: DimensionlessPointA) -> DielectricResult:
     return DielectricResult(eps, None, Model.Mermin)
 
 
+def _static_q(w: float) -> float:
+    """q = 2w of a static limit given at half-wavenumber w > 0."""
+    w = float(w)
+    if w <= 0.0:
+        raise ValueError(f"w must be > 0, got {w}")
+    return 2.0 * w
+
+
 def epsilon_static_mermin(w: float, xp: float) -> DielectricResult:
     """Static (omega = 0) Mermin permittivity at half-wavenumber w = q/2:
 
         eps = 1 + (3/2) xp^2 [1 - (w^2-1)/(2w) ln|(w+1)/(w-1)|].
 
-    Real for every w != 1 (see the module docstring for the w < 1 branch
-    discussion); w = 1 is the Kohn branch point and raises.
+    Evaluated as epsilon_mermin at x = 0, q = 2w (whose static route is
+    independent of y).  Real for every w != 1 (see the module docstring for
+    the w < 1 branch discussion); w = 1 is the Kohn branch point and raises.
     """
-    w = float(w)
-    if w <= 0.0:
-        raise ValueError(f"w must be > 0, got {w}")
-    if xp < 0.0:
-        raise ValueError(f"xp must be >= 0, got {xp}")
-    eps = _require_finite(1.0 + 1.5 * xp ** 2 * _static_numerator(2.0 * w), "epsilon_static_mermin")
-    return DielectricResult(eps, None, Model.StaticMermin)
+    p = DimensionlessPointA(0.0, 0.0, _static_q(w), xp)
+    return DielectricResult(epsilon_mermin(p).epsilon, None, Model.StaticMermin)
 
 
 def epsilon_static_collisional(y: float, w: float, xp: float) -> DielectricResult:
@@ -252,20 +262,11 @@ def epsilon_static_collisional(y: float, w: float, xp: float) -> DielectricResul
               * [1 - ((iy+w)^2-1)/(4w) ln((iy+w+1)/(iy+w-1))
                    + ((iy-w)^2-1)/(4w) ln((iy-w+1)/(iy-w-1))].
 
-    Identical arithmetic to epsilon_collisional_a at x = 0, q = 2w, hence
-    real for all y >= 0; at y = 0 it coincides with the static Mermin value.
+    Evaluated as epsilon_collisional_a at x = 0, q = 2w, hence real for all
+    y >= 0; at y = 0 it coincides with the static Mermin value.
     """
-    w = float(w)
-    y = float(y)
-    if w <= 0.0:
-        raise ValueError(f"w must be > 0, got {w}")
-    if y < 0.0:
-        raise ValueError(f"y must be >= 0, got {y}")
-    if xp < 0.0:
-        raise ValueError(f"xp must be >= 0, got {xp}")
-    ratio = _collisional_ratio(complex(0.0, y), 2.0 * w)
-    eps = _require_finite(1.0 + 1.5 * xp ** 2 * ratio, "epsilon_static_collisional")
-    return DielectricResult(eps, None, Model.StaticCollisional)
+    p = DimensionlessPointA(0.0, float(y), _static_q(w), xp)
+    return DielectricResult(epsilon_collisional_a(p).epsilon, None, Model.StaticCollisional)
 
 
 def epsilon_classical_limit(z: complex, xp: float) -> DielectricResult:
@@ -273,18 +274,16 @@ def epsilon_classical_limit(z: complex, xp: float) -> DielectricResult:
 
         eps = 1 + (3/2) xp^2 (2 - z L(z)) / (1 - (i Im z / 2) L(z)).
 
-    The numerator is the q -> 0 limit of 1 - g(z,+q) + g(z,-q); the limit is
-    cross-checked numerically in the test suite via q in {1e-2, 1e-3, 1e-4}
-    with a Richardson extrapolation in q^2.
+    The numerator is the q -> 0 limit of 1 - g(z,+q) + g(z,-q) and the
+    denominator is the BGK 1 - g0(z); the limit is cross-checked numerically
+    in the test suite via q in {1e-2, 1e-3, 1e-4} with a Richardson
+    extrapolation in q^2.
     """
     z = complex(z)
     if xp < 0.0:
         raise ValueError(f"xp must be >= 0, got {xp}")
-    ell = clog_ratio(z)
-    num = 2.0 - z * ell
-    den = 1.0 - 0.5j * z.imag * ell if z.imag != 0.0 else 1.0 + 0.0j
-    if abs(den) < _DENOMINATOR_FLOOR:
-        raise DenominatorVanishes(f"classical-limit denominator vanished at {z!r}")
+    num = 2.0 - z * clog_ratio(z)
+    den = _bgk_denominator(z)
     eps = _require_finite(1.0 + 1.5 * xp ** 2 * num / den, "epsilon_classical_limit")
     return DielectricResult(eps, None, Model.ClassicalLimit)
 

@@ -27,13 +27,14 @@ are returned as data flagged non-physical, never as errors.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dielectric import branch_points_q
-from .errors import WindowContainsPole
-from .sweep import SkippedPoint, _evaluate_row, _evaluator, _on_singular_q
+from .errors import NonFiniteResult, WindowContainsPole
+from .sweep import SkippedPoint, _evaluate_row, _on_singular_q
 
 __all__ = [
     "KohnRoot",
@@ -84,8 +85,11 @@ def _residual(q: complex, branch: tuple[int, int], x: float) -> float:
 
 
 def kohn_roots_dimless(x: float) -> KohnRootSet:
-    """All four Kohn singularities of eps(q) at fixed x = omega/(k_F v_F)."""
+    """All four Kohn singularities of eps(q) at fixed x = omega/(k_F v_F);
+    a non-finite x raises NonFiniteResult."""
     x = float(x)
+    if not math.isfinite(x):
+        raise NonFiniteResult(f"kohn_roots_dimless needs a finite x, got {x!r}")
     sp = cmath.sqrt(complex(1.0 + 2.0 * x, 0.0))
     sm = cmath.sqrt(complex(1.0 - 2.0 * x, 0.0))
 
@@ -130,8 +134,8 @@ def kohn_wavenumbers_physical(omega: float, kF: float, vF: float) -> tuple[compl
     degenerate root 0, its principal root 2 is used, giving 2k_F, 2k_F,
     -2k_F, -2k_F.  Negative discriminants give complex values.
     """
-    if kF <= 0.0 or vF <= 0.0:
-        raise ValueError("kF and vF must be positive")
+    if not (0.0 < kF < math.inf and 0.0 < vF < math.inf):
+        raise ValueError("kF and vF must be positive and finite")
     roots = kohn_roots_dimless(omega / (kF * vF)).roots
     return tuple(kF * (r.q if r.principal else r.q_alt) for r in roots)
 
@@ -177,7 +181,6 @@ def singularity_broadening_scan(
     qs = [float(q) for q in np.linspace(q_lo, q_hi, int(n_points))]
     h = qs[1] - qs[0]
     poles = [b for b in branch_points_q(x) if q_lo - h <= b <= q_hi + h]
-    evaluate = _evaluator("bgk", x, xp)
 
     rows = []
     for y in y_list:
@@ -187,7 +190,7 @@ def singularity_broadening_scan(
             hit = next((q for q in qs if _on_singular_q(q, row_poles)), None)
             if hit is not None:
                 raise WindowContainsPole(f"grid node q={hit} sits on a branch point (y=0)")
-        row = _evaluate_row(evaluate, qs, y, row_poles)
+        row = _evaluate_row("bgk", x, xp, qs, y, row_poles)
         eps = [None if isinstance(v, SkippedPoint) else v for v in row]
         skipped = tuple(v.q for v in row if isinstance(v, SkippedPoint))
         max_slope = 0.0

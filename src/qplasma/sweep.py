@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,13 @@ from .svg import line_plot
 
 __all__ = ["SweepConfig", "SweepResult", "run_sweep", "load_config_file", "parse_q_range"]
 
-MODELS = ("bgk", "mermin", "lindhard")
+# The one table from model name to eps(x, y, q, xp), read by the sweep, the
+# broadening scan and the CLI; raises QplasmaError.  Lindhard ignores y.
+MODELS = {
+    "bgk": lambda x, y, q, xp: epsilon_collisional_a(DimensionlessPointA(x, y, q, xp)).epsilon,
+    "mermin": lambda x, y, q, xp: epsilon_mermin(DimensionlessPointA(x, y, q, xp)).epsilon,
+    "lindhard": lambda x, y, q, xp: epsilon_lindhard(x, q, xp).epsilon,
+}
 FORMATS = ("csv", "svg", "both")
 _NUDGE = 1e-6
 _NODE_POLE_TOL = 1e-9
@@ -63,7 +69,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
-            raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
+            raise ConfigError(f"model must be one of {tuple(MODELS)}, got {self.model!r}")
         if self.fmt not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.fmt!r}")
         if not all(math.isfinite(v) for v in (self.x, self.xp, self.q_min, self.q_max, *self.y)):
@@ -101,7 +107,13 @@ class SweepResult:
     nudged: tuple[tuple[float, float], ...]  # (original, shifted)
     csv_path: Path | None = None
     svg_path: Path | None = None
-    warnings: tuple[str, ...] = field(default=())
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return tuple(
+            f"grid node q={orig:.17g} sits on a singular point; nudged to {new:.17g}"
+            for orig, new in self.nudged
+        )
 
     @property
     def skipped_fraction(self) -> float:
@@ -165,7 +177,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
 def _singular_q(cfg: SweepConfig) -> list[float]:
     """q values where evaluation is exactly singular for this config."""
     qs: list[float] = []
-    if cfg.model == "lindhard" or 0.0 in cfg.y:
+    if 0.0 in cfg.y:
         qs.extend(branch_points_q(cfg.x))
     if cfg.model == "mermin":
         # static screening combination N0(q) hits its branch point at q = 2
@@ -192,26 +204,18 @@ def _grid(cfg: SweepConfig) -> tuple[list[float], list[tuple[float, float]]]:
     return qs, nudged
 
 
-def _evaluator(model: str, x: float, xp: float):
-    """eps(q, y) of one model at fixed x and xp; raises QplasmaError."""
-    if model == "bgk":
-        return lambda q, y: epsilon_collisional_a(DimensionlessPointA(x, y, q, xp)).epsilon
-    if model == "mermin":
-        return lambda q, y: epsilon_mermin(DimensionlessPointA(x, y, q, xp)).epsilon
-    return lambda q, y: epsilon_lindhard(x, q, xp).epsilon
-
-
-def _evaluate_row(evaluate, qs, y: float, poles=()) -> list[complex | SkippedPoint]:
-    """eps over the q grid at one y: a value per node, or the SkippedPoint
-    that says why there is none.  Nodes on one of ``poles`` are skipped
-    without being evaluated."""
+def _evaluate_row(model: str, x: float, xp: float, qs, y: float, poles=()) -> list[complex | SkippedPoint]:
+    """eps of ``model`` over the q grid at fixed x, xp and y: a value per
+    node, or the SkippedPoint that says why there is none.  Nodes on one of
+    ``poles`` are skipped without being evaluated."""
+    evaluate = MODELS[model]
     row: list[complex | SkippedPoint] = []
     for q in qs:
         if _on_singular_q(q, poles):
             row.append(SkippedPoint(q=q, y=y, reason="grid node sits on a singular q"))
             continue
         try:
-            row.append(evaluate(q, y))
+            row.append(evaluate(x, y, q, xp))
         except QplasmaError as exc:
             row.append(SkippedPoint(q=q, y=y, reason=f"{type(exc).__name__}: {exc}"))
     return row
@@ -220,25 +224,18 @@ def _evaluate_row(evaluate, qs, y: float, poles=()) -> list[complex | SkippedPoi
 def run_sweep(cfg: SweepConfig, write: bool = True) -> SweepResult:
     """Evaluate the sweep and (optionally) write <output>.csv / <output>.svg."""
     qs, nudged = _grid(cfg)
-    evaluate = _evaluator(cfg.model, cfg.x, cfg.xp)
-    rows = [_evaluate_row(evaluate, qs, y) for y in cfg.y]
+    rows = [_evaluate_row(cfg.model, cfg.x, cfg.xp, qs, y) for y in cfg.y]
     eps: list[tuple[complex | None, ...]] = []
     skipped: list[SkippedPoint] = []
     for node in zip(*rows):
         skipped.extend(v for v in node if isinstance(v, SkippedPoint))
         eps.append(tuple(None if isinstance(v, SkippedPoint) else v for v in node))
-
-    warns = tuple(
-        f"grid node q={orig:.17g} sits on a singular point; nudged to {new:.17g}"
-        for orig, new in nudged
-    )
     result = SweepResult(
         config=cfg,
         q_values=tuple(qs),
         eps=tuple(eps),
         skipped=tuple(skipped),
         nudged=tuple(nudged),
-        warnings=warns,
     )
     if not write:
         return result

@@ -146,8 +146,6 @@ class PhysicalParams:
 def to_convention_a(p: PhysicalParams) -> DimensionlessPointA:
     """Per-k scaling: x = omega/(k vF), y = nu/(k vF), q = k/kF,
     xp = omega_p/(k vF)."""
-    if p.k <= 0.0:
-        raise ZeroWavenumber("convention A needs k > 0")
     s = p.k * p.vF
     return DimensionlessPointA(x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp=p.omega_p / s)
 
@@ -155,8 +153,6 @@ def to_convention_a(p: PhysicalParams) -> DimensionlessPointA:
 def to_convention_b(p: PhysicalParams) -> DimensionlessPointB:
     """Per-k_F scaling: x = omega/(kF vF), y = nu/(kF vF), q = k/kF,
     xp2 = (omega_p/(kF vF))^2."""
-    if p.k <= 0.0:
-        raise ZeroWavenumber("convention B needs k > 0")
     s = p.kF * p.vF
     return DimensionlessPointB(
         x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp2=(p.omega_p / s) ** 2

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qplasma.errors import WindowContainsPole
+from qplasma.errors import NonFiniteResult, WindowContainsPole
 from qplasma.kohn import (
     kohn_roots_dimless,
     kohn_wavenumbers_physical,
@@ -88,6 +88,18 @@ def test_physical_fermi_energy_form():
     hbar_omega_over_EF = 2.0 * omega / (kF * vF)  # EF = m vF^2/2, kF = m vF/hbar
     k1 = kF * (1.0 + math.sqrt(1.0 + hbar_omega_over_EF))
     assert k1 == pytest.approx(kohn_wavenumbers_physical(omega, kF, vF)[0].real, rel=1e-14)
+
+
+def test_non_finite_input_raises():
+    nan, inf = float("nan"), float("inf")
+    for x in (nan, inf, -inf):
+        with pytest.raises(NonFiniteResult):
+            kohn_roots_dimless(x)
+    with pytest.raises(NonFiniteResult):
+        kohn_wavenumbers_physical(nan, 1e10, 1e6)
+    for kF, vF in ((inf, 1e6), (nan, 1e6), (1e10, inf), (1e10, nan)):
+        with pytest.raises(ValueError):
+            kohn_wavenumbers_physical(1e14, kF, vF)
 
 
 # ------------------------------------------------------------------- scan

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from qplasma.cli import main
-from qplasma.sweep import ConfigError, SweepConfig, load_config_file, parse_q_range, run_sweep
+from qplasma.dielectric import DimensionlessPointA, epsilon_collisional_a, epsilon_lindhard, epsilon_mermin
+from qplasma.sweep import MODELS, ConfigError, SweepConfig, load_config_file, parse_q_range, run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,7 +66,7 @@ def test_sweep_svg_structure(tmp_path):
 
 
 def test_sweep_config_validation(tmp_path):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"model must be one of \('bgk', 'mermin', 'lindhard'\)"):
         _cfg(tmp_path, model="rpa")
     with pytest.raises(ConfigError):
         _cfg(tmp_path, q_steps=1)
@@ -166,6 +167,21 @@ def test_cli_compare_static_point(capsys):
     assert abs(eps["bgk"] - eps["mermin"]) > 1e-3
 
 
+def test_cli_compare_json_matches_library(capsys):
+    x, y, q, xp = 0.3, 0.1, 1.2, 1.5
+    rc = main(["compare", "--x", str(x), "--y", str(y), "--q", str(q), "--xp", str(xp), "--json"])
+    assert rc == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    eps = [(r["model"], complex(r["re"], r["im"])) for r in records if r["kind"] == "epsilon"]
+    point = DimensionlessPointA(x, y, q, xp)
+    assert eps == [
+        ("bgk", epsilon_collisional_a(point).epsilon),
+        ("mermin", epsilon_mermin(point).epsilon),
+        ("lindhard", epsilon_lindhard(x, q, xp).epsilon),
+    ]
+    assert [model for model, _ in eps] == list(MODELS)
+
+
 def test_cli_compare_rejects_zero_q(capsys):
     assert main(["compare", "--x", "0.5", "--y", "0.1", "--q", "0", "--xp", "1"]) == 2
 
@@ -184,6 +200,11 @@ def test_cli_kohn_dimensionless(capsys):
     assert "degenerate" in out
     rows = [line for line in out.splitlines() if line.startswith("(")]
     assert len(rows) == 4
+    for x in ("nan", "inf"):
+        assert main(["kohn", "--x", x]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NonFiniteResult" in captured.err
 
 
 def test_cli_kohn_physical(capsys):
@@ -193,6 +214,13 @@ def test_cli_kohn_physical(capsys):
     assert "k1" in out and "k4" in out
     rc2 = main(["kohn"])
     assert rc2 == 2
+    for argv in (["--omega", "nan", "--kf", "1e10", "--vf", "1e6"],
+                 ["--omega", "1e14", "--kf", "inf", "--vf", "1e6"],
+                 ["--omega", "1e14", "--kf", "1e10", "--vf", "nan"]):
+        assert main(["kohn", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
 
 
 def test_cli_verify(capsys):
@@ -201,6 +229,11 @@ def test_cli_verify(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "max relative error" in out
+    for tol in ("nan", "-1", "0", "inf"):
+        assert main(["verify", "--points", "10", "--seed", "3", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
 
 
 def test_cli_usage_error_exit_code():
