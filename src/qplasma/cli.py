@@ -169,9 +169,8 @@ def _cmd_kohn(args: argparse.Namespace) -> int:
         if not all(math.isfinite(v) for v in (args.omega, args.kf, args.vf)):
             print("error: --omega, --kf and --vf must be finite", file=sys.stderr)
             return 2
-        x = args.omega / (args.kf * args.vf)
         ks = kohn_wavenumbers_physical(args.omega, args.kf, args.vf)
-        print(f"x = omega/(kF vF) = {x:.12g}")
+        print(f"x = omega/(kF vF) = {args.omega / (args.kf * args.vf):.12g}")
         for i, k in enumerate(ks, 1):
             print(f"k{i} = {_fmt_root(k)} 1/m  (k{i}/kF = {_fmt_root(k / args.kf)})")
         if args.x is not None:

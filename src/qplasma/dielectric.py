@@ -42,6 +42,7 @@ from .errors import (
     DegenerateQ,
     DenominatorVanishes,
     DivisionByZeroFrequency,
+    NonFiniteResult,
     StaticDenominatorVanishes,
 )
 from .kernels import _require_finite, clog_ratio, g0_a, g_a
@@ -138,6 +139,22 @@ class DielectricResult:
     model: Model
 
 
+def _square(v: float, what: str) -> float:
+    """v ** 2 of a caller's value; an overflow raises NonFiniteResult."""
+    try:
+        return v ** 2
+    except OverflowError:
+        raise NonFiniteResult(f"the square of {what} = {v!r} overflows") from None
+
+
+def _divisor(v: complex, what: str) -> complex:
+    """A divisor built from a caller's values; 0 (an underflow, or an exact
+    cancellation) raises NonFiniteResult."""
+    if v == 0.0:
+        raise NonFiniteResult(f"{what} is 0, so the quotient is undefined")
+    return v
+
+
 def _numerator(z: complex, q: float) -> complex:
     """N(z, q) = 1 - g(z,+q) + g(z,-q)."""
     return 1.0 - g_a(z, q, +1) + g_a(z, q, -1)
@@ -179,7 +196,7 @@ def epsilon_collisional_a(p: DimensionlessPointA) -> DielectricResult:
     eps = 1 + 4*pi*i*sigma/omega duality recast dimensionlessly.
     """
     ratio = _collisional_ratio(p.z, p.q)
-    eps = _require_finite(1.0 + 1.5 * p.xp ** 2 * ratio, "epsilon_collisional_a")
+    eps = _require_finite(1.0 + 1.5 * _square(p.xp, "xp") * ratio, "epsilon_collisional_a")
     sigma = _require_finite(_sigma(p.x, p.y, ratio), "sigma")
     return DielectricResult(eps, sigma, Model.CollisionalBGK)
 
@@ -194,7 +211,8 @@ def epsilon_collisional_b(p: DimensionlessPointB) -> DielectricResult:
     """
     q = abs(p.q)
     ratio = _collisional_ratio(p.z / q, q)
-    eps = _require_finite(1.0 + 1.5 * p.xp2 / p.q ** 2 * ratio, "epsilon_collisional_b")
+    q2 = _divisor(_square(p.q, "q"), "q**2")
+    eps = _require_finite(1.0 + 1.5 * p.xp2 / q2 * ratio, "epsilon_collisional_b")
     sigma = _require_finite(_sigma(p.x / p.q, p.y / p.q, ratio), "sigma")
     return DielectricResult(eps, sigma, Model.CollisionalBGK)
 
@@ -206,7 +224,7 @@ def epsilon_lindhard(x: float, q: float, xp: float) -> DielectricResult:
         raise ValueError(f"xp must be >= 0, got {xp}")
     x = float(x)
     n = _numerator(complex(x, 0.0), q)
-    eps = _require_finite(1.0 + 1.5 * xp ** 2 * n, "epsilon_lindhard")
+    eps = _require_finite(1.0 + 1.5 * _square(xp, "xp") * n, "epsilon_lindhard")
     return DielectricResult(eps, _sigma(x, 0.0, n), Model.Lindhard)
 
 
@@ -219,18 +237,18 @@ def epsilon_mermin(p: DimensionlessPointA) -> DielectricResult:
         eps = 1 + (3/2) xp^2 z N(z,q) / (x + i y N(z,q)/N0(q)).
     """
     if p.x == 0.0:
-        eps = _require_finite(1.0 + 1.5 * p.xp ** 2 * _static_numerator(p.q), "epsilon_mermin")
+        eps = _require_finite(1.0 + 1.5 * _square(p.xp, "xp") * _static_numerator(p.q), "epsilon_mermin")
         return DielectricResult(eps, None, Model.Mermin)
     z = p.z
     n = _numerator(z, p.q)
     if p.y == 0.0:
-        eps = _require_finite(1.0 + 1.5 * p.xp ** 2 * n, "epsilon_mermin")
+        eps = _require_finite(1.0 + 1.5 * _square(p.xp, "xp") * n, "epsilon_mermin")
         return DielectricResult(eps, None, Model.Mermin)
     n0 = _static_numerator(p.q)
     den = p.x + 1j * p.y * n / n0
     if abs(den) < _DENOMINATOR_FLOOR:
         raise DenominatorVanishes(f"Mermin denominator vanished at {p!r}")
-    eps = _require_finite(1.0 + 1.5 * p.xp ** 2 * (z * n) / den, "epsilon_mermin")
+    eps = _require_finite(1.0 + 1.5 * _square(p.xp, "xp") * (z * n) / den, "epsilon_mermin")
     return DielectricResult(eps, None, Model.Mermin)
 
 
@@ -284,7 +302,7 @@ def epsilon_classical_limit(z: complex, xp: float) -> DielectricResult:
         raise ValueError(f"xp must be >= 0, got {xp}")
     num = 2.0 - z * clog_ratio(z)
     den = _bgk_denominator(z)
-    eps = _require_finite(1.0 + 1.5 * xp ** 2 * num / den, "epsilon_classical_limit")
+    eps = _require_finite(1.0 + 1.5 * _square(xp, "xp") * num / den, "epsilon_classical_limit")
     return DielectricResult(eps, None, Model.ClassicalLimit)
 
 

@@ -30,9 +30,10 @@ which is how they are evaluated: g0_b(z, q) = g0_a(z/|q|) and
 g_b(z, q, s) = g_a(z/|q|, |q|, s).  Negative q is permitted in
 convention A and obeys g_a(z, -q, +1) == -g_a(z, q, -1) identically.
 
-All functions are scalar, pure and binary64.  Arguments exactly on a branch
-point raise PoleAtBranchPoint; anything that would return inf/nan raises
-NonFiniteResult instead.
+All functions are scalar, pure and binary64.  Each public kernel checks its
+argument once (non-finite: NonFiniteResult; Im < 0: NonUpperHalfPlane) and
+evaluates L by the unchecked _L (branch point: PoleAtBranchPoint).  L and g0_a
+stay finite; g_a checks its result, as z + s q/2 and (a^2 - 1)/(2q) can overflow.
 """
 
 from __future__ import annotations
@@ -62,24 +63,24 @@ def _as_upper_half(z: complex, what: str) -> complex:
     return z
 
 
-def clog_ratio(a: complex) -> complex:
-    """ln((a+1)/(a-1)) on the branch continuous from the upper half-plane.
-
-    Real arguments are the Im(a) -> 0+ limit; inside (-1, 1) the imaginary
-    part is exactly -pi.  Uses a difference of logs so near-branch-point
-    arguments cannot overflow the intermediate ratio.
-    """
-    a = _as_upper_half(a, "clog_ratio")
-    if a.imag == 0.0:
+def _L(a: complex) -> complex:
+    """L(a) for Im a >= 0, unchecked: only a branch point raises; nan/inf in, nan/inf out."""
+    if a.imag == 0.0:  # the Im a -> 0+ limit: exactly -i*pi inside (-1, 1)
         x = a.real
         if abs(x) == 1.0:
             raise PoleAtBranchPoint(f"clog_ratio argument at branch point {x:+g}")
         if abs(x) > 1.0:
             return complex(math.log(abs(x + 1.0)) - math.log(abs(x - 1.0)), 0.0)
         return complex(math.log(1.0 + x) - math.log(1.0 - x), -math.pi)
-    # Im a > 0: both a+1 and a-1 lie strictly in the upper half-plane, so the
-    # principal-log difference is continuous and needs no unwinding.
-    return _require_finite(cmath.log(a + 1.0) - cmath.log(a - 1.0), "clog_ratio")
+    # Im a > 0: a + 1 and a - 1 lie above the real axis; no unwinding needed.
+    return cmath.log(a + 1.0) - cmath.log(a - 1.0)
+
+
+def clog_ratio(a: complex) -> complex:
+    """ln((a+1)/(a-1)) on the branch continuous from the upper half-plane;
+    real a is the Im(a) -> 0+ limit.  A difference of logs, so arguments near
+    a branch point cannot overflow the intermediate ratio."""
+    return _L(_as_upper_half(a, "clog_ratio"))
 
 
 def g0_a(z: complex) -> complex:
@@ -91,7 +92,7 @@ def g0_a(z: complex) -> complex:
     z = _as_upper_half(z, "g0_a")
     if z.imag == 0.0:
         return 0.0j
-    return _require_finite(0.5j * z.imag * clog_ratio(z), "g0_a")
+    return 0.5j * z.imag * _L(z)
 
 
 def g_a(z: complex, q: float, sign: int) -> complex:
@@ -108,8 +109,7 @@ def g_a(z: complex, q: float, sign: int) -> complex:
         raise DegenerateQ("g_a needs q != 0")
     z = _as_upper_half(z, "g_a")
     a = z + sign * (q / 2.0)
-    value = (a * a - 1.0) / (2.0 * q) * clog_ratio(a)
-    return _require_finite(value, "g_a")
+    return _require_finite((a * a - 1.0) / (2.0 * q) * _L(a), "g_a")
 
 
 def _b_to_a(z: complex, q: float, what: str) -> tuple[complex, float]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dielectric import branch_points_q
+from .dielectric import _divisor, branch_points_q
 from .errors import NonFiniteResult, WindowContainsPole
 from .sweep import SkippedPoint, _evaluate_row, _on_singular_q
 
@@ -136,7 +136,7 @@ def kohn_wavenumbers_physical(omega: float, kF: float, vF: float) -> tuple[compl
     """
     if not (0.0 < kF < math.inf and 0.0 < vF < math.inf):
         raise ValueError("kF and vF must be positive and finite")
-    roots = kohn_roots_dimless(omega / (kF * vF)).roots
+    roots = kohn_roots_dimless(omega / _divisor(kF * vF, "kF*vF")).roots
     return tuple(kF * (r.q if r.principal else r.q_alt) for r in roots)
 
 

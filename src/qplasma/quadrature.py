@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .dielectric import DimensionlessPointA, epsilon_collisional_a
+from .dielectric import DimensionlessPointA, _divisor, _square, epsilon_collisional_a
 from .errors import NonUpperHalfPlane, PoleOnContour, ToleranceNotReached
 from .kernels import _VALID_SIGNS, clog_ratio
 
@@ -158,8 +158,10 @@ def epsilon_from_quadrature(
     """
     jp = j_pm_quadrature(x, y, q, +1, spec)
     jm = j_pm_quadrature(x, y, q, -1, spec)
-    n_quad = (jp - jm) / (-2j * math.pi * q)
-    return 1.0 + 1.5 * xp ** 2 * n_quad / (1.0 - g0_quadrature(x, y, spec))
+    n_quad = (jp - jm) / _divisor(-2j * math.pi * q, "2 pi q")
+    coupling = 1.5 * _square(xp, "xp")
+    den = _divisor(1.0 - g0_quadrature(x, y, spec), "1 - g0_quad")
+    return 1.0 + coupling * n_quad / den
 
 
 def oracle_scan(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from scipy import constants
 
-from .dielectric import DimensionlessPointA, DimensionlessPointB
+from .dielectric import DimensionlessPointA, DimensionlessPointB, _divisor, _square
 from .errors import InconsistentParameters, ZeroWavenumber
 
 __all__ = [
@@ -146,16 +146,16 @@ class PhysicalParams:
 def to_convention_a(p: PhysicalParams) -> DimensionlessPointA:
     """Per-k scaling: x = omega/(k vF), y = nu/(k vF), q = k/kF,
     xp = omega_p/(k vF)."""
-    s = p.k * p.vF
+    s = _divisor(p.k * p.vF, "k*vF")
     return DimensionlessPointA(x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp=p.omega_p / s)
 
 
 def to_convention_b(p: PhysicalParams) -> DimensionlessPointB:
     """Per-k_F scaling: x = omega/(kF vF), y = nu/(kF vF), q = k/kF,
     xp2 = (omega_p/(kF vF))^2."""
-    s = p.kF * p.vF
+    s = _divisor(p.kF * p.vF, "kF*vF")
     return DimensionlessPointB(
-        x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp2=(p.omega_p / s) ** 2
+        x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp2=_square(p.omega_p / s, "omega_p/(kF vF)")
     )
 
 

@@ -229,3 +229,17 @@ def test_kernels_reject_lower_half_plane():
         g_a(0.5 - 1e-12j, 1.0, +1)
     with pytest.raises(NonUpperHalfPlane):
         g0_b(0.5 - 1e-12j, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_kernels_reject_non_finite_arguments(bad):
+    for z in (complex(bad, 0.5), complex(0.5, bad)):
+        for call in (lambda: clog_ratio(z), lambda: g0_a(z), lambda: g_a(z, 1.0, +1),
+                     lambda: g0_b(z, 1.0), lambda: g_b(z, 1.0, -1)):
+            with pytest.raises(NonFiniteResult):
+                call()
+    for s in (+1, -1):
+        with pytest.raises(NonFiniteResult):
+            g_a(0.3 + 0.1j, bad, s)
+        with pytest.raises(NonFiniteResult):
+            g_b(0.3 + 0.1j, bad, s)
