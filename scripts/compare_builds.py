@@ -16,10 +16,12 @@ values.  Each call prints one line: the ``float.hex`` of every returned
 value (so signed zeros count), sigma and the model tag, or the class and
 message of the raised error.  The two streams are compared line by line.
 
-The one expected difference is an OverflowError or ZeroDivisionError of the
-old tree that the new tree raises as NonFiniteResult; such changes are
-counted per function.  Changed error-message texts are counted, with one
-example each.  Any other difference is printed and the exit status is 1.
+Two kinds of difference are expected and counted per function, with one
+example each: an OverflowError or ZeroDivisionError of the old tree that the
+new tree raises as NonFiniteResult, and a call with a non-finite argument or
+result in the old tree that the new tree rejects with NonFiniteResult.
+Changed error-message texts are counted the same way.  Any other difference
+is printed and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _physical(u, omega, nu, k, vF, omega_p):
 
 
 def call_table():
-    """name -> (f(*args), whether a returned value must be finite, weight)."""
+    """name -> (f(*args), weight).  Every f returns finite values or raises."""
     from qplasma import dielectric as d
     from qplasma import kernels as k
     from qplasma import kohn
@@ -113,33 +115,33 @@ def call_table():
 
     pa = d.DimensionlessPointA
     return {
-        "clog_ratio": (lambda x, y: k.clog_ratio(complex(x, y)), True, 20),
-        "g0_a": (lambda x, y: k.g0_a(complex(x, y)), True, 20),
-        "g_a": (lambda x, y, q, s: k.g_a(complex(x, y), q, s), True, 20),
-        "g0_b": (lambda x, y, q: k.g0_b(complex(x, y), q), True, 20),
-        "g_b": (lambda x, y, q, s: k.g_b(complex(x, y), q, s), True, 20),
-        "epsilon_collisional_a": (lambda *a: d.epsilon_collisional_a(pa(*a)), True, 20),
+        "clog_ratio": (lambda x, y: k.clog_ratio(complex(x, y)), 20),
+        "g0_a": (lambda x, y: k.g0_a(complex(x, y)), 20),
+        "g_a": (lambda x, y, q, s: k.g_a(complex(x, y), q, s), 20),
+        "g0_b": (lambda x, y, q: k.g0_b(complex(x, y), q), 20),
+        "g_b": (lambda x, y, q, s: k.g_b(complex(x, y), q, s), 20),
+        "epsilon_collisional_a": (lambda *a: d.epsilon_collisional_a(pa(*a)), 20),
         "epsilon_collisional_b": (
-            lambda *a: d.epsilon_collisional_b(d.DimensionlessPointB(*a)), True, 20),
-        "epsilon_lindhard": (d.epsilon_lindhard, True, 20),
-        "epsilon_mermin": (lambda *a: d.epsilon_mermin(pa(*a)), True, 20),
-        "sigma_longitudinal": (lambda *a: d.sigma_longitudinal(pa(*a)), True, 20),
-        "epsilon_static_mermin": (d.epsilon_static_mermin, True, 20),
-        "epsilon_static_collisional": (d.epsilon_static_collisional, True, 20),
+            lambda *a: d.epsilon_collisional_b(d.DimensionlessPointB(*a)), 20),
+        "epsilon_lindhard": (d.epsilon_lindhard, 20),
+        "epsilon_mermin": (lambda *a: d.epsilon_mermin(pa(*a)), 20),
+        "sigma_longitudinal": (lambda *a: d.sigma_longitudinal(pa(*a)), 20),
+        "epsilon_static_mermin": (d.epsilon_static_mermin, 20),
+        "epsilon_static_collisional": (d.epsilon_static_collisional, 20),
         "epsilon_classical_limit": (
-            lambda x, y, xp: d.epsilon_classical_limit(complex(x, y), xp), True, 20),
-        "kohn_roots_dimless": (kohn.kohn_roots_dimless, False, 10),
-        "kohn_wavenumbers_physical": (kohn.kohn_wavenumbers_physical, False, 10),
-        "to_convention_a": (lambda *a: u.to_convention_a(_physical(u, *a)), False, 10),
-        "to_convention_b": (lambda *a: u.to_convention_b(_physical(u, *a)), False, 10),
-        "epsilon_from_quadrature": (quad.epsilon_from_quadrature, False, 1),
+            lambda x, y, xp: d.epsilon_classical_limit(complex(x, y), xp), 20),
+        "kohn_roots_dimless": (kohn.kohn_roots_dimless, 10),
+        "kohn_wavenumbers_physical": (kohn.kohn_wavenumbers_physical, 10),
+        "to_convention_a": (lambda *a: u.to_convention_a(_physical(u, *a)), 10),
+        "to_convention_b": (lambda *a: u.to_convention_b(_physical(u, *a)), 10),
+        "epsilon_from_quadrature": (quad.epsilon_from_quadrature, 1),
     }
 
 
 def draws(seed: int, n: int, table):
     """The seeded sequence of (name, args), weighted round robin over ``table``."""
     rng = random.Random(seed)
-    schedule = [name for name, (_, _, weight) in table.items() for _ in range(weight)]
+    schedule = [name for name, (_, weight) in table.items() for _ in range(weight)]
     for i in range(n):
         name = schedule[i % len(schedule)]
         yield name, _args(name, rng)
@@ -162,6 +164,10 @@ def flatten(value) -> list:
 
 def _token(v) -> str:
     return v.hex() if isinstance(v, float) else repr(v)
+
+
+def _non_finite(tokens: str) -> bool:
+    return any(t.lstrip("-") in ("inf", "nan") for t in tokens.split())
 
 
 def outcome(fn, args) -> str:
@@ -196,7 +202,7 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
         if header.strip() != f"# {(src / 'qplasma').resolve()}":
             print(f"worker imported the wrong tree: {header.strip()} (wanted {src})")
             bad += 1
-    calls, expected, messages, examples = Counter(), Counter(), Counter(), {}
+    calls, expected, rejected, messages, examples = Counter(), Counter(), Counter(), Counter(), {}
     for line_old, line_new in zip(old, new):
         name, args, res_old = line_old.rstrip("\n").split("\t", 2)
         *call_new, res_new = line_new.rstrip("\n").split("\t", 2)
@@ -207,6 +213,13 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
         cls_old, cls_new = res_old.split(":", 1)[0], res_new.split(":", 1)[0]
         same_class = cls_old == cls_new and res_old.startswith("!")
         now_typed = cls_old[2:] in EXPECTED_OLD and cls_new == f"! {EXPECTED_NEW}"
+        bad_result = res_old.startswith("=") and _non_finite(res_old)
+        if (verdict == "unexpected difference" and cls_new == f"! {EXPECTED_NEW}"
+                and cls_old != cls_new and (bad_result or _non_finite(args))):
+            key = name, "result" if bad_result else "argument", ""
+            rejected[key] += 1
+            examples.setdefault(key, (res_old[2:], res_new[2:]))
+            continue
         if verdict == "unexpected difference" and (same_class or now_typed):
             key = name, _NUMBER.sub("#", res_old[2:]), _NUMBER.sub("#", res_new[2:])
             (messages if same_class else expected)[key] += 1
@@ -229,6 +242,10 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
         for key, count in sorted(counts.items()):
             was, now = examples[key]
             print(f"  {key[0]}: {count} x {kind} changed, e.g.\n    old: {was}\n    new: {now}")
+    for key, count in sorted(rejected.items()):
+        was, now = examples[key]
+        print(f"  {key[0]}: {count} x non-finite {key[1]} now raises {EXPECTED_NEW}, e.g.\n"
+              f"    old: {was}\n    new: {now}")
     print(f"{bad} unexpected difference(s)" if bad else "no unexpected difference")
     return 1 if bad else 0
 

@@ -50,15 +50,6 @@ from .kohn import (
     kohn_wavenumbers_physical,
     singularity_broadening_scan,
 )
-from .quadrature import (
-    QuadratureSpec,
-    epsilon_from_quadrature,
-    g0_quadrature,
-    j_closed_form,
-    j_pm_quadrature,
-    oracle_scan,
-    quad_complex,
-)
 from .sweep import SweepConfig, SweepResult, run_sweep
 from .units import (
     FermiQuantities,
@@ -71,3 +62,25 @@ from .units import (
 )
 
 __version__ = "0.1.0"
+
+# The quadrature oracle is the one part that needs numpy and scipy, whose
+# import is most of a CLI call's wall time; its names load on first use, so
+# that importing the package (and every CLI command but ``verify``) loads
+# neither.
+_QUADRATURE_NAMES = frozenset({
+    "QuadratureSpec",
+    "epsilon_from_quadrature",
+    "g0_quadrature",
+    "j_closed_form",
+    "j_pm_quadrature",
+    "oracle_scan",
+    "quad_complex",
+})
+
+
+def __getattr__(name: str):
+    if name in _QUADRATURE_NAMES:
+        from . import quadrature
+
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

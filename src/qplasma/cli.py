@@ -20,7 +20,6 @@ import sys
 
 from .errors import QplasmaError
 from .kohn import kohn_roots_dimless, kohn_wavenumbers_physical
-from .quadrature import oracle_scan
 from .sweep import FORMATS, MODELS, ConfigError, SweepConfig, load_config_file, parse_q_range, run_sweep
 
 __all__ = ["main"]
@@ -201,6 +200,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         print("error: --tol must be a positive finite number", file=sys.stderr)
         return 2
+    from .quadrature import oracle_scan  # the one command that needs scipy
+
     worst, (x, y, q) = oracle_scan(n_points=args.points, seed=args.seed)
     print(f"closed form vs quadrature on {args.points} random points (seed {args.seed})")
     print(f"max relative error = {worst:.3e} at x={x:.4g} y={y:.4g} q={q:.4g}")

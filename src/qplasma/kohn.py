@@ -30,11 +30,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dielectric import _divisor, branch_points_q
 from .errors import NonFiniteResult, WindowContainsPole
-from .sweep import SkippedPoint, _evaluate_row, _on_singular_q
+from .sweep import SkippedPoint, _evaluate_row, _linspace, _on_singular_q
 
 __all__ = [
     "KohnRoot",
@@ -86,12 +84,15 @@ def _residual(q: complex, branch: tuple[int, int], x: float) -> float:
 
 def kohn_roots_dimless(x: float) -> KohnRootSet:
     """All four Kohn singularities of eps(q) at fixed x = omega/(k_F v_F);
-    a non-finite x raises NonFiniteResult."""
+    a non-finite x, or |x| so large that 1 +- 2x overflows, raises
+    NonFiniteResult."""
     x = float(x)
     if not math.isfinite(x):
         raise NonFiniteResult(f"kohn_roots_dimless needs a finite x, got {x!r}")
     sp = cmath.sqrt(complex(1.0 + 2.0 * x, 0.0))
     sm = cmath.sqrt(complex(1.0 - 2.0 * x, 0.0))
+    if not (cmath.isfinite(sp) and cmath.isfinite(sm)):
+        raise NonFiniteResult(f"the Kohn roots at x={x!r} overflow")
 
     # (branch, selected root, other root, principal selection)
     picks = [
@@ -132,12 +133,16 @@ def kohn_wavenumbers_physical(omega: float, kF: float, vF: float) -> tuple[compl
     These are k_F times the principal roots of kohn_roots_dimless at
     x = omega/(k_F v_F); at x = 0, where the (-,+) entry reports the
     degenerate root 0, its principal root 2 is used, giving 2k_F, 2k_F,
-    -2k_F, -2k_F.  Negative discriminants give complex values.
+    -2k_F, -2k_F.  Negative discriminants give complex values; a
+    wavenumber that overflows raises NonFiniteResult.
     """
     if not (0.0 < kF < math.inf and 0.0 < vF < math.inf):
         raise ValueError("kF and vF must be positive and finite")
     roots = kohn_roots_dimless(omega / _divisor(kF * vF, "kF*vF")).roots
-    return tuple(kF * (r.q if r.principal else r.q_alt) for r in roots)
+    ks = tuple(kF * (r.q if r.principal else r.q_alt) for r in roots)
+    if not all(cmath.isfinite(k) for k in ks):
+        raise NonFiniteResult(f"kF * q overflows: {ks!r}")
+    return ks
 
 
 @dataclass(frozen=True)
@@ -178,7 +183,7 @@ def singularity_broadening_scan(
     if not q_hi > q_lo:
         raise ValueError("q_window must satisfy q_min < q_max")
 
-    qs = [float(q) for q in np.linspace(q_lo, q_hi, int(n_points))]
+    qs = _linspace(q_lo, q_hi, int(n_points))
     h = qs[1] - qs[0]
     poles = [b for b in branch_points_q(x) if q_lo - h <= b <= q_hi + h]
 

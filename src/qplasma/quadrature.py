@@ -42,8 +42,8 @@ import numpy as np
 from scipy import integrate
 
 from .dielectric import DimensionlessPointA, _divisor, _square, epsilon_collisional_a
-from .errors import NonUpperHalfPlane, PoleOnContour, ToleranceNotReached
-from .kernels import _VALID_SIGNS, clog_ratio
+from .errors import NonFiniteResult, NonUpperHalfPlane, PoleOnContour, ToleranceNotReached
+from .kernels import _VALID_SIGNS, _require_finite, clog_ratio
 
 __all__ = [
     "QuadratureSpec",
@@ -155,13 +155,17 @@ def epsilon_from_quadrature(
 
         eps = 1 + (3/2) xp^2 * N_quad / (1 - g0_quad),
         N_quad = (Jt_+ - Jt_-) / (-2 pi i q).
+
+    A non-finite argument or result raises NonFiniteResult.
     """
+    if not all(math.isfinite(v) for v in (x, y, q, xp)):
+        raise NonFiniteResult(f"epsilon_from_quadrature needs finite arguments, got {(x, y, q, xp)!r}")
     jp = j_pm_quadrature(x, y, q, +1, spec)
     jm = j_pm_quadrature(x, y, q, -1, spec)
     n_quad = (jp - jm) / _divisor(-2j * math.pi * q, "2 pi q")
     coupling = 1.5 * _square(xp, "xp")
     den = _divisor(1.0 - g0_quadrature(x, y, spec), "1 - g0_quad")
-    return 1.0 + coupling * n_quad / den
+    return _require_finite(1.0 + coupling * n_quad / den, "epsilon_from_quadrature")
 
 
 def oracle_scan(

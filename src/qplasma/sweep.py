@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .dielectric import (
     DimensionlessPointA,
     branch_points_q,
@@ -193,8 +191,24 @@ def _on_singular_q(q: float, poles) -> bool:
     return any(abs(q - b) < _NODE_POLE_TOL for b in poles)
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 uniform nodes from lo to hi, bit for bit those of
+    numpy.linspace: lo + i*step, or lo + (i/(n-1))*delta when the step
+    underflows to 0 (numpy gh-5437), and the last node exactly hi."""
+    lo, hi = float(lo), float(hi)
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        nodes = [i / div * delta + lo for i in range(div)]
+    else:
+        nodes = [i * step + lo for i in range(div)]
+    nodes.append(hi)
+    return nodes
+
+
 def _grid(cfg: SweepConfig) -> tuple[list[float], list[tuple[float, float]]]:
-    qs = [float(q) for q in np.linspace(cfg.q_min, cfg.q_max, cfg.q_steps)]
+    qs = _linspace(cfg.q_min, cfg.q_max, cfg.q_steps)
     nudged: list[tuple[float, float]] = []
     poles = _singular_q(cfg)
     for i, q in enumerate(qs):

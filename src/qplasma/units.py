@@ -22,10 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import constants
-
 from .dielectric import DimensionlessPointA, DimensionlessPointB, _divisor, _square
-from .errors import InconsistentParameters, ZeroWavenumber
+from .errors import InconsistentParameters, NonFiniteResult, ZeroWavenumber
 
 __all__ = [
     "HBAR",
@@ -41,10 +39,12 @@ __all__ = [
     "from_convention_a",
 ]
 
-HBAR = constants.hbar
-M_E = constants.m_e
-E_CHARGE = constants.e
-EPS0 = constants.epsilon_0
+# CODATA 2022, the values of scipy.constants (hbar, m_e, e, epsilon_0); kept
+# as literals so that importing the package does not import scipy.
+HBAR = 1.0545718176461565e-34  # J s
+M_E = 9.1093837139e-31  # kg
+E_CHARGE = 1.602176634e-19  # C
+EPS0 = 8.8541878188e-12  # F/m
 
 _REL_TOL = 1e-6
 
@@ -143,20 +143,28 @@ class PhysicalParams:
         )
 
 
+def _finite(pt):
+    """pt, if every field is finite; NonFiniteResult otherwise."""
+    if not all(map(math.isfinite, vars(pt).values())):
+        raise NonFiniteResult(f"a dimensionless field overflowed or is undefined: {pt!r}")
+    return pt
+
+
 def to_convention_a(p: PhysicalParams) -> DimensionlessPointA:
     """Per-k scaling: x = omega/(k vF), y = nu/(k vF), q = k/kF,
-    xp = omega_p/(k vF)."""
+    xp = omega_p/(k vF); a field that is not finite raises NonFiniteResult."""
     s = _divisor(p.k * p.vF, "k*vF")
-    return DimensionlessPointA(x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp=p.omega_p / s)
+    return _finite(DimensionlessPointA(x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp=p.omega_p / s))
 
 
 def to_convention_b(p: PhysicalParams) -> DimensionlessPointB:
     """Per-k_F scaling: x = omega/(kF vF), y = nu/(kF vF), q = k/kF,
-    xp2 = (omega_p/(kF vF))^2."""
+    xp2 = (omega_p/(kF vF))^2; a field that is not finite raises
+    NonFiniteResult."""
     s = _divisor(p.kF * p.vF, "kF*vF")
-    return DimensionlessPointB(
+    return _finite(DimensionlessPointB(
         x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp2=_square(p.omega_p / s, "omega_p/(kF vF)")
-    )
+    ))
 
 
 def from_convention_a(

@@ -102,6 +102,18 @@ def test_non_finite_input_raises():
             kohn_wavenumbers_physical(1e14, kF, vF)
 
 
+def test_overflowing_roots_raise():
+    # 1 +- 2x overflows from |x| ~ 8.99e307 on; just below, all roots are finite
+    for x in (1e308, -1e308, 8.99e307, 1.7976931348623157e308):
+        with pytest.raises(NonFiniteResult):
+            kohn_roots_dimless(x)
+    for r in kohn_roots_dimless(8.98e307).roots:
+        assert all(math.isfinite(v) for v in (r.q.real, r.q.imag, r.q_alt.real, r.q_alt.imag, r.residual))
+    # kF * q overflows although x is ordinary
+    with pytest.raises(NonFiniteResult):
+        kohn_wavenumbers_physical(1.0, 1e308, 1.0)
+
+
 # ------------------------------------------------------------------- scan
 
 def test_broadening_scan_monotone_in_y():

@@ -1,13 +1,15 @@
 """Sweep machinery and the four CLI subcommands."""
 
 import json
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qplasma.cli import main
 from qplasma.dielectric import DimensionlessPointA, epsilon_collisional_a, epsilon_lindhard, epsilon_mermin
-from qplasma.sweep import MODELS, ConfigError, SweepConfig, load_config_file, parse_q_range, run_sweep
+from qplasma.sweep import MODELS, ConfigError, SweepConfig, _linspace, load_config_file, parse_q_range, run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,6 +25,34 @@ def _cfg(tmp_path, **overrides):
 
 
 # ------------------------------------------------------------------ sweeps
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_linspace_is_bit_identical_to_numpy():
+    # subnormal steps take numpy's step == 0 branch (gh-5437); a range
+    # wider than the largest double overflows the same way in both
+    for lo, hi, n in ((0.0, 1e-320, 4916), (-1e-320, 1e-320, 3), (0.0, 5e-324, 7),
+                      (-1e308, 1e308, 5), (1.7e308, 1.7976931348623157e308, 9),
+                      (-1.7976931348623157e308, -1e308, 2), (1.5, 2.5, 501), (0.3, 0.1, 2)):
+        assert _hex(_linspace(lo, hi, n)) == _hex(np.linspace(lo, hi, n)), (lo, hi, n)
+    rng = random.Random(20260)
+    special = (0.0, -0.0, 5e-324, 1e-320, -1e-310, 1.0, -2.0, 1e308, -1e308, 1.7976931348623157e308)
+
+    def draw():
+        r = rng.random()
+        if r < 0.2:
+            return rng.choice(special)
+        if r < 0.5:
+            return rng.uniform(-10.0, 10.0)
+        return rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-323.0, 308.0)
+
+    for _ in range(4000):
+        lo, hi, n = draw(), draw(), rng.choice((2, 3, rng.randint(2, 600)))
+        assert _hex(_linspace(lo, hi, n)) == _hex(np.linspace(lo, hi, n)), (lo, hi, n)
+
 
 def test_sweep_csv_layout(tmp_path):
     res = run_sweep(_cfg(tmp_path))

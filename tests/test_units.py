@@ -9,6 +9,9 @@ from qplasma.dielectric import epsilon_collisional_a, epsilon_collisional_b
 from qplasma.errors import InconsistentParameters, ZeroWavenumber
 from qplasma.units import (
     E_CHARGE,
+    EPS0,
+    HBAR,
+    M_E,
     PhysicalParams,
     fermi_quantities,
     from_convention_a,
@@ -23,6 +26,12 @@ N_CU = 8.49e28
 
 def _params(omega=3.0e15, nu=2.0e13, k=5.0e9, N=N_CU):
     return PhysicalParams.from_density(omega=omega, nu=nu, k=k, N=N)
+
+
+def test_constants_are_scipy_codata_values():
+    constants = pytest.importorskip("scipy.constants")
+    assert (HBAR, M_E, E_CHARGE, EPS0) == (
+        constants.hbar, constants.m_e, constants.e, constants.epsilon_0)
 
 
 def test_fermi_quantities_copper_point():
