@@ -12,9 +12,15 @@ which evaluates every public kernel and model, the Kohn roots, the unit
 conversions and, rarely, the quadrature assembly on the same draw of
 arguments: +-0, subnormals, 1e-300 to 1e-170, 1e154 to the largest double,
 +-inf, nan, y = 0 and q on the branch points 2(1 +- x), mixed with ordinary
-values.  Each call prints one line: the ``float.hex`` of every returned
-value (so signed zeros count), sigma and the model tag, or the class and
-message of the raised error.  The two streams are compared line by line.
+values.  It then evaluates N // 30 rows (20000 for the default N = 600000)
+through the sweep's row evaluator ``sweep._evaluate_row``, every model in
+turn, on short q grids that hold q = +-0, the branch points 2(1 +- x) and
++-2 and adversarial values, at y = +-0 and adversarial y, sometimes with the
+branch points passed as poles (as the broadening scan does).  Each call prints one line:
+the ``float.hex`` of every returned value (so signed zeros count), sigma and
+the model tag (per row node: the value, or the skipped point's q, y and
+reason), or the class and message of the raised error.  The two streams are
+compared line by line.
 
 Two kinds of difference are expected and counted per function, with one
 example each: an OverflowError or ZeroDivisionError of the old tree that the
@@ -75,7 +81,22 @@ def _q(rng: random.Random, x: float) -> float:
     return _real(rng)
 
 
+def _row_args(rng: random.Random) -> tuple:
+    """(x, y, xp, with_poles, *qs) of one row draw."""
+    x = rng.choice((0.0, -0.0, rng.randint(-12, 12) / 8.0, _real(rng)))
+    y = rng.choice((0.0, -0.0, _nonneg(rng)))
+    if rng.random() < 0.5:  # dyadic grid through 0 and, for dyadic x, the branch points
+        h = 2.0 ** -rng.randint(0, 3)
+        qs = [i * h for i in range(-rng.randint(0, 2), rng.randint(1, 24))]
+    else:
+        qs = [_q(rng, x) for _ in range(rng.randint(1, 8))]
+    qs += rng.sample((0.0, -0.0, 2.0, -2.0, *(2.0 * (1.0 + s * x) for s in (1.0, -1.0))), rng.randint(0, 3))
+    return (x, y, _nonneg(rng), rng.random() < 0.3, *qs)
+
+
 def _args(name: str, rng: random.Random) -> tuple:
+    if name.startswith("row_"):
+        return _row_args(rng)
     x = _real(rng)
     if name in ("clog_ratio", "g0_a"):
         return x, _nonneg(rng)
@@ -138,6 +159,19 @@ def call_table():
     }
 
 
+def row_table():
+    """name -> (f(x, y, xp, with_poles, *qs), weight): one sweep row per model."""
+    from qplasma import sweep
+    from qplasma.dielectric import branch_points_q
+
+    def row(model):
+        def evaluate(x, y, xp, with_poles, *qs):
+            return sweep._evaluate_row(model, x, xp, qs, y, branch_points_q(x) if with_poles else ())
+        return evaluate
+
+    return {f"row_{model}": (row(model), 1) for model in ("bgk", "mermin", "lindhard")}
+
+
 def draws(seed: int, n: int, table):
     """The seeded sequence of (name, args), weighted round robin over ``table``."""
     rng = random.Random(seed)
@@ -178,14 +212,19 @@ def outcome(fn, args) -> str:
     return "= " + " ".join(_token(v) for v in flatten(value))
 
 
+def _rows(n: int) -> int:
+    """The number of row draws that go with n call draws: a row holds ~10 nodes."""
+    return n // 30
+
+
 def _worker(seed: int, n: int) -> None:
     import qplasma
 
-    table = call_table()
     out = sys.stdout
     out.write(f"# {Path(qplasma.__file__).resolve().parent}\n")
-    for name, args in draws(seed, n, table):
-        out.write(f"{name}\t{' '.join(map(_token, args))}\t{outcome(table[name][0], args)}\n")
+    for table, count in ((call_table(), n), (row_table(), _rows(n))):
+        for name, args in draws(seed, count, table):
+            out.write(f"{name}\t{' '.join(map(_token, args))}\t{outcome(table[name][0], args)}\n")
 
 
 def _spawn(src: Path, seed: int, n: int) -> subprocess.Popen:
@@ -234,8 +273,8 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
             print(f"worker exited with status {p.returncode}")
             bad += 1
     total = sum(calls.values())
-    if total != n:
-        print(f"compared {total} of {n} calls")
+    if total != n + _rows(n):
+        print(f"compared {total} of {n + _rows(n)} calls")
         bad += 1
     print(f"{total} calls over {len(calls)} functions, seed {seed}")
     for kind, counts in (("error class", expected), ("message", messages)):

@@ -126,7 +126,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.y < 0.0 or args.xp < 0.0:
         print("error: y and xp must be >= 0", file=sys.stderr)
         return 2
-    values = {name: eps(args.x, args.y, args.q, args.xp) for name, eps in MODELS.items()}
+    values = {}
+    for name, row in MODELS.items():
+        (values[name],) = row(args.x, args.y, [args.q], args.xp)
+        if isinstance(values[name], QplasmaError):
+            raise values[name]
     pairs = list(itertools.combinations(values, 2))
     if args.json:
         for model, eps in values.items():

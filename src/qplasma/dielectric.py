@@ -43,9 +43,10 @@ from .errors import (
     DenominatorVanishes,
     DivisionByZeroFrequency,
     NonFiniteResult,
+    QplasmaError,
     StaticDenominatorVanishes,
 )
-from .kernels import _require_finite, clog_ratio, g0_a, g_a
+from .kernels import _as_upper_half, _g, _require_finite, clog_ratio, g0_a
 
 __all__ = [
     "Model",
@@ -64,6 +65,14 @@ __all__ = [
 ]
 
 _DENOMINATOR_FLOOR = 1e-30
+# DegenerateQ texts of a q = 0 node: the points reject it, Lindhard's g_a does
+_Q0_POINT = "q = 0: use epsilon_classical_limit"
+_Q0_KERNEL = "g_a needs q != 0"
+
+
+def _nonnegative(name: str, v: float) -> None:
+    if v < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {v}")
 
 
 class Model(enum.Enum):
@@ -93,7 +102,7 @@ class DimensionlessPointA:
         if self.xp < 0.0:
             raise ValueError(f"xp must be >= 0, got {self.xp}")
         if self.q == 0.0:
-            raise DegenerateQ("q = 0: use epsilon_classical_limit")
+            raise DegenerateQ(_Q0_POINT)
 
     @property
     def z(self) -> complex:
@@ -116,7 +125,7 @@ class DimensionlessPointB:
         if self.xp2 < 0.0:
             raise ValueError(f"xp2 must be >= 0, got {self.xp2}")
         if self.q == 0.0:
-            raise DegenerateQ("q = 0: use epsilon_classical_limit")
+            raise DegenerateQ(_Q0_POINT)
 
     @property
     def z(self) -> complex:
@@ -156,8 +165,8 @@ def _divisor(v: complex, what: str) -> complex:
 
 
 def _numerator(z: complex, q: float) -> complex:
-    """N(z, q) = 1 - g(z,+q) + g(z,-q)."""
-    return 1.0 - g_a(z, q, +1) + g_a(z, q, -1)
+    """N(z, q) = 1 - g(z,+q) + g(z,-q), for a checked z and q != 0."""
+    return 1.0 - _g(z, q, 1) + _g(z, q, -1)
 
 
 def _bgk_denominator(z: complex) -> complex:
@@ -174,11 +183,11 @@ def _collisional_ratio(z: complex, q: float) -> complex:
     return _numerator(z, q) / den
 
 
-def _sigma(x: float, y: float, ratio: complex) -> complex:
-    """Dimensionless conductivity from the kernel ratio: -(3i/2) x y ratio
-    (sigma_l/sigma_0) for y > 0, and the collisionless normalisation
-    -(3i/2) x ratio at y = 0."""
-    return -1.5j * (x if y == 0.0 else x * y) * ratio
+def _sigma(x: float, y: float) -> complex:
+    """The factor that turns the kernel ratio into the dimensionless
+    conductivity: -(3i/2) x y (sigma_l/sigma_0) for y > 0, and the
+    collisionless normalisation -(3i/2) x at y = 0."""
+    return -1.5j * (x if y == 0.0 else x * y)
 
 
 def _static_numerator(q: float) -> complex:
@@ -189,16 +198,117 @@ def _static_numerator(q: float) -> complex:
     return n0
 
 
+# Each model is a setup and a node.  setup(x, y, xp) checks y and xp (a
+# ValueError), computes what is constant along a row of q at fixed x, y, xp,
+# raises the errors that precede all q-dependent work, and returns
+# node(q) -> (eps, sigma), which does the rest in the scalar formula's order.
+# The scalar epsilon_* call both for one q; _row calls setup once and node
+# per q.  A square of xp that overflows is deferred (_coupling): the formulas
+# square xp after N, so N's errors win.
+
+
+def _coupling(xp: float) -> float | None:
+    """1.5 xp^2, or None if it overflows: a node then computes it where the
+    scalar formula does, which raises the same error."""
+    try:
+        return 1.5 * xp ** 2
+    except OverflowError:
+        return None
+
+
+def _bgk_setup(x: float, y: float, xp: float):
+    _nonnegative("y", y)
+    _nonnegative("xp", xp)
+    z = complex(x, y)
+    den, c, s = _bgk_denominator(z), _coupling(xp), _sigma(x, y)
+
+    def node(q: float) -> tuple[complex, complex]:
+        ratio = _numerator(z, q) / den
+        cc = c if c is not None else 1.5 * _square(xp, "xp")
+        eps = _require_finite(1.0 + cc * ratio, "epsilon_collisional_a")
+        return eps, _require_finite(s * ratio, "sigma")
+
+    return node
+
+
+def _lindhard_form(z: complex, xp: float, s: complex | None, what: str):
+    """The node eps = 1 + (3/2) xp^2 N(z, q), with sigma = s N unless s is None."""
+    c = _coupling(xp)
+
+    def node(q: float) -> tuple[complex, complex | None]:
+        n = _numerator(z, q)
+        cc = c if c is not None else 1.5 * _square(xp, "xp")
+        eps = _require_finite(1.0 + cc * n, what)
+        return eps, None if s is None else s * n
+
+    return node
+
+
+def _lindhard_setup(x: float, y: float, xp: float):
+    """y is ignored; z = x is checked as g_a checks it, after q = 0."""
+    _nonnegative("xp", xp)
+    x = float(x)
+    return _lindhard_form(_as_upper_half(complex(x, 0.0), "g_a"), xp, _sigma(x, 0.0), "epsilon_lindhard")
+
+
+def _mermin_setup(x: float, y: float, xp: float):
+    """x = 0 is the static route, independent of y, which squares xp before
+    N0; y = 0 is the Lindhard form; otherwise the full form.  The last two
+    check z as g_a does."""
+    _nonnegative("y", y)
+    _nonnegative("xp", xp)
+    if x == 0.0:
+
+        def static(q: float) -> tuple[complex, None]:
+            c = 1.5 * _square(xp, "xp")  # before N0, so its error wins
+            return _require_finite(1.0 + c * _static_numerator(q), "epsilon_mermin"), None
+
+        return static
+    z = _as_upper_half(complex(x, y), "g_a")
+    if y == 0.0:
+        return _lindhard_form(z, xp, None, "epsilon_mermin")
+    iy, c = 1j * y, _coupling(xp)
+
+    def node(q: float) -> tuple[complex, None]:
+        n = _numerator(z, q)
+        n0 = _static_numerator(q)
+        den = x + iy * n / n0
+        if abs(den) < _DENOMINATOR_FLOOR:
+            raise DenominatorVanishes(f"Mermin denominator vanished at {DimensionlessPointA(x, y, q, xp)!r}")
+        cc = c if c is not None else 1.5 * _square(xp, "xp")
+        return _require_finite(1.0 + cc * (z * n) / den, "epsilon_mermin"), None
+
+    return node
+
+
+def _row(setup, q0: str, x: float, y: float, qs, xp: float) -> list[complex | QplasmaError]:
+    """eps over qs at fixed x, y and xp, each node as the scalar path gives
+    it: its value, or the QplasmaError it raises -- DegenerateQ(q0) at q = 0,
+    else an error of the setup, else the node's own.  The setup's ValueError
+    (y or xp < 0) is raised."""
+    try:
+        node = setup(x, y, xp)
+    except QplasmaError as exc:
+        return [DegenerateQ(q0) if q == 0.0 else exc for q in qs]
+    out: list[complex | QplasmaError] = []
+    for q in qs:
+        if q == 0.0:
+            out.append(DegenerateQ(q0))
+            continue
+        try:
+            out.append(node(q)[0])
+        except QplasmaError as exc:
+            out.append(exc)
+    return out
+
+
 def epsilon_collisional_a(p: DimensionlessPointA) -> DielectricResult:
     """BGK-model permittivity in convention A.
 
     eps = 1 + (3/2) xp^2 N(z,q)/(1 - g0(z)); sigma is filled through the
     eps = 1 + 4*pi*i*sigma/omega duality recast dimensionlessly.
     """
-    ratio = _collisional_ratio(p.z, p.q)
-    eps = _require_finite(1.0 + 1.5 * _square(p.xp, "xp") * ratio, "epsilon_collisional_a")
-    sigma = _require_finite(_sigma(p.x, p.y, ratio), "sigma")
-    return DielectricResult(eps, sigma, Model.CollisionalBGK)
+    return DielectricResult(*_bgk_setup(p.x, p.y, p.xp)(p.q), Model.CollisionalBGK)
 
 
 def epsilon_collisional_b(p: DimensionlessPointB) -> DielectricResult:
@@ -213,19 +323,17 @@ def epsilon_collisional_b(p: DimensionlessPointB) -> DielectricResult:
     ratio = _collisional_ratio(p.z / q, q)
     q2 = _divisor(_square(p.q, "q"), "q**2")
     eps = _require_finite(1.0 + 1.5 * p.xp2 / q2 * ratio, "epsilon_collisional_b")
-    sigma = _require_finite(_sigma(p.x / p.q, p.y / p.q, ratio), "sigma")
+    sigma = _require_finite(_sigma(p.x / p.q, p.y / p.q) * ratio, "sigma")
     return DielectricResult(eps, sigma, Model.CollisionalBGK)
 
 
 def epsilon_lindhard(x: float, q: float, xp: float) -> DielectricResult:
     """Collisionless (RPA) permittivity, the y = 0 limit of both the BGK and
     Mermin models: eps = 1 + (3/2) xp^2 (1 - g(x,+q) + g(x,-q))."""
-    if xp < 0.0:
-        raise ValueError(f"xp must be >= 0, got {xp}")
-    x = float(x)
-    n = _numerator(complex(x, 0.0), q)
-    eps = _require_finite(1.0 + 1.5 * _square(xp, "xp") * n, "epsilon_lindhard")
-    return DielectricResult(eps, _sigma(x, 0.0, n), Model.Lindhard)
+    _nonnegative("xp", xp)
+    if q == 0.0:
+        raise DegenerateQ(_Q0_KERNEL)
+    return DielectricResult(*_lindhard_setup(x, 0.0, xp)(q), Model.Lindhard)
 
 
 def epsilon_mermin(p: DimensionlessPointA) -> DielectricResult:
@@ -236,20 +344,7 @@ def epsilon_mermin(p: DimensionlessPointA) -> DielectricResult:
 
         eps = 1 + (3/2) xp^2 z N(z,q) / (x + i y N(z,q)/N0(q)).
     """
-    if p.x == 0.0:
-        eps = _require_finite(1.0 + 1.5 * _square(p.xp, "xp") * _static_numerator(p.q), "epsilon_mermin")
-        return DielectricResult(eps, None, Model.Mermin)
-    z = p.z
-    n = _numerator(z, p.q)
-    if p.y == 0.0:
-        eps = _require_finite(1.0 + 1.5 * _square(p.xp, "xp") * n, "epsilon_mermin")
-        return DielectricResult(eps, None, Model.Mermin)
-    n0 = _static_numerator(p.q)
-    den = p.x + 1j * p.y * n / n0
-    if abs(den) < _DENOMINATOR_FLOOR:
-        raise DenominatorVanishes(f"Mermin denominator vanished at {p!r}")
-    eps = _require_finite(1.0 + 1.5 * _square(p.xp, "xp") * (z * n) / den, "epsilon_mermin")
-    return DielectricResult(eps, None, Model.Mermin)
+    return DielectricResult(*_mermin_setup(p.x, p.y, p.xp)(p.q), Model.Mermin)
 
 
 def _static_q(w: float) -> float:
@@ -298,8 +393,7 @@ def epsilon_classical_limit(z: complex, xp: float) -> DielectricResult:
     extrapolation in q^2.
     """
     z = complex(z)
-    if xp < 0.0:
-        raise ValueError(f"xp must be >= 0, got {xp}")
+    _nonnegative("xp", xp)
     num = 2.0 - z * clog_ratio(z)
     den = _bgk_denominator(z)
     eps = _require_finite(1.0 + 1.5 * _square(xp, "xp") * num / den, "epsilon_classical_limit")
@@ -317,7 +411,7 @@ def sigma_longitudinal(p: DimensionlessPointA) -> complex:
     """
     if p.x == 0.0:
         raise DivisionByZeroFrequency("sigma_0-normalised conductivity needs omega != 0")
-    return _require_finite(_sigma(p.x, p.y, _collisional_ratio(p.z, p.q)), "sigma_longitudinal")
+    return _require_finite(_sigma(p.x, p.y) * _collisional_ratio(p.z, p.q), "sigma_longitudinal")
 
 
 def branch_points_q(x: float) -> tuple[float, ...]:

@@ -34,6 +34,8 @@ All functions are scalar, pure and binary64.  Each public kernel checks its
 argument once (non-finite: NonFiniteResult; Im < 0: NonUpperHalfPlane) and
 evaluates L by the unchecked _L (branch point: PoleAtBranchPoint).  L and g0_a
 stay finite; g_a checks its result, as z + s q/2 and (a^2 - 1)/(2q) can overflow.
+g_a's body _g skips the argument checks, for callers that checked z once for
+a whole row of q.
 """
 
 from __future__ import annotations
@@ -49,14 +51,14 @@ _VALID_SIGNS = (1, -1)
 
 
 def _require_finite(value: complex, what: str) -> complex:
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    if not cmath.isfinite(value):
         raise NonFiniteResult(f"{what} overflowed or is undefined: {value!r}")
     return value
 
 
 def _as_upper_half(z: complex, what: str) -> complex:
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise NonFiniteResult(f"non-finite argument to {what}: {z!r}")
     if z.imag < 0.0:
         raise NonUpperHalfPlane(f"{what} is defined for Im >= 0 only, got {z!r}")
@@ -107,7 +109,11 @@ def g_a(z: complex, q: float, sign: int) -> complex:
     q = float(q)
     if q == 0.0:
         raise DegenerateQ("g_a needs q != 0")
-    z = _as_upper_half(z, "g_a")
+    return _g(_as_upper_half(z, "g_a"), q, sign)
+
+
+def _g(z: complex, q: float, sign: int) -> complex:
+    """g_a's body for a checked z, q != 0 and sign +-1; the result is checked."""
     a = z + sign * (q / 2.0)
     return _require_finite((a * a - 1.0) / (2.0 * q) * _L(a), "g_a")
 

@@ -173,7 +173,8 @@ def singularity_broadening_scan(
     For y = 0, grid nodes within 1e-9 of a branch point are excluded from
     the derivative and reported in ``skipped_q`` (``on_pole="skip"``, the
     default) or raise WindowContainsPole (``on_pole="raise"``).  Skipped
-    points are never interpolated.
+    points are never interpolated.  A non-finite x, xp, y or window edge
+    raises ValueError before anything is evaluated.
     """
     if on_pole not in ("skip", "raise"):
         raise ValueError(f"on_pole must be 'skip' or 'raise', got {on_pole!r}")
@@ -182,14 +183,16 @@ def singularity_broadening_scan(
     q_lo, q_hi = float(q_window[0]), float(q_window[1])
     if not q_hi > q_lo:
         raise ValueError("q_window must satisfy q_min < q_max")
+    ys = [float(y) for y in y_list]
+    if not all(math.isfinite(v) for v in (float(x), float(xp), q_lo, q_hi, *ys)):
+        raise ValueError("x, xp, y and q_window must be finite")
 
     qs = _linspace(q_lo, q_hi, int(n_points))
     h = qs[1] - qs[0]
     poles = [b for b in branch_points_q(x) if q_lo - h <= b <= q_hi + h]
 
     rows = []
-    for y in y_list:
-        y = float(y)
+    for y in ys:
         row_poles = poles if y == 0.0 else ()
         if on_pole == "raise":
             hit = next((q for q in qs if _on_singular_q(q, row_poles)), None)

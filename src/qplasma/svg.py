@@ -59,11 +59,14 @@ def line_plot(
     y_lo -= y_pad
     y_hi += y_pad
 
+    x0, dx, pw = MARGIN_L, x_hi - x_lo, WIDTH - MARGIN_L - MARGIN_R
+    y0, dy, ph = HEIGHT - MARGIN_B, y_hi - y_lo, HEIGHT - MARGIN_T - MARGIN_B
+
     def sx(x: float) -> float:
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
+        return x0 + (x - x_lo) / dx * pw
 
     def sy(y: float) -> float:
-        return HEIGHT - MARGIN_B - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - MARGIN_T - MARGIN_B)
+        return y0 - (y - y_lo) / dy * ph
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -111,7 +114,7 @@ def line_plot(
                     segments.append(run)
                 run = []
                 continue
-            run.append(f"{sx(p[0]):.2f},{sy(p[1]):.2f}")
+            run.append("%.2f,%.2f" % (sx(p[0]), sy(p[1])))
         if len(run) > 1:
             segments.append(run)
         for seg in segments:

@@ -2,9 +2,13 @@
 
 A sweep fixes the model, x, xp and a list of collision frequencies y, and
 evaluates the permittivity over a uniform q grid, serially, one y-row at a
-time.  Output is deterministic: the CSV is written with 17 significant
-digits, LF line endings and a fixed column order (q, then one re/im pair
-per y).
+time.  ``MODELS`` is a table of row functions, one per model: a row hoists
+what is constant at its fixed z = x + iy (the checked z, the BGK
+denominator 1 - g0(z), 1.5 xp^2) and then evaluates each q node in the
+scalar ``epsilon_*`` order, so every value and every error is the one the
+scalar function gives at that node.  Output is deterministic: the CSV is
+written with 17 significant digits, LF line endings and a fixed column
+order (q, then one re/im pair per y).
 
 This module owns the rule for "a grid node sits on a singular q": within
 1e-9 of it.  Sweep nodes that land on a y = 0 branch point (or on the
@@ -20,26 +24,25 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from .dielectric import (
-    DimensionlessPointA,
-    branch_points_q,
-    epsilon_collisional_a,
-    epsilon_lindhard,
-    epsilon_mermin,
-)
+from .dielectric import _Q0_KERNEL, _Q0_POINT, _bgk_setup, _lindhard_setup, _mermin_setup, _row, branch_points_q
 from .errors import QplasmaError
 from .svg import line_plot
 
 __all__ = ["SweepConfig", "SweepResult", "run_sweep", "load_config_file", "parse_q_range"]
 
-# The one table from model name to eps(x, y, q, xp), read by the sweep, the
-# broadening scan and the CLI; raises QplasmaError.  Lindhard ignores y.
+# The one table from model name to its row function, read by the sweep, the
+# broadening scan and the CLI: row(x, y, qs, xp) is, per q in qs, the eps of
+# epsilon_collisional_a / epsilon_mermin / epsilon_lindhard at (x, y, q, xp)
+# or the QplasmaError that raises there; y or xp < 0 raises ValueError.
+# Lindhard ignores y.  Each row is dielectric._row with the model's setup and
+# the text of its DegenerateQ at q = 0.
 MODELS = {
-    "bgk": lambda x, y, q, xp: epsilon_collisional_a(DimensionlessPointA(x, y, q, xp)).epsilon,
-    "mermin": lambda x, y, q, xp: epsilon_mermin(DimensionlessPointA(x, y, q, xp)).epsilon,
-    "lindhard": lambda x, y, q, xp: epsilon_lindhard(x, q, xp).epsilon,
+    "bgk": partial(_row, _bgk_setup, _Q0_POINT),
+    "mermin": partial(_row, _mermin_setup, _Q0_POINT),
+    "lindhard": partial(_row, _lindhard_setup, _Q0_KERNEL),
 }
 FORMATS = ("csv", "svg", "both")
 _NUDGE = 1e-6
@@ -124,24 +127,26 @@ class SweepResult:
             label = format(y, "g")
             header += [f"re_eps_y{label}", f"im_eps_y{label}"]
         lines = [",".join(header)]
-        for iq, q in enumerate(self.q_values):
-            cells = [format(q, ".17g")]
-            for iy in range(len(self.config.y)):
-                e = self.eps[iq][iy]
-                if e is None:
-                    cells += ["", ""]
-                else:
-                    cells += [format(e.real, ".17g"), format(e.imag, ".17g")]
-            lines.append(",".join(cells))
+        # one "%.17g" template per line ("%.17g" % v == format(v, ".17g"));
+        # only a line with a skipped point, whose two cells stay empty, is
+        # formatted cell by cell.  The columns are generators, so no float
+        # is held longer than its line.
+        template = ",".join(["%.17g"] * len(header))
+        columns = [self.q_values]
+        for row in zip(*self.eps):
+            columns.append(None if e is None else e.real for e in row)
+            columns.append(None if e is None else e.imag for e in row)
+        for cells, node in zip(zip(*columns), self.eps):
+            if None in node:
+                lines.append(",".join("" if v is None else format(v, ".17g") for v in cells))
+            else:
+                lines.append(template % cells)
         return "\n".join(lines) + "\n"
 
     def svg_text(self) -> str:
         series = []
-        for iy, y in enumerate(self.config.y):
-            pts: list[tuple[float, float] | None] = []
-            for iq, q in enumerate(self.q_values):
-                e = self.eps[iq][iy]
-                pts.append(None if e is None else (q, e.real))
+        for y, row in zip(self.config.y, zip(*self.eps)):
+            pts = [None if e is None else (q, e.real) for q, e in zip(self.q_values, row)]
             series.append((f"y={format(y, 'g')}", pts))
         title = f"{self.config.model}: Re eps vs q (x={self.config.x:g}, xp={self.config.xp:g})"
         return line_plot(series, title, "q = k/kF", "Re eps")
@@ -222,16 +227,18 @@ def _evaluate_row(model: str, x: float, xp: float, qs, y: float, poles=()) -> li
     """eps of ``model`` over the q grid at fixed x, xp and y: a value per
     node, or the SkippedPoint that says why there is none.  Nodes on one of
     ``poles`` are skipped without being evaluated."""
-    evaluate = MODELS[model]
+    on_pole = [_on_singular_q(q, poles) for q in qs] if poles else [False] * len(qs)
+    live = [q for q, skip in zip(qs, on_pole) if not skip]
+    values = iter(MODELS[model](x, y, live, xp) if live else ())
     row: list[complex | SkippedPoint] = []
-    for q in qs:
-        if _on_singular_q(q, poles):
+    for q, skip in zip(qs, on_pole):
+        if skip:
             row.append(SkippedPoint(q=q, y=y, reason="grid node sits on a singular q"))
             continue
-        try:
-            row.append(evaluate(x, y, q, xp))
-        except QplasmaError as exc:
-            row.append(SkippedPoint(q=q, y=y, reason=f"{type(exc).__name__}: {exc}"))
+        v = next(values)
+        if isinstance(v, QplasmaError):
+            v = SkippedPoint(q=q, y=y, reason=f"{type(v).__name__}: {v}")
+        row.append(v)
     return row
 
 
@@ -239,16 +246,14 @@ def run_sweep(cfg: SweepConfig, write: bool = True) -> SweepResult:
     """Evaluate the sweep and (optionally) write <output>.csv / <output>.svg."""
     qs, nudged = _grid(cfg)
     rows = [_evaluate_row(cfg.model, cfg.x, cfg.xp, qs, y) for y in cfg.y]
-    eps: list[tuple[complex | None, ...]] = []
-    skipped: list[SkippedPoint] = []
-    for node in zip(*rows):
-        skipped.extend(v for v in node if isinstance(v, SkippedPoint))
-        eps.append(tuple(None if isinstance(v, SkippedPoint) else v for v in node))
+    skipped = tuple(v for node in zip(*rows) for v in node if isinstance(v, SkippedPoint))
+    if skipped:
+        rows = [[None if isinstance(v, SkippedPoint) else v for v in row] for row in rows]
     result = SweepResult(
         config=cfg,
         q_values=tuple(qs),
-        eps=tuple(eps),
-        skipped=tuple(skipped),
+        eps=tuple(zip(*rows)),
+        skipped=skipped,
         nudged=tuple(nudged),
     )
     if not write:

@@ -143,28 +143,32 @@ class PhysicalParams:
         )
 
 
-def _finite(pt):
-    """pt, if every field is finite; NonFiniteResult otherwise."""
+def _finite(pt, scale: float, what: str):
+    """pt, if every field and the scale it was divided by are finite;
+    NonFiniteResult otherwise (an infinite scale rounds the fields to 0)."""
     if not all(map(math.isfinite, vars(pt).values())):
         raise NonFiniteResult(f"a dimensionless field overflowed or is undefined: {pt!r}")
+    if not math.isfinite(scale):
+        raise NonFiniteResult(f"{what} overflowed, so {pt!r} has no correct digit")
     return pt
 
 
 def to_convention_a(p: PhysicalParams) -> DimensionlessPointA:
     """Per-k scaling: x = omega/(k vF), y = nu/(k vF), q = k/kF,
-    xp = omega_p/(k vF); a field that is not finite raises NonFiniteResult."""
+    xp = omega_p/(k vF); a field or a scale k*vF that is not finite raises
+    NonFiniteResult."""
     s = _divisor(p.k * p.vF, "k*vF")
-    return _finite(DimensionlessPointA(x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp=p.omega_p / s))
+    return _finite(DimensionlessPointA(x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp=p.omega_p / s), s, "k*vF")
 
 
 def to_convention_b(p: PhysicalParams) -> DimensionlessPointB:
     """Per-k_F scaling: x = omega/(kF vF), y = nu/(kF vF), q = k/kF,
-    xp2 = (omega_p/(kF vF))^2; a field that is not finite raises
-    NonFiniteResult."""
+    xp2 = (omega_p/(kF vF))^2; a field or a scale kF*vF that is not finite
+    raises NonFiniteResult."""
     s = _divisor(p.kF * p.vF, "kF*vF")
     return _finite(DimensionlessPointB(
         x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp2=_square(p.omega_p / s, "omega_p/(kF vF)")
-    ))
+    ), s, "kF*vF")
 
 
 def from_convention_a(

@@ -144,3 +144,19 @@ def test_broadening_scan_y0_dominates():
     rows = singularity_broadening_scan(0.0, 1.0, [0.0, 0.005, 0.01], (1.8, 2.2))
     slopes = [r.max_abs_deps_dq for r in rows]
     assert slopes[0] > slopes[1] > slopes[2]
+
+
+@pytest.mark.parametrize("x, xp, ys, window", [
+    (math.nan, 1.0, (0.0, 0.005), (1.5, 2.5)),
+    (math.inf, 1.0, (0.005,), (1.5, 2.5)),
+    (0.0, math.nan, (0.005,), (1.5, 2.5)),
+    (0.0, math.inf, (0.005,), (1.5, 2.5)),
+    (0.0, 1.0, (0.005, math.inf), (1.5, 2.5)),
+    (0.0, 1.0, (math.nan,), (1.5, 2.5)),
+    (0.0, 1.0, (0.005,), (1.5, math.inf)),
+    (0.0, 1.0, (0.005,), (-math.inf, 2.5)),
+], ids=["x-nan", "x-inf", "xp-nan", "xp-inf", "y-inf", "y-nan", "window-inf", "window-minus-inf"])
+def test_broadening_scan_rejects_non_finite_input(x, xp, ys, window):
+    # before: every node skipped and a slope of 0.0 returned, with no error
+    with pytest.raises(ValueError, match="must be finite"):
+        singularity_broadening_scan(x, xp, ys, window, 201)

@@ -88,13 +88,15 @@ _HUGE_XP = 1e200
     lambda: epsilon_from_quadrature(0.3, 0.1, 1.0, math.nan),
     lambda: epsilon_from_quadrature(math.inf, 0.1, 1.0, 1.0),
     lambda: epsilon_from_quadrature(0.3, 0.1, 1.0, 1e154),
+    lambda: to_convention_a(PhysicalParams(1e300, 0.0, 1e160, 1e160 * (HBAR / M_E), 1e160, 1e300)),
+    lambda: to_convention_b(PhysicalParams(1e300, 0.0, 1e160, 1e160 * (HBAR / M_E), 1e160, 1e300)),
 ], ids=[
     "bgk", "mermin", "mermin-y0", "mermin-x0", "lindhard", "static-mermin",
     "static-collisional", "classical", "bgk-b-q2-overflow", "bgk-b-q2-underflow",
     "quadrature-xp", "quadrature-q0", "quadrature-g0-is-1", "kohn-physical",
     "units-a-scale", "units-b-xp2", "kohn-roots-overflow", "kohn-physical-kf-q-overflow",
     "units-a-x-overflow", "units-b-x-overflow", "units-a-nan-omega", "quadrature-nan-xp",
-    "quadrature-inf-x", "quadrature-result-overflow",
+    "quadrature-inf-x", "quadrature-result-overflow", "units-a-scale-inf", "units-b-scale-inf",
 ])
 def test_squares_and_scales_that_leave_double_range_raise_non_finite(call):
     with pytest.raises(NonFiniteResult):
