@@ -16,10 +16,17 @@ values.  It then evaluates N // 30 rows (20000 for the default N = 600000)
 through the sweep's row evaluator ``sweep._evaluate_row``, every model in
 turn, on short q grids that hold q = +-0, the branch points 2(1 +- x) and
 +-2 and adversarial values, at y = +-0 and adversarial y, sometimes with the
-branch points passed as poles (as the broadening scan does).  Each call prints one line:
+branch points passed as poles (as the broadening scan does).  Last come
+N // 600 whole sweeps (1000 by default), ``sweep.run_sweep(write=False)``,
+of one to four rows each: every model, x = +-0 and adversarial x, q windows
+through 0, +-2 and the branch points, windows denser than the 1e-9 node
+tolerance around one of them, and couplings whose square overflows.  They
+reach what rows alone do not: the grid's nudges and the rows of one sweep
+that share work.  Each call prints one line:
 the ``float.hex`` of every returned value (so signed zeros count), sigma and
 the model tag (per row node: the value, or the skipped point's q, y and
-reason), or the class and message of the raised error.  The two streams are
+reason; per sweep: every field of the result and a hash of its CSV and SVG
+text), or the class and message of the raised error.  The two streams are
 compared line by line.
 
 Two kinds of difference are expected and counted per function, with one
@@ -33,6 +40,7 @@ is printed and the exit status is 1.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import os
 import random
@@ -94,9 +102,35 @@ def _row_args(rng: random.Random) -> tuple:
     return (x, y, _nonneg(rng), rng.random() < 0.3, *qs)
 
 
+def _sweep_args(rng: random.Random, model: str) -> tuple:
+    """(model, x, xp, q_min, q_max, q_steps, *ys) of one sweep draw."""
+    x = rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.choice((rng.randint(-12, 12) / 8.0, _real(rng)))
+    if model == "lindhard":
+        ys = rng.choice(([0.0], [-0.0], [0.0, -0.0]))
+    else:  # distinct column labels, mostly y > 0
+        ys = list({format(y, "g"): y for y in (
+            rng.choice((0.0, -0.0, _nonneg(rng))) if rng.random() < 0.3 else 10.0 ** rng.uniform(-3.0, 1.0)
+            for _ in range(rng.randint(1, 4))
+        )}.values())
+    xp = rng.choice((1.0, 0.0, 1e200, abs(_real(rng))))
+    pole = rng.choice((0.0, 2.0, -2.0, *(2.0 * (1.0 + s * x) for s in (1.0, -1.0))))
+    r = rng.random()
+    if r < 0.4:  # dyadic nodes through 0 and, for dyadic x, the poles
+        h = 2.0 ** -rng.randint(0, 3)
+        lo, hi = rng.randint(1, 24), rng.randint(1, 24)
+        return (model, x, xp, -lo * h, hi * h, lo + hi + 1, *ys)
+    if r < 0.6:  # nodes 1e-10 apart around one pole, many within its 1e-9
+        lo, hi = rng.randint(0, 20), rng.randint(1, 20)
+        return (model, x, xp, pole - lo * 1e-10, pole + hi * 1e-10, lo + hi + 1, *ys)
+    q_min = rng.choice((pole, _real(rng)))
+    return (model, x, xp, q_min, q_min + abs(_real(rng)), rng.randint(2, 40), *ys)
+
+
 def _args(name: str, rng: random.Random) -> tuple:
     if name.startswith("row_"):
         return _row_args(rng)
+    if name.startswith("sweep_"):
+        return _sweep_args(rng, name[len("sweep_"):])
     x = _real(rng)
     if name in ("clog_ratio", "g0_a"):
         return x, _nonneg(rng)
@@ -172,6 +206,20 @@ def row_table():
     return {f"row_{model}": (row(model), 1) for model in ("bgk", "mermin", "lindhard")}
 
 
+def sweep_table():
+    """name -> (f(model, x, xp, q_min, q_max, q_steps, *ys), weight): one whole
+    sweep, its result and the sha256 of its CSV and SVG text."""
+    from qplasma import sweep
+
+    def evaluate(model, x, xp, q_min, q_max, q_steps, *ys):
+        cfg = sweep.SweepConfig(model, x, tuple(ys), q_min, q_max, q_steps, xp, "unused")
+        result = sweep.run_sweep(cfg, write=False)
+        texts = (result.csv_text(), result.svg_text())
+        return result, *(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+
+    return {f"sweep_{model}": (evaluate, weight) for model, weight in (("bgk", 1), ("mermin", 2), ("lindhard", 1))}
+
+
 def draws(seed: int, n: int, table):
     """The seeded sequence of (name, args), weighted round robin over ``table``."""
     rng = random.Random(seed)
@@ -217,12 +265,17 @@ def _rows(n: int) -> int:
     return n // 30
 
 
+def _sweeps(n: int) -> int:
+    """The number of sweep draws that go with n call draws: a sweep holds ~50 nodes."""
+    return n // 600
+
+
 def _worker(seed: int, n: int) -> None:
     import qplasma
 
     out = sys.stdout
     out.write(f"# {Path(qplasma.__file__).resolve().parent}\n")
-    for table, count in ((call_table(), n), (row_table(), _rows(n))):
+    for table, count in ((call_table(), n), (row_table(), _rows(n)), (sweep_table(), _sweeps(n))):
         for name, args in draws(seed, count, table):
             out.write(f"{name}\t{' '.join(map(_token, args))}\t{outcome(table[name][0], args)}\n")
 
@@ -273,8 +326,8 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
             print(f"worker exited with status {p.returncode}")
             bad += 1
     total = sum(calls.values())
-    if total != n + _rows(n):
-        print(f"compared {total} of {n + _rows(n)} calls")
+    if total != n + _rows(n) + _sweeps(n):
+        print(f"compared {total} of {n + _rows(n) + _sweeps(n)} calls")
         bad += 1
     print(f"{total} calls over {len(calls)} functions, seed {seed}")
     for kind, counts in (("error class", expected), ("message", messages)):

@@ -201,6 +201,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.points < 1:
         print("error: --points must be >= 1", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 2
     if not (math.isfinite(args.tol) and args.tol > 0):
         print("error: --tol must be a positive finite number", file=sys.stderr)
         return 2

@@ -36,7 +36,9 @@ model, so all of them are real at x = 0.  All routines are pure functions.
 from __future__ import annotations
 
 import enum
+from cmath import isfinite, log
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     DegenerateQ,
@@ -46,7 +48,7 @@ from .errors import (
     QplasmaError,
     StaticDenominatorVanishes,
 )
-from .kernels import _as_upper_half, _g, _require_finite, clog_ratio, g0_a
+from .kernels import _L, _as_upper_half, _require_finite, clog_ratio, g0_a
 
 __all__ = [
     "Model",
@@ -165,8 +167,22 @@ def _divisor(v: complex, what: str) -> complex:
 
 
 def _numerator(z: complex, q: float) -> complex:
-    """N(z, q) = 1 - g(z,+q) + g(z,-q), for a checked z and q != 0."""
-    return 1.0 - _g(z, q, 1) + _g(z, q, -1)
+    """N(z, q) = 1 - g(z,+q) + g(z,-q), for a checked z and q != 0.
+
+    kernels._g inlined for both shifts, bit for bit: _L only on the real
+    axis, and each g checked before the next is computed.  The shift is
+    z + -h, as _g's z + sign*(q/2): z - h would keep Im a = -0.0 where _g
+    gives +0.0."""
+    h, q2 = q / 2.0, 2.0 * q
+    a = z + h
+    gp = (a * a - 1.0) / q2 * (_L(a) if a.imag == 0.0 else log(a + 1.0) - log(a - 1.0))
+    if not isfinite(gp):
+        _require_finite(gp, "g_a")
+    a = z + -h
+    gm = (a * a - 1.0) / q2 * (_L(a) if a.imag == 0.0 else log(a + 1.0) - log(a - 1.0))
+    if not isfinite(gm):
+        _require_finite(gm, "g_a")
+    return 1.0 - gp + gm
 
 
 def _bgk_denominator(z: complex) -> complex:
@@ -225,8 +241,10 @@ def _bgk_setup(x: float, y: float, xp: float):
     def node(q: float) -> tuple[complex, complex]:
         ratio = _numerator(z, q) / den
         cc = c if c is not None else 1.5 * _square(xp, "xp")
-        eps = _require_finite(1.0 + cc * ratio, "epsilon_collisional_a")
-        return eps, _require_finite(s * ratio, "sigma")
+        eps, sigma = 1.0 + cc * ratio, s * ratio
+        if isfinite(eps) and isfinite(sigma):
+            return eps, sigma
+        return _require_finite(eps, "epsilon_collisional_a"), _require_finite(sigma, "sigma")
 
     return node
 
@@ -251,17 +269,18 @@ def _lindhard_setup(x: float, y: float, xp: float):
     return _lindhard_form(_as_upper_half(complex(x, 0.0), "g_a"), xp, _sigma(x, 0.0), "epsilon_lindhard")
 
 
-def _mermin_setup(x: float, y: float, xp: float):
+def _mermin_setup(x: float, y: float, xp: float, n0=_static_numerator):
     """x = 0 is the static route, independent of y, which squares xp before
     N0; y = 0 is the Lindhard form; otherwise the full form.  The last two
-    check z as g_a does."""
+    check z as g_a does.  n0(q) gives N0(q) or raises its error; rows of one
+    sweep share it (_mermin_rows)."""
     _nonnegative("y", y)
     _nonnegative("xp", xp)
     if x == 0.0:
 
         def static(q: float) -> tuple[complex, None]:
             c = 1.5 * _square(xp, "xp")  # before N0, so its error wins
-            return _require_finite(1.0 + c * _static_numerator(q), "epsilon_mermin"), None
+            return _require_finite(1.0 + c * n0(q), "epsilon_mermin"), None
 
         return static
     z = _as_upper_half(complex(x, y), "g_a")
@@ -271,8 +290,7 @@ def _mermin_setup(x: float, y: float, xp: float):
 
     def node(q: float) -> tuple[complex, None]:
         n = _numerator(z, q)
-        n0 = _static_numerator(q)
-        den = x + iy * n / n0
+        den = x + iy * n / n0(q)
         if abs(den) < _DENOMINATOR_FLOOR:
             raise DenominatorVanishes(f"Mermin denominator vanished at {DimensionlessPointA(x, y, q, xp)!r}")
         cc = c if c is not None else 1.5 * _square(xp, "xp")
@@ -300,6 +318,46 @@ def _row(setup, q0: str, x: float, y: float, qs, xp: float) -> list[complex | Qp
         except QplasmaError as exc:
             out.append(exc)
     return out
+
+
+def _rows(setup, q0: str, x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
+    """_row at each y of ys, in order."""
+    return [_row(setup, q0, x, y, qs, xp) for y in ys]
+
+
+def _once_per_q(f):
+    """f(q), computed once per q and then looked up: the value, or the
+    QplasmaError it raised, raised again."""
+    seen: dict[float, complex | QplasmaError] = {}
+
+    def lookup(q: float) -> complex:
+        v = seen.get(q)
+        if v is None:
+            try:
+                v = f(q)
+            except QplasmaError as exc:
+                v = exc
+            seen[q] = v
+        if isinstance(v, QplasmaError):
+            raise v
+        return v
+
+    return lookup
+
+
+def _mermin_rows(x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
+    """_rows of the Mermin model, sharing what depends on q alone: N0(q) is
+    computed once per q for all rows, and the x = 0 static route, the same
+    for every y, is evaluated once and copied to the rows after its first."""
+    setup = partial(_mermin_setup, n0=_once_per_q(_static_numerator))
+    rows: list[list[complex | QplasmaError]] = []
+    for y in ys:
+        if x == 0.0 and rows:
+            _nonnegative("y", y)
+            rows.append(rows[0].copy())
+        else:
+            rows.append(_row(setup, _Q0_POINT, x, y, qs, xp))
+    return rows
 
 
 def epsilon_collisional_a(p: DimensionlessPointA) -> DielectricResult:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .dielectric import _divisor, branch_points_q
 from .errors import NonFiniteResult, WindowContainsPole
-from .sweep import SkippedPoint, _evaluate_row, _linspace, _on_singular_q
+from .sweep import SkippedPoint, _evaluate_row, _linspace, _pole_nodes
 
 __all__ = [
     "KohnRoot",
@@ -189,23 +189,27 @@ def singularity_broadening_scan(
 
     qs = _linspace(q_lo, q_hi, int(n_points))
     h = qs[1] - qs[0]
+    h2 = 2.0 * h
     poles = [b for b in branch_points_q(x) if q_lo - h <= b <= q_hi + h]
 
     rows = []
     for y in ys:
         row_poles = poles if y == 0.0 else ()
         if on_pole == "raise":
-            hit = next((q for q in qs if _on_singular_q(q, row_poles)), None)
-            if hit is not None:
-                raise WindowContainsPole(f"grid node q={hit} sits on a branch point (y=0)")
+            hits = _pole_nodes(qs, row_poles)
+            if hits:
+                raise WindowContainsPole(f"grid node q={qs[hits[0]]} sits on a branch point (y=0)")
         row = _evaluate_row("bgk", x, xp, qs, y, row_poles)
-        eps = [None if isinstance(v, SkippedPoint) else v for v in row]
-        skipped = tuple(v.q for v in row if isinstance(v, SkippedPoint))
+        skipped = ()
+        if any(map(SkippedPoint.__instancecheck__, row)):
+            skipped = tuple(v.q for v in row if isinstance(v, SkippedPoint))
+            row = [None if isinstance(v, SkippedPoint) else v for v in row]
         max_slope = 0.0
-        for i in range(1, len(qs) - 1):
-            lo, hi = eps[i - 1], eps[i + 1]
+        for lo, hi in zip(row, row[2:]):  # the central difference at each inner node
             if lo is None or hi is None:
                 continue
-            max_slope = max(max_slope, abs(hi - lo) / (2.0 * h))
+            slope = abs(hi - lo) / h2
+            if slope > max_slope:  # a nan slope never replaces the maximum
+                max_slope = slope
         rows.append(BroadeningRow(y=y, max_abs_deps_dq=max_slope, skipped_q=skipped))
     return rows

@@ -6,15 +6,19 @@ time.  ``MODELS`` is a table of row functions, one per model: a row hoists
 what is constant at its fixed z = x + iy (the checked z, the BGK
 denominator 1 - g0(z), 1.5 xp^2) and then evaluates each q node in the
 scalar ``epsilon_*`` order, so every value and every error is the one the
-scalar function gives at that node.  Output is deterministic: the CSV is
+scalar function gives at that node.  A sweep evaluates its rows through
+``ROWS``, which also computes what depends on q alone once for all rows:
+the Mermin static combination N0(q) once per q, and the Mermin x = 0 row,
+the same for every y, once.  Output is deterministic: the CSV is
 written with 17 significant digits, LF line endings and a fixed column
 order (q, then one re/im pair per y).
 
 This module owns the rule for "a grid node sits on a singular q": within
-1e-9 of it.  Sweep nodes that land on a y = 0 branch point (or on the
-static screening pole at q = 2 for the Mermin model) are nudged by +1e-6
-with a warning; the broadening scan in :mod:`qplasma.kohn` reuses the same
-rule and the same row evaluator, but skips such nodes instead.  Points
+1e-9 of it, found in one pass over the grid per distinct pole.  Sweep
+nodes that land on a y = 0 branch point (or on the static screening pole
+at q = 2 for the Mermin model) are nudged by +1e-6 with a warning; the
+broadening scan in :mod:`qplasma.kohn` reuses the same rule and the same
+row evaluator, but skips such nodes instead.  Points
 whose evaluation fails are left as empty CSV cells and summarised on
 stderr; they are never interpolated.
 """
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .dielectric import _Q0_KERNEL, _Q0_POINT, _bgk_setup, _lindhard_setup, _mermin_setup, _row, branch_points_q
+from .dielectric import _Q0_KERNEL, _Q0_POINT, _bgk_setup, _lindhard_setup, _mermin_rows, _mermin_setup, _row, _rows
+from .dielectric import branch_points_q
 from .errors import QplasmaError
 from .svg import line_plot
 
@@ -43,6 +48,13 @@ MODELS = {
     "bgk": partial(_row, _bgk_setup, _Q0_POINT),
     "mermin": partial(_row, _mermin_setup, _Q0_POINT),
     "lindhard": partial(_row, _lindhard_setup, _Q0_KERNEL),
+}
+# The same models over several y at once, rows(x, ys, qs, xp) -> one row per
+# y, as a sweep evaluates them: Mermin rows share N0(q) (see _mermin_rows).
+ROWS = {
+    "bgk": partial(_rows, _bgk_setup, _Q0_POINT),
+    "mermin": _mermin_rows,
+    "lindhard": partial(_rows, _lindhard_setup, _Q0_KERNEL),
 }
 FORMATS = ("csv", "svg", "both")
 _NUDGE = 1e-6
@@ -191,9 +203,15 @@ def _singular_q(cfg: SweepConfig) -> list[float]:
     return qs
 
 
-def _on_singular_q(q: float, poles) -> bool:
-    """Whether grid node q sits on one of the singular wavenumbers ``poles``."""
-    return any(abs(q - b) < _NODE_POLE_TOL for b in poles)
+def _pole_nodes(qs, poles) -> list[int]:
+    """Indices, ascending, of the nodes q of ``qs`` that sit on one of the
+    singular wavenumbers ``poles``: |q - b| < 1e-9.  One exact pass per
+    distinct pole, none without poles; qs need not be sorted and may hold nan."""
+    hits: set[int] = set()
+    lo, hi = -_NODE_POLE_TOL, _NODE_POLE_TOL  # lo < q - b < hi is |q - b| < 1e-9, nan never
+    for b in set(poles):
+        hits.update([i for i, q in enumerate(qs) if lo < q - b < hi])
+    return sorted(hits)
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -215,40 +233,46 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 def _grid(cfg: SweepConfig) -> tuple[list[float], list[tuple[float, float]]]:
     qs = _linspace(cfg.q_min, cfg.q_max, cfg.q_steps)
     nudged: list[tuple[float, float]] = []
-    poles = _singular_q(cfg)
-    for i, q in enumerate(qs):
-        if _on_singular_q(q, poles):
-            qs[i] = q + _NUDGE
-            nudged.append((q, qs[i]))
+    for i in _pole_nodes(qs, _singular_q(cfg)):
+        q = qs[i]
+        qs[i] = q + _NUDGE
+        nudged.append((q, qs[i]))
     return qs, nudged
+
+
+_is_error = QplasmaError.__instancecheck__  # any(map(_is_error, row)): the row holds an error
+
+
+def _skipped(q: float, y: float, exc: QplasmaError) -> SkippedPoint:
+    """The SkippedPoint of node (q, y), whose evaluation raised exc."""
+    return SkippedPoint(q=q, y=y, reason=f"{type(exc).__name__}: {exc}")
 
 
 def _evaluate_row(model: str, x: float, xp: float, qs, y: float, poles=()) -> list[complex | SkippedPoint]:
     """eps of ``model`` over the q grid at fixed x, xp and y: a value per
     node, or the SkippedPoint that says why there is none.  Nodes on one of
     ``poles`` are skipped without being evaluated."""
-    on_pole = [_on_singular_q(q, poles) for q in qs] if poles else [False] * len(qs)
-    live = [q for q, skip in zip(qs, on_pole) if not skip]
-    values = iter(MODELS[model](x, y, live, xp) if live else ())
-    row: list[complex | SkippedPoint] = []
-    for q, skip in zip(qs, on_pole):
-        if skip:
-            row.append(SkippedPoint(q=q, y=y, reason="grid node sits on a singular q"))
-            continue
-        v = next(values)
-        if isinstance(v, QplasmaError):
-            v = SkippedPoint(q=q, y=y, reason=f"{type(v).__name__}: {v}")
-        row.append(v)
+    on_pole = _pole_nodes(qs, poles)
+    skip = set(on_pole)
+    live = [q for i, q in enumerate(qs) if i not in skip] if skip else qs
+    row = MODELS[model](x, y, live, xp) if live else []
+    if any(map(_is_error, row)):
+        row = [_skipped(q, y, v) if isinstance(v, QplasmaError) else v for q, v in zip(live, row)]
+    for i in on_pole:  # ascending, so each lands at its own index
+        row.insert(i, SkippedPoint(q=qs[i], y=y, reason="grid node sits on a singular q"))
     return row
 
 
 def run_sweep(cfg: SweepConfig, write: bool = True) -> SweepResult:
     """Evaluate the sweep and (optionally) write <output>.csv / <output>.svg."""
     qs, nudged = _grid(cfg)
-    rows = [_evaluate_row(cfg.model, cfg.x, cfg.xp, qs, y) for y in cfg.y]
-    skipped = tuple(v for node in zip(*rows) for v in node if isinstance(v, SkippedPoint))
-    if skipped:
-        rows = [[None if isinstance(v, SkippedPoint) else v for v in row] for row in rows]
+    rows = ROWS[cfg.model](cfg.x, cfg.y, qs, cfg.xp)
+    bad = [iy for iy, row in enumerate(rows) if any(map(_is_error, row))]
+    skipped = tuple(  # node by node, then row by row
+        _skipped(q, cfg.y[iy], v) for i, q in enumerate(qs) for iy in bad if isinstance(v := rows[iy][i], QplasmaError)
+    )
+    for iy in bad:
+        rows[iy] = [None if isinstance(v, QplasmaError) else v for v in rows[iy]]
     result = SweepResult(
         config=cfg,
         q_values=tuple(qs),

@@ -4,19 +4,33 @@ class and text; y < 0 or xp < 0 raises the scalar's ValueError out of the row.""
 
 import importlib.util
 import math
+import random
 from pathlib import Path
 
 import pytest
 
 from qplasma.dielectric import (
     DimensionlessPointA,
+    _mermin_rows,
+    _numerator,
     branch_points_q,
     epsilon_collisional_a,
     epsilon_lindhard,
     epsilon_mermin,
 )
 from qplasma.errors import QplasmaError
-from qplasma.sweep import MODELS
+from qplasma.kernels import g_a
+from qplasma.sweep import (
+    MODELS,
+    SkippedPoint,
+    SweepConfig,
+    _evaluate_row,
+    _grid,
+    _linspace,
+    _pole_nodes,
+    _singular_q,
+    run_sweep,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -127,3 +141,129 @@ def test_int_xp_whose_coupling_overflows_raises_as_the_scalar(model, x, y):
     with pytest.raises(OverflowError):
         MODELS[model](x, y, [1.0], xp)
     _check(model, x, y, [0.0, -0.0], xp)
+
+
+# --- the hoisted parts of the sweep, against the rules they replace ------
+
+def _adversarial_qs(rng, poles):
+    """Unsorted q lists with nan, +-0, repeated values and nodes 1e-10 apart
+    around a pole, so that several sit within its 1e-9."""
+    special = (0.0, -0.0, math.nan, 2.0, -2.0, 1e-9, -1e-9, 5e-324, 1e308, *poles)
+    qs = [rng.choice(special) if rng.random() < 0.4 else rng.uniform(-4.0, 4.0) for _ in range(rng.randint(0, 12))]
+    if poles and rng.random() < 0.5:
+        b = rng.choice(poles)
+        qs += [b + k * 1e-10 for k in range(-15, 16)]
+    qs += rng.sample(qs, min(len(qs), rng.randint(0, 4)))  # repeats
+    rng.shuffle(qs)
+    return qs
+
+
+def _on_pole_rule(q, poles):
+    return any(abs(q - b) < 1e-9 for b in poles)
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+def test_pole_nodes_follow_the_node_rule(seed):
+    rng = random.Random(seed)
+    for _ in range(3000):
+        x = rng.choice((0.0, -0.0, 0.5, -0.25, math.nan, rng.uniform(-2.0, 2.0)))
+        poles = rng.choice(((), branch_points_q(x), (2.0, -2.0, *branch_points_q(x), *branch_points_q(0.0)),
+                            (0.0, -0.0, math.nan, 2.0, 2.0)))
+        qs = _adversarial_qs(rng, [b for b in poles if not math.isnan(b)])
+        assert _pole_nodes(qs, poles) == [i for i, q in enumerate(qs) if _on_pole_rule(q, poles)], (qs, poles)
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+def test_evaluate_row_skips_pole_nodes_in_place(model):
+    rng = random.Random(33)
+    for _ in range(300):
+        x = rng.choice((0.0, 0.5, -0.25))
+        y = 0.0 if model == "lindhard" else rng.choice((0.0, -0.0, 0.1))
+        poles = rng.choice(((), branch_points_q(x), (*branch_points_q(x), 2.0, -2.0, 2.0)))
+        qs = _adversarial_qs(rng, list(poles))
+        row = _evaluate_row(model, x, 1.0, qs, y, poles)
+        assert len(row) == len(qs)
+        for q, v in zip(qs, row):
+            if _on_pole_rule(q, poles):
+                assert v == SkippedPoint(q=q, y=y, reason="grid node sits on a singular q")
+            elif isinstance(v, SkippedPoint):
+                assert (v.q, v.y) == (q, y)
+                assert v.reason == "%s: %s" % _scalar(model, x, y, q, 1.0)
+            else:
+                assert _outcome(v) == _scalar(model, x, y, q, 1.0)
+
+
+@pytest.mark.parametrize("q_min, q_max, q_steps", [
+    (-3.0, 3.0, 49),  # dyadic nodes on every pole of x = 0.5 and on 0
+    (2.0 - 2e-9, 2.0 + 2e-9, 41),  # nodes 1e-10 apart: many within 1e-9 of q = 2
+    (-2.0 - 5e-10, 3.0, 20),
+])
+def test_grid_nudges_in_node_order(q_min, q_max, q_steps):
+    cfg = SweepConfig(model="mermin", x=0.5, y=(0.0, 0.1), q_min=q_min, q_max=q_max, q_steps=q_steps,
+                      xp=1.0, output="unused")
+    poles = _singular_q(cfg)
+    nodes = _linspace(q_min, q_max, q_steps)
+    expected = [(q, q + 1e-6) for q in nodes if _on_pole_rule(q, poles)]
+    qs, nudged = _grid(cfg)
+    assert nudged == expected and len(expected) > 0
+    assert qs == [q + 1e-6 if _on_pole_rule(q, poles) else q for q in nodes]
+
+
+def _g_sum(z, q):
+    return 1.0 - g_a(z, q, +1) + g_a(z, q, -1)
+
+
+def test_numerator_is_the_sum_of_the_shifted_kernels():
+    rng = random.Random(34)
+    reals = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 5e-324, 1e-170, 1e154, -1e200, 1.7976931348623157e308)
+    for _ in range(20000):
+        x = rng.choice(reals) if rng.random() < 0.4 else rng.uniform(-4.0, 4.0)
+        y = rng.choice((0.0, -0.0, 0.0, 1e-300, 5e-324, 0.1, 1e200, rng.uniform(0.0, 3.0)))
+        z = complex(x, y)
+        q = rng.choice((math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, *branch_points_q(x),
+                        *branch_points_q(0.0), rng.uniform(-5.0, 5.0), rng.choice(reals)))
+        if q == 0.0:  # outside _numerator's domain, as g_a raises DegenerateQ
+            continue
+        assert _outcome_or_error(_numerator, z, q) == _outcome_or_error(_g_sum, z, q), (z, q)
+
+
+def _outcome_or_error(f, *args):
+    try:
+        return _outcome(f(*args))
+    except QplasmaError as exc:
+        return _outcome(exc)
+
+
+def _mermin_sweep(x, ys, q_min, q_max, q_steps, xp):
+    cfg = SweepConfig(model="mermin", x=x, y=ys, q_min=q_min, q_max=q_max, q_steps=q_steps, xp=xp, output="unused")
+    return run_sweep(cfg, write=False)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 0.5, -1.25])
+def test_multi_row_mermin_sweep_matches_the_scalar_per_y(x):
+    rng = random.Random(35)
+    for xp in (1.0, 1e200):
+        for q_min, q_max, q_steps in ((-3.0, 3.0, 49), (2.0 - 2e-9, 2.0 + 2e-9, 41), (0.1, 4.0, 57)):
+            ys = (0.0, 0.005, 0.01, rng.uniform(0.1, 10.0))
+            result = _mermin_sweep(x, ys, q_min, q_max, q_steps, xp)
+            skipped = {(p.q, p.y): p.reason for p in result.skipped}
+            for q, node in zip(result.q_values, result.eps):
+                for y, v in zip(ys, node):
+                    expected = _scalar("mermin", x, y, q, xp)
+                    if v is None:
+                        assert skipped.pop((q, y)) == "%s: %s" % expected
+                    else:
+                        assert _outcome(v) == expected
+            assert not skipped
+
+
+@pytest.mark.parametrize("seed", [36, 37])
+def test_mermin_rows_share_n0_without_changing_a_node(seed):
+    rng = random.Random(seed)
+    for _ in range(400):
+        x = rng.choice((0.0, -0.0, 0.5, rng.uniform(-2.0, 2.0)))
+        ys = rng.sample((0.0, -0.0, 0.01, 0.5, 3.0, math.inf, math.nan), rng.randint(1, 4))
+        xp = rng.choice((1.0, 0.0, 1e200))
+        qs = _adversarial_qs(rng, list(branch_points_q(x)))
+        rows = _mermin_rows(x, ys, qs, xp)
+        assert [[_outcome(v) for v in row] for row in rows] == [_row("mermin", x, y, qs, xp) for y in ys]

@@ -266,6 +266,14 @@ def test_cli_verify(capsys):
         assert "--tol" in captured.err
 
 
+def test_cli_verify_rejects_negative_seed(capsys):
+    # a usage error (exit 2), not the oracle RNG's ValueError (exit 1)
+    assert main(["verify", "--points", "10", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be >= 0" in captured.err
+
+
 def test_cli_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 
