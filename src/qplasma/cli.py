@@ -128,7 +128,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return 2
     values = {}
     for name, row in MODELS.items():
-        (values[name],) = row(args.x, args.y, [args.q], args.xp)
+        values[name] = row(args.x, (args.y,), [args.q], args.xp)[0][0]
         if isinstance(values[name], QplasmaError):
             raise values[name]
     pairs = list(itertools.combinations(values, 2))

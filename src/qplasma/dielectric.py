@@ -38,7 +38,6 @@ from __future__ import annotations
 import enum
 from cmath import isfinite, log
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import (
     DegenerateQ,
@@ -218,9 +217,9 @@ def _static_numerator(q: float) -> complex:
 # ValueError), computes what is constant along a row of q at fixed x, y, xp,
 # raises the errors that precede all q-dependent work, and returns
 # node(q) -> (eps, sigma), which does the rest in the scalar formula's order.
-# The scalar epsilon_* call both for one q; _row calls setup once and node
-# per q.  A square of xp that overflows is deferred (_coupling): the formulas
-# square xp after N, so N's errors win.
+# The scalar epsilon_* call both for one q; _rows calls setup once per row
+# and node per q.  A square of xp that overflows is deferred (_coupling): the
+# formulas square xp after N, so N's errors win.
 
 
 def _coupling(xp: float) -> float | None:
@@ -269,18 +268,17 @@ def _lindhard_setup(x: float, y: float, xp: float):
     return _lindhard_form(_as_upper_half(complex(x, 0.0), "g_a"), xp, _sigma(x, 0.0), "epsilon_lindhard")
 
 
-def _mermin_setup(x: float, y: float, xp: float, n0=_static_numerator):
+def _mermin_setup(x: float, y: float, xp: float):
     """x = 0 is the static route, independent of y, which squares xp before
     N0; y = 0 is the Lindhard form; otherwise the full form.  The last two
-    check z as g_a does.  n0(q) gives N0(q) or raises its error; rows of one
-    sweep share it (_mermin_rows)."""
+    check z as g_a does."""
     _nonnegative("y", y)
     _nonnegative("xp", xp)
     if x == 0.0:
 
         def static(q: float) -> tuple[complex, None]:
             c = 1.5 * _square(xp, "xp")  # before N0, so its error wins
-            return _require_finite(1.0 + c * n0(q), "epsilon_mermin"), None
+            return _require_finite(1.0 + c * _static_numerator(q), "epsilon_mermin"), None
 
         return static
     z = _as_upper_half(complex(x, y), "g_a")
@@ -290,7 +288,8 @@ def _mermin_setup(x: float, y: float, xp: float, n0=_static_numerator):
 
     def node(q: float) -> tuple[complex, None]:
         n = _numerator(z, q)
-        den = x + iy * n / n0(q)
+        n0 = _static_numerator(q)
+        den = x + iy * n / n0
         if abs(den) < _DENOMINATOR_FLOOR:
             raise DenominatorVanishes(f"Mermin denominator vanished at {DimensionlessPointA(x, y, q, xp)!r}")
         cc = c if c is not None else 1.5 * _square(xp, "xp")
@@ -299,64 +298,41 @@ def _mermin_setup(x: float, y: float, xp: float, n0=_static_numerator):
     return node
 
 
-def _row(setup, q0: str, x: float, y: float, qs, xp: float) -> list[complex | QplasmaError]:
-    """eps over qs at fixed x, y and xp, each node as the scalar path gives
-    it: its value, or the QplasmaError it raises -- DegenerateQ(q0) at q = 0,
-    else an error of the setup, else the node's own.  The setup's ValueError
-    (y or xp < 0) is raised."""
-    try:
-        node = setup(x, y, xp)
-    except QplasmaError as exc:
-        return [DegenerateQ(q0) if q == 0.0 else exc for q in qs]
-    out: list[complex | QplasmaError] = []
-    for q in qs:
-        if q == 0.0:
-            out.append(DegenerateQ(q0))
-            continue
-        try:
-            out.append(node(q)[0])
-        except QplasmaError as exc:
-            out.append(exc)
-    return out
-
-
 def _rows(setup, q0: str, x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
-    """_row at each y of ys, in order."""
-    return [_row(setup, q0, x, y, qs, xp) for y in ys]
-
-
-def _once_per_q(f):
-    """f(q), computed once per q and then looked up: the value, or the
-    QplasmaError it raised, raised again."""
-    seen: dict[float, complex | QplasmaError] = {}
-
-    def lookup(q: float) -> complex:
-        v = seen.get(q)
-        if v is None:
+    """eps over qs at fixed x and xp, one row per y of ys, each node as the
+    scalar path gives it: its value, or the QplasmaError it raises --
+    DegenerateQ(q0) at q = 0, else an error of the setup, else the node's
+    own.  The setup's ValueError (y or xp < 0) is raised."""
+    rows: list[list[complex | QplasmaError]] = []
+    for y in ys:
+        try:
+            node = setup(x, y, xp)
+        except QplasmaError as exc:
+            rows.append([DegenerateQ(q0) if q == 0.0 else exc for q in qs])
+            continue
+        out: list[complex | QplasmaError] = []
+        for q in qs:
+            if q == 0.0:
+                out.append(DegenerateQ(q0))
+                continue
             try:
-                v = f(q)
+                out.append(node(q)[0])
             except QplasmaError as exc:
-                v = exc
-            seen[q] = v
-        if isinstance(v, QplasmaError):
-            raise v
-        return v
-
-    return lookup
+                out.append(exc)
+        rows.append(out)
+    return rows
 
 
 def _mermin_rows(x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
-    """_rows of the Mermin model, sharing what depends on q alone: N0(q) is
-    computed once per q for all rows, and the x = 0 static route, the same
-    for every y, is evaluated once and copied to the rows after its first."""
-    setup = partial(_mermin_setup, n0=_once_per_q(_static_numerator))
-    rows: list[list[complex | QplasmaError]] = []
-    for y in ys:
-        if x == 0.0 and rows:
-            _nonnegative("y", y)
-            rows.append(rows[0].copy())
-        else:
-            rows.append(_row(setup, _Q0_POINT, x, y, qs, xp))
+    """_rows of the Mermin model.  Its x = 0 static route is the same for
+    every y, so that row is evaluated once and copied to each further y,
+    which is checked as the setup checks it."""
+    if x != 0.0:
+        return _rows(_mermin_setup, _Q0_POINT, x, ys, qs, xp)
+    rows = _rows(_mermin_setup, _Q0_POINT, x, ys[:1], qs, xp)
+    for y in ys[1:]:
+        _nonnegative("y", y)
+        rows.append(rows[0].copy())
     return rows
 
 

@@ -199,9 +199,10 @@ def singularity_broadening_scan(
             hits = _pole_nodes(qs, row_poles)
             if hits:
                 raise WindowContainsPole(f"grid node q={qs[hits[0]]} sits on a branch point (y=0)")
+            row_poles = ()  # none of them is on a node
         row = _evaluate_row("bgk", x, xp, qs, y, row_poles)
         skipped = ()
-        if any(map(SkippedPoint.__instancecheck__, row)):
+        if any(isinstance(v, SkippedPoint) for v in row):
             skipped = tuple(v.q for v in row if isinstance(v, SkippedPoint))
             row = [None if isinstance(v, SkippedPoint) else v for v in row]
         max_slope = 0.0

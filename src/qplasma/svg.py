@@ -34,6 +34,8 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-9 * span:
         ticks.append(round(t, 12))
+        if t + step == t:  # a span of a few ulps: the step cannot move t
+            break
         t += step
     return ticks
 

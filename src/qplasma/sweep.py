@@ -6,21 +6,19 @@ time.  ``MODELS`` is a table of row functions, one per model: a row hoists
 what is constant at its fixed z = x + iy (the checked z, the BGK
 denominator 1 - g0(z), 1.5 xp^2) and then evaluates each q node in the
 scalar ``epsilon_*`` order, so every value and every error is the one the
-scalar function gives at that node.  A sweep evaluates its rows through
-``ROWS``, which also computes what depends on q alone once for all rows:
-the Mermin static combination N0(q) once per q, and the Mermin x = 0 row,
-the same for every y, once.  Output is deterministic: the CSV is
-written with 17 significant digits, LF line endings and a fixed column
-order (q, then one re/im pair per y).
+scalar function gives at that node.  The Mermin x = 0 row, the same for
+every y, is evaluated once per sweep; N0(q) is still computed in each row.
+Output is deterministic: the CSV is written with 17 significant digits, LF
+line endings and a fixed column order (q, then one re/im pair per y).
 
 This module owns the rule for "a grid node sits on a singular q": within
 1e-9 of it, found in one pass over the grid per distinct pole.  Sweep
 nodes that land on a y = 0 branch point (or on the static screening pole
 at q = 2 for the Mermin model) are nudged by +1e-6 with a warning; the
 broadening scan in :mod:`qplasma.kohn` reuses the same rule and the same
-row evaluator, but skips such nodes instead.  Points
-whose evaluation fails are left as empty CSV cells and summarised on
-stderr; they are never interpolated.
+row evaluator, but skips such nodes instead.  Points whose evaluation fails
+are left as empty CSV cells and summarised on stderr; they are never
+interpolated.
 """
 
 from __future__ import annotations
@@ -31,27 +29,20 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .dielectric import _Q0_KERNEL, _Q0_POINT, _bgk_setup, _lindhard_setup, _mermin_rows, _mermin_setup, _row, _rows
-from .dielectric import branch_points_q
+from .dielectric import _Q0_KERNEL, _Q0_POINT, _bgk_setup, _lindhard_setup, _mermin_rows, _rows, branch_points_q
 from .errors import QplasmaError
 from .svg import line_plot
 
 __all__ = ["SweepConfig", "SweepResult", "run_sweep", "load_config_file", "parse_q_range"]
 
 # The one table from model name to its row function, read by the sweep, the
-# broadening scan and the CLI: row(x, y, qs, xp) is, per q in qs, the eps of
-# epsilon_collisional_a / epsilon_mermin / epsilon_lindhard at (x, y, q, xp)
-# or the QplasmaError that raises there; y or xp < 0 raises ValueError.
-# Lindhard ignores y.  Each row is dielectric._row with the model's setup and
-# the text of its DegenerateQ at q = 0.
+# broadening scan and the CLI: rows(x, ys, qs, xp) is one row per y of ys,
+# and a row is, per q in qs, the eps of epsilon_collisional_a /
+# epsilon_mermin / epsilon_lindhard at (x, y, q, xp) or the QplasmaError
+# that raises there; y or xp < 0 raises ValueError.  Lindhard ignores y.
+# BGK and Lindhard are dielectric._rows with the model's setup and the text
+# of its DegenerateQ at q = 0; Mermin evaluates its x = 0 row once.
 MODELS = {
-    "bgk": partial(_row, _bgk_setup, _Q0_POINT),
-    "mermin": partial(_row, _mermin_setup, _Q0_POINT),
-    "lindhard": partial(_row, _lindhard_setup, _Q0_KERNEL),
-}
-# The same models over several y at once, rows(x, ys, qs, xp) -> one row per
-# y, as a sweep evaluates them: Mermin rows share N0(q) (see _mermin_rows).
-ROWS = {
     "bgk": partial(_rows, _bgk_setup, _Q0_POINT),
     "mermin": _mermin_rows,
     "lindhard": partial(_rows, _lindhard_setup, _Q0_KERNEL),
@@ -240,9 +231,6 @@ def _grid(cfg: SweepConfig) -> tuple[list[float], list[tuple[float, float]]]:
     return qs, nudged
 
 
-_is_error = QplasmaError.__instancecheck__  # any(map(_is_error, row)): the row holds an error
-
-
 def _skipped(q: float, y: float, exc: QplasmaError) -> SkippedPoint:
     """The SkippedPoint of node (q, y), whose evaluation raised exc."""
     return SkippedPoint(q=q, y=y, reason=f"{type(exc).__name__}: {exc}")
@@ -255,8 +243,8 @@ def _evaluate_row(model: str, x: float, xp: float, qs, y: float, poles=()) -> li
     on_pole = _pole_nodes(qs, poles)
     skip = set(on_pole)
     live = [q for i, q in enumerate(qs) if i not in skip] if skip else qs
-    row = MODELS[model](x, y, live, xp) if live else []
-    if any(map(_is_error, row)):
+    row = MODELS[model](x, (y,), live, xp)[0] if live else []
+    if any(isinstance(v, QplasmaError) for v in row):
         row = [_skipped(q, y, v) if isinstance(v, QplasmaError) else v for q, v in zip(live, row)]
     for i in on_pole:  # ascending, so each lands at its own index
         row.insert(i, SkippedPoint(q=qs[i], y=y, reason="grid node sits on a singular q"))
@@ -266,8 +254,8 @@ def _evaluate_row(model: str, x: float, xp: float, qs, y: float, poles=()) -> li
 def run_sweep(cfg: SweepConfig, write: bool = True) -> SweepResult:
     """Evaluate the sweep and (optionally) write <output>.csv / <output>.svg."""
     qs, nudged = _grid(cfg)
-    rows = ROWS[cfg.model](cfg.x, cfg.y, qs, cfg.xp)
-    bad = [iy for iy, row in enumerate(rows) if any(map(_is_error, row))]
+    rows = MODELS[cfg.model](cfg.x, cfg.y, qs, cfg.xp)
+    bad = [iy for iy, row in enumerate(rows) if any(isinstance(v, QplasmaError) for v in row)]
     skipped = tuple(  # node by node, then row by row
         _skipped(q, cfg.y[iy], v) for i, q in enumerate(qs) for iy in bad if isinstance(v := rows[iy][i], QplasmaError)
     )

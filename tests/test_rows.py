@@ -56,7 +56,7 @@ def _scalar(model, x, y, q, xp):
 
 def _row(model, x, y, qs, xp):
     try:
-        return [_outcome(v) for v in MODELS[model](x, y, qs, xp)]
+        return [_outcome(v) for v in MODELS[model](x, (y,), qs, xp)[0]]
     except ValueError as exc:
         return [_outcome(exc)] * len(qs)
 
@@ -126,7 +126,7 @@ def test_mermin_error_precedence_per_route():
 ])
 def test_negative_y_or_xp_raises_out_of_the_row(model, y, xp, text):
     with pytest.raises(ValueError, match=f"^{text}$"):
-        MODELS[model](0.3, y, [0.0, 1.0], xp)
+        MODELS[model](0.3, (y,), [0.0, 1.0], xp)
     _check(model, 0.3, y, [0.0, 1.0], xp)
 
 
@@ -139,7 +139,7 @@ def test_int_xp_whose_coupling_overflows_raises_as_the_scalar(model, x, y):
     with pytest.raises(OverflowError):
         SCALAR[model](x, y, 1.0, xp)
     with pytest.raises(OverflowError):
-        MODELS[model](x, y, [1.0], xp)
+        MODELS[model](x, (y,), [1.0], xp)
     _check(model, x, y, [0.0, -0.0], xp)
 
 
@@ -258,7 +258,7 @@ def test_multi_row_mermin_sweep_matches_the_scalar_per_y(x):
 
 
 @pytest.mark.parametrize("seed", [36, 37])
-def test_mermin_rows_share_n0_without_changing_a_node(seed):
+def test_mermin_rows_match_their_rows_one_by_one(seed):
     rng = random.Random(seed)
     for _ in range(400):
         x = rng.choice((0.0, -0.0, 0.5, rng.uniform(-2.0, 2.0)))
@@ -267,3 +267,8 @@ def test_mermin_rows_share_n0_without_changing_a_node(seed):
         qs = _adversarial_qs(rng, list(branch_points_q(x)))
         rows = _mermin_rows(x, ys, qs, xp)
         assert [[_outcome(v) for v in row] for row in rows] == [_row("mermin", x, y, qs, xp) for y in ys]
+
+
+def test_copied_mermin_static_rows_still_check_y():
+    with pytest.raises(ValueError, match="^y must be >= 0, got -0.1$"):
+        _mermin_rows(0.0, (0.1, -0.1), [1.0, 2.0], 1.0)

@@ -95,6 +95,18 @@ def test_sweep_svg_structure(tmp_path):
     assert "y=0.005" in text
 
 
+def test_sweep_svg_of_a_curve_one_ulp_wide():
+    # Re eps spans one ulp of 1.0 here, so the y tick step is below the
+    # resolution of the tick values; the tick loop must still end
+    h = float.fromhex
+    cfg = SweepConfig("lindhard", h("0x1.0644896724453p+4"), (0.0,), h("-0x1.ec8912cebd5d1p+4"),
+                      h("-0x1.ec8912ce1f4f1p+4"), 24, h("0x1.52162476cc737p-16"), "unused")
+    res = run_sweep(cfg, write=False)
+    re_eps = {v.real for (v,) in res.eps}
+    assert max(re_eps) - min(re_eps) == 2.0 ** -53
+    assert res.svg_text().count("<polyline") == 1
+
+
 def test_sweep_config_validation(tmp_path):
     with pytest.raises(ConfigError, match=r"model must be one of \('bgk', 'mermin', 'lindhard'\)"):
         _cfg(tmp_path, model="rpa")
