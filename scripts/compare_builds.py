@@ -9,14 +9,16 @@ OLD_SRC and NEW_SRC are directories holding the ``qplasma`` package (the
 
 Each tree is imported in its own subprocess (this script with ``--worker``),
 which evaluates every public kernel and model, the Kohn roots, the unit
-conversions and, rarely, the quadrature assembly on the same draw of
-arguments: +-0, subnormals, 1e-300 to 1e-170, 1e154 to the largest double,
-+-inf, nan, y = 0 and q on the branch points 2(1 +- x), mixed with ordinary
-values.  It then evaluates N // 30 rows (20000 for the default N = 600000)
-through the sweep's row evaluator ``sweep._evaluate_row``, every model in
-turn, on short q grids that hold q = +-0, the branch points 2(1 +- x) and
-+-2 and adversarial values, at y = +-0 and adversarial y, sometimes with the
-branch points passed as poles (as the broadening scan does).  Last come
+conversions and, rarely, the quadrature oracle (the Fermi-sphere integrals
+Jt_pm, at y = 0 too, and g0, the quadrature assembly, and ``oracle_scan`` of
+one to three points) on the same draw of arguments: +-0, subnormals, 1e-300
+to 1e-170, 1e154 to the largest double, +-inf, nan, y = 0 and q on the
+branch points 2(1 +- x), mixed with ordinary values.  It then evaluates
+N // 30 rows (20000 for the default N = 600000) through the sweep's row
+evaluator ``sweep._evaluate_row``, every model in turn, on short q grids
+that hold q = +-0, the branch points 2(1 +- x) and +-2 and adversarial
+values, at y = +-0 and adversarial y, sometimes with the branch points
+passed as poles (as the broadening scan does).  Last come
 N // 600 whole sweeps (1000 by default), ``sweep.run_sweep(write=False)``,
 of one to four rows each: every model, x = +-0 and adversarial x, q windows
 through 0, +-2 and the branch points, windows denser than the 1e-9 node
@@ -132,9 +134,9 @@ def _args(name: str, rng: random.Random) -> tuple:
     if name.startswith("sweep_"):
         return _sweep_args(rng, name[len("sweep_"):])
     x = _real(rng)
-    if name in ("clog_ratio", "g0_a"):
+    if name in ("clog_ratio", "g0_a", "g0_quadrature"):
         return x, _nonneg(rng)
-    if name in ("g_a", "g_b"):
+    if name in ("g_a", "g_b", "j_pm_quadrature"):
         return x, _nonneg(rng), _q(rng, x), rng.choice((1, -1))
     if name == "g0_b":
         return x, _nonneg(rng), _q(rng, x)
@@ -146,6 +148,8 @@ def _args(name: str, rng: random.Random) -> tuple:
         return _nonneg(rng), _nonneg(rng), _nonneg(rng)
     if name == "epsilon_classical_limit":
         return x, _nonneg(rng), _nonneg(rng)
+    if name == "oracle_scan":
+        return rng.randint(1, 3), rng.randrange(2 ** 31), _nonneg(rng)
     if name == "kohn_roots_dimless":
         return (x,)
     if name == "kohn_wavenumbers_physical":
@@ -190,6 +194,9 @@ def call_table():
         "to_convention_a": (lambda *a: u.to_convention_a(_physical(u, *a)), 10),
         "to_convention_b": (lambda *a: u.to_convention_b(_physical(u, *a)), 10),
         "epsilon_from_quadrature": (quad.epsilon_from_quadrature, 1),
+        "j_pm_quadrature": (quad.j_pm_quadrature, 1),
+        "g0_quadrature": (quad.g0_quadrature, 1),
+        "oracle_scan": (quad.oracle_scan, 1),
     }
 
 

@@ -30,12 +30,17 @@ arithmetic.
 
 The 1-D integrals are smooth for y > 0, so the adaptive Gauss-Kronrod
 scheme from scipy (QUADPACK) with its embedded error estimate is used on
-the real and imaginary parts separately.
+the real and imaginary parts separately.  For y > 0 the two parts of
+n(u) / (y + i(u + h - x)) are plain float functions of u: each repeats
+CPython's complex division operation for operation, so it equals the part
+of the complex quotient bit for bit, and QUADPACK calls one Python frame
+per node instead of two plus three complex temporaries.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +73,10 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise ValueError(f"tolerances must be finite, got {self.abs_tol!r} and {self.rel_tol!r}")
+        if not isinstance(self.max_subdivisions, numbers.Integral):
+            raise ValueError(f"max_subdivisions must be an integer, got {self.max_subdivisions!r}")
         if self.max_subdivisions < 64:
             raise ValueError("max_subdivisions must be at least 64")
 
@@ -94,9 +103,49 @@ def quad_complex(f, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[complex, float
     Returns (value, error_estimate); the estimate is the summed QUADPACK
     estimates of the real and imaginary parts.
     """
-    re, re_err = _quad_real(lambda u: f(u).real, spec)
-    im, im_err = _quad_real(lambda u: f(u).imag, spec)
-    return complex(re, im), re_err + im_err
+    return _quad_parts(lambda u: f(u).real, lambda u: f(u).imag, spec)
+
+
+def _quad_parts(re, im, spec: QuadratureSpec) -> tuple[complex, float]:
+    re_val, re_err = _quad_real(re, spec)
+    im_val, im_err = _quad_real(im, spec)
+    return complex(re_val, im_val), re_err + im_err
+
+
+def _fraction_parts(x: float, y: float, h: float, weighted: bool):
+    """The real and imaginary parts of n(u) / (y + i(u + h - x)) as two float
+    functions of u, with n = 1 - u^2 if ``weighted`` else 1, for y > 0.
+
+    Each part repeats CPython's division of n + 0j by y + 1j*w, w = u + h - x,
+    scaled by the larger of y and |w|, operation for operation, signed zeros
+    included (only n + 0.0*t, which is n for n >= +0, is left out), so it
+    equals the part of the complex quotient bit for bit wherever w is
+    finite.  Where u + h - x overflows, the complex integrand is nan
+    everywhere on the segment, so a quadrature of it stalls: that raises
+    ToleranceNotReached here, from w at the ends (w is monotone in u).
+    """
+    if not (math.isfinite(-1.0 + h - x) and math.isfinite(1.0 + h - x)):
+        raise ToleranceNotReached(f"u + h - x is not finite on [-1, 1] (x={x!r}, h={h!r})")
+
+    def re(u):
+        n = 1.0 - u * u if weighted else 1.0
+        w = u + h - x
+        if abs(w) > y:  # not taken for a nan y, where w may be 0
+            t = y / w
+            return (n * t + 0.0) / (y * t + w)
+        t = w / y
+        return n / (y + w * t)
+
+    def im(u):
+        n = 1.0 - u * u if weighted else 1.0
+        w = u + h - x
+        if abs(w) > y:
+            t = y / w
+            return (0.0 * t - n) / (y * t + w)
+        t = w / y
+        return (0.0 - n * t) / (y + w * t)
+
+    return re, im
 
 
 def _zeta(x: float, y: float, q: float, sign: int) -> complex:
@@ -110,7 +159,7 @@ def j_pm_quadrature(
     """Fermi-sphere integral Jt_pm by adaptive quadrature.
 
     Needs y > 0, or y = 0 with the real pole x -+ q/2 outside [-1, 1]
-    (PoleOnContour otherwise).
+    (PoleOnContour otherwise).  A non-finite result raises NonFiniteResult.
     """
     if sign not in _VALID_SIGNS:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
@@ -122,11 +171,9 @@ def j_pm_quadrature(
         if abs(c) <= 1.0:
             raise PoleOnContour(f"pole at u={c} lies on the integration segment")
         value, _ = quad_complex(lambda u: -1j * (1.0 - u * u) / (u - c), spec)
-        return math.pi * value
-    value, _ = quad_complex(
-        lambda u: (1.0 - u * u) / (y + 1j * (u + sign * q / 2.0 - x)), spec
-    )
-    return math.pi * value
+    else:
+        value, _ = _quad_parts(*_fraction_parts(x, y, sign * q / 2.0, True), spec)
+    return _require_finite(math.pi * value, "j_pm_quadrature")
 
 
 def j_closed_form(x: float, y: float, q: float, sign: int) -> complex:
@@ -140,12 +187,12 @@ def j_closed_form(x: float, y: float, q: float, sign: int) -> complex:
 
 def g0_quadrature(x: float, y: float, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
     """Spherical-shell integral (y/2) Int du/(y + i(u - x)); equals
-    g0_a(x + i y).  Needs y > 0."""
+    g0_a(x + i y).  Needs y > 0; a non-finite result raises NonFiniteResult."""
     x, y = float(x), float(y)
     if y <= 0.0:
         raise PoleOnContour("g0 quadrature needs y > 0 (pole on the segment otherwise)")
-    value, _ = quad_complex(lambda u: 1.0 / (y + 1j * (u - x)), spec)
-    return (y / 2.0) * value
+    value, _ = _quad_parts(*_fraction_parts(x, y, 0.0, False), spec)
+    return _require_finite((y / 2.0) * value, "g0_quadrature")
 
 
 def epsilon_from_quadrature(
@@ -180,12 +227,14 @@ def oracle_scan(
     Returns (max relative error, worst point).  Used by ``qplasma verify``
     and the acceptance suite.
     """
+    if not isinstance(n_points, numbers.Integral) or n_points < 1:
+        raise ValueError(f"n_points must be an integer >= 1, got {n_points!r}")
     if spec is None:
         spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_pt = (0.0, 0.0, 0.0)
-    for _ in range(int(n_points)):
+    for _ in range(n_points):
         x = float(rng.uniform(-2.0, 2.0))
         y = float(rng.uniform(1e-3, 10.0))
         q = float(rng.uniform(0.05, 5.0))

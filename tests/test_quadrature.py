@@ -1,6 +1,7 @@
 """The Fermi-sphere quadratures against the closed forms they certify."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from qplasma.errors import NonUpperHalfPlane, PoleOnContour, ToleranceNotReached
 from qplasma.kernels import g0_a, g_a
 from qplasma.quadrature import (
     QuadratureSpec,
+    _fraction_parts,
     epsilon_from_quadrature,
     g0_quadrature,
     j_closed_form,
     j_pm_quadrature,
+    oracle_scan,
     quad_complex,
 )
 
@@ -135,7 +138,77 @@ def test_tolerance_not_reached():
 
 
 def test_spec_validation():
+    # abs_tol = rel_tol = inf accepted any first estimate: eps came back
+    # as -1.73+0.39j at (0.3, 1e-3, 0.8, 1), against 3.51+1.41j
+    for kwargs in ({"abs_tol": 0.0}, {"max_subdivisions": 32},
+                   {"abs_tol": math.inf, "rel_tol": math.inf}, {"abs_tol": math.inf}, {"rel_tol": math.inf},
+                   {"abs_tol": math.nan}, {"rel_tol": math.nan},
+                   {"max_subdivisions": 100.5}, {"max_subdivisions": 100.0}):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**kwargs)
+
+
+def test_spec_accepts_numpy_integer_budget():
+    assert QuadratureSpec(max_subdivisions=np.int64(100)).max_subdivisions == 100
+
+
+@pytest.mark.parametrize("n_points", [0, -5, 2.7, 1.0])
+def test_oracle_scan_rejects_bad_point_counts(n_points):
     with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=32)
+        oracle_scan(n_points)
+
+
+def test_fraction_parts_equal_complex_division_bit_for_bit():
+    # adversarial draw: both scalings |w| <= y and |w| > y, w = 0 exactly,
+    # u at +-1 and +-0, y from the smallest subnormal to the largest double
+    rng = random.Random(20240918)
+    branches = {"w=0": 0, "|w|<=y": 0, "|w|>y": 0}
+    for _ in range(20000):
+        u = rng.choice((-1.0, 1.0, 0.0, -0.0, rng.uniform(-1.0, 1.0), rng.uniform(-1e-300, 1e-300)))
+        y = rng.choice((5e-324, 1e-310, 1e308, 1.7976931348623157e308,
+                        10.0 ** rng.uniform(-323.0, 308.0), 10.0 ** rng.uniform(-3.0, 1.0)))
+        h = rng.choice((0.0, -u, rng.uniform(-3.0, 3.0), rng.choice((1.0, -1.0)) * rng.uniform(0.025, 2.5)))
+        target = rng.choice((0.0, y, -y, y * 10.0 ** rng.uniform(-3.0, 3.0), -y * 10.0 ** rng.uniform(-3.0, 3.0),
+                             rng.uniform(-4.0, 4.0)))
+        x = u + h - target
+        w = u + h - x
+        if not (math.isfinite(x) and math.isfinite(w)):
+            continue
+        branches["w=0" if w == 0.0 else "|w|<=y" if abs(w) <= y else "|w|>y"] += 1
+        for weighted in (True, False):
+            n = 1.0 - u * u if weighted else 1.0
+            ref = n / (y + 1j * (u + h - x))
+            re, im = _fraction_parts(x, y, h, weighted)
+            # float.hex, unlike ==, tells -0.0 from 0.0
+            assert (re(u).hex(), im(u).hex()) == (ref.real.hex(), ref.imag.hex()), (u, x, y, h, weighted)
+    assert min(branches.values()) > 1000, branches
+
+
+def test_fraction_parts_reproduce_the_complex_integrand_quadratures():
+    # the parts feed QUADPACK the same values, so the results are identical
+    for (x, y, q) in [(0.3, 0.1, 0.8), (1.1, 1e-3, 2.4), (-1.7, 7.0, 0.05)]:
+        for s in (+1, -1):
+            old, _ = quad_complex(lambda u: (1.0 - u * u) / (y + 1j * (u + s * q / 2.0 - x)))
+            assert j_pm_quadrature(x, y, q, s) == math.pi * old
+        old, _ = quad_complex(lambda u: 1.0 / (y + 1j * (u - x)))
+        assert g0_quadrature(x, y) == (y / 2.0) * old
+
+
+def test_overflowing_shift_raises_tolerance_not_reached():
+    # u - q/2 - x overflows: the complex integrand is nan on the whole segment
+    with pytest.raises(ToleranceNotReached):
+        j_pm_quadrature(1e308, 1.0, -1.7e308, +1)
+    with pytest.raises(ToleranceNotReached):
+        epsilon_from_quadrature(1e308, 1.0, -1.7e308, 1.0)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ToleranceNotReached):
+            g0_quadrature(x, 1.0)
+
+
+def test_nan_y_stalls_the_quadrature_even_where_w_is_zero():
+    # u + h - x rounds to 0 on the whole segment; the complex quotient by
+    # nan + 0j is nan, so the parts must be nan too, not divide by w = 0
+    re, im = _fraction_parts(-1e300, math.nan, -1e300, True)
+    assert math.isnan(re(0.5)) and math.isnan(im(0.5))
+    with pytest.raises(ToleranceNotReached):
+        j_pm_quadrature(-1e300, math.nan, 2e300, -1)
