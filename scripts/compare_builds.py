@@ -2,10 +2,14 @@
 """Compare two qplasma source trees call by call on one seeded adversarial draw.
 
 Usage: python scripts/compare_builds.py OLD_SRC NEW_SRC [--draws N] [--seed S]
+       python scripts/compare_builds.py --against REV [--draws N] [--seed S]
 
 OLD_SRC and NEW_SRC are directories holding the ``qplasma`` package (the
-``src`` of a checkout).  An older revision can be unpacked with
-``git archive REV | tar -x -C DIR`` and compared as ``DIR/src``.
+``src`` of a checkout).  ``--against REV`` unpacks the ``src`` of git
+revision REV (``git archive``) into a temporary directory and compares it,
+as OLD_SRC, with the ``src`` of the checkout this script lives in,
+uncommitted edits included: ``--against HEAD`` checks a working tree
+against its last commit, ``--against HEAD~1`` a commit against its parent.
 
 Each tree is imported in its own subprocess (this script with ``--worker``),
 which evaluates every public kernel and model, the Kohn roots, the unit
@@ -43,15 +47,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import math
 import os
 import random
 import re
 import subprocess
 import sys
+import tarfile
+import tempfile
 from collections import Counter
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 INF, NAN = math.inf, math.nan
 SPECIAL = (
     0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-170, -1e-170,
@@ -349,10 +357,21 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
     return 1 if bad else 0
 
 
+def _unpack_src(rev: str, dest: Path) -> Path:
+    """The ``src`` of git revision ``rev`` of this checkout, unpacked under ``dest``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"], capture_output=True)
+    if archive.returncode != 0:
+        raise SystemExit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", nargs="?", type=Path)
     parser.add_argument("new_src", nargs="?", type=Path)
+    parser.add_argument("--against", metavar="REV", help="compare git revision REV with this checkout's src")
     parser.add_argument("--draws", type=int, default=600_000)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -360,6 +379,11 @@ def main(argv=None) -> int:
     if args.worker:
         _worker(args.seed, args.draws)
         return 0
+    if args.against is not None:
+        if args.old_src is not None or args.new_src is not None:
+            parser.error("--against REV takes no OLD_SRC or NEW_SRC")
+        with tempfile.TemporaryDirectory(prefix="compare_builds-") as tmp:
+            return compare(_unpack_src(args.against, Path(tmp)), ROOT / "src", args.seed, args.draws)
     if args.old_src is None or args.new_src is None:
         parser.error("OLD_SRC and NEW_SRC are required")
     return compare(args.old_src, args.new_src, args.seed, args.draws)

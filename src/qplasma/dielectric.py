@@ -31,6 +31,11 @@ and makes the omega -> 0 limit of the collisional model continuous.
 
 Conjugation symmetry eps(-x, y, q) = conj(eps(x, y, q)) holds for every
 model, so all of them are real at x = 0.  All routines are pure functions.
+
+The Im -> 0+ limit of the real axis (y = 0: Lindhard, the y = 0 rows of
+BGK and Mermin, and N0) is taken per node by the float path of _numerator,
+bit for bit equal to the complex kernels; kernels._L, which the scalar
+kernels use, serves it only where that path falls through.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import enum
 from cmath import isfinite, log
 from dataclasses import dataclass
+from math import isfinite as _finite, log as _ln, nan as _NAN, pi
 
 from .errors import (
     DegenerateQ,
@@ -66,6 +72,7 @@ __all__ = [
 ]
 
 _DENOMINATOR_FLOOR = 1e-30
+_MINUS_PI = -pi  # Im L(r) for a real r inside (-1, 1), as _L gives it
 # DegenerateQ texts of a q = 0 node: the points reject it, Lindhard's g_a does
 _Q0_POINT = "q = 0: use epsilon_classical_limit"
 _Q0_KERNEL = "g_a needs q != 0"
@@ -168,11 +175,45 @@ def _divisor(v: complex, what: str) -> complex:
 def _numerator(z: complex, q: float) -> complex:
     """N(z, q) = 1 - g(z,+q) + g(z,-q), for a checked z and q != 0.
 
-    kernels._g inlined for both shifts, bit for bit: _L only on the real
-    axis, and each g checked before the next is computed.  The shift is
-    z + -h, as _g's z + sign*(q/2): z - h would keep Im a = -0.0 where _g
-    gives +0.0."""
+    On the real axis (z.imag == 0.0) N is evaluated in floats, bit for bit
+    equal to the complex evaluation below.  With r = x +- q/2 and
+    c = (r*r - 1)/(2q), each g is c*L(r), L the real part of _L(r); a shift
+    inside (-1, 1) adds c*(-pi) to Im g, one outside a zero whose sign
+    cancels out of 1 - g+ + g-.  (c*(-pi) underflows to 0 only where 2q
+    overflows, which leaves r = 0 as the one shift inside, and there Im g
+    is the same signed zero.)  A shift on a branch point or a non-finite
+    term is marked nan and falls through, and so does q = 0, so the
+    complex path raises exactly what it always has.
+
+    The complex path inlines kernels._g for both shifts, bit for bit: _L
+    only on the real axis, and each g checked before the next is computed.
+    The shift is z + -h, as _g's z + sign*(q/2): z - h would keep
+    Im a = -0.0 where _g gives +0.0."""
     h, q2 = q / 2.0, 2.0 * q
+    if z.imag == 0.0 and q:
+        x = z.real
+        r = x + h
+        if -1.0 < r < 1.0:
+            c = (r * r - 1.0) / q2
+            gp, tp = c * (_ln(1.0 + r) - _ln(1.0 - r)), c * _MINUS_PI
+        elif r > 1.0:
+            gp, tp = (r * r - 1.0) / q2 * (_ln(r + 1.0) - _ln(r - 1.0)), 0.0
+        elif r < -1.0:
+            gp, tp = (r * r - 1.0) / q2 * (_ln(-1.0 - r) - _ln(1.0 - r)), 0.0
+        else:
+            gp = tp = _NAN
+        r = x - h
+        if -1.0 < r < 1.0:
+            c = (r * r - 1.0) / q2
+            gm, tm = c * (_ln(1.0 + r) - _ln(1.0 - r)), c * _MINUS_PI
+        elif r > 1.0:
+            gm, tm = (r * r - 1.0) / q2 * (_ln(r + 1.0) - _ln(r - 1.0)), 0.0
+        elif r < -1.0:
+            gm, tm = (r * r - 1.0) / q2 * (_ln(-1.0 - r) - _ln(1.0 - r)), 0.0
+        else:
+            gm = tm = _NAN
+        if _finite(gp + gm + tp + tm):  # else some term is nan or inf (or the sum overflows)
+            return complex((1.0 - gp) + gm, (0.0 - tp) + tm)
     a = z + h
     gp = (a * a - 1.0) / q2 * (_L(a) if a.imag == 0.0 else log(a + 1.0) - log(a - 1.0))
     if not isfinite(gp):
@@ -255,7 +296,9 @@ def _lindhard_form(z: complex, xp: float, s: complex | None, what: str):
     def node(q: float) -> tuple[complex, complex | None]:
         n = _numerator(z, q)
         cc = c if c is not None else 1.5 * _square(xp, "xp")
-        eps = _require_finite(1.0 + cc * n, what)
+        eps = 1.0 + cc * n
+        if not isfinite(eps):
+            _require_finite(eps, what)
         return eps, None if s is None else s * n
 
     return node
@@ -278,7 +321,10 @@ def _mermin_setup(x: float, y: float, xp: float):
 
         def static(q: float) -> tuple[complex, None]:
             c = 1.5 * _square(xp, "xp")  # before N0, so its error wins
-            return _require_finite(1.0 + c * _static_numerator(q), "epsilon_mermin"), None
+            eps = 1.0 + c * _static_numerator(q)
+            if not isfinite(eps):
+                _require_finite(eps, "epsilon_mermin")
+            return eps, None
 
         return static
     z = _as_upper_half(complex(x, y), "g_a")
@@ -293,7 +339,10 @@ def _mermin_setup(x: float, y: float, xp: float):
         if abs(den) < _DENOMINATOR_FLOOR:
             raise DenominatorVanishes(f"Mermin denominator vanished at {DimensionlessPointA(x, y, q, xp)!r}")
         cc = c if c is not None else 1.5 * _square(xp, "xp")
-        return _require_finite(1.0 + cc * (z * n) / den, "epsilon_mermin"), None
+        eps = 1.0 + cc * (z * n) / den
+        if not isfinite(eps):
+            _require_finite(eps, "epsilon_mermin")
+        return eps, None
 
     return node
 

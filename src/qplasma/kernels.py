@@ -13,6 +13,11 @@ analytically, never by substituting a small imaginary part:
     |Re a| > 1:   L(a) = ln|a + 1| - ln|a - 1|            (real)
     |Re a| < 1:   L(a) = ln((1 + a)/(1 - a)) - i*pi
 
+_L below evaluates it for the scalar kernels of this module.  The models'
+numerator N = 1 - g(z,+q) + g(z,-q) evaluates it per node in floats on the
+real axis (dielectric._numerator, bit for bit the same), and through _L
+only where that path falls through: a branch point or a non-finite term.
+
 Two kernel families sit on top of L.  Convention A scales frequencies by
 k*v_F, with z = (omega + i*nu)/(k v_F) and q = k/k_F:
 

@@ -77,11 +77,6 @@ class KohnRootSet:
         return tuple(r.q for r in self.roots if r.physical)
 
 
-def _residual(q: complex, branch: tuple[int, int], x: float) -> float:
-    s1, s2 = branch
-    return abs(q * q + 2.0 * s1 * q + 2.0 * s2 * x)
-
-
 def kohn_roots_dimless(x: float) -> KohnRootSet:
     """All four Kohn singularities of eps(q) at fixed x = omega/(k_F v_F);
     a non-finite x, or |x| so large that 1 +- 2x overflows, raises
@@ -109,18 +104,10 @@ def kohn_roots_dimless(x: float) -> KohnRootSet:
     values = [q for (_, q, _, _) in picks]
     roots = []
     for branch, q, alt, principal in picks:
-        repeated = sum(1 for v in values if v == q) > 1
-        roots.append(
-            KohnRoot(
-                q=q,
-                q_alt=alt,
-                branch=branch,
-                degenerate=(q == 0.0) or repeated,
-                physical=(q.imag == 0.0 and q.real > 0.0),
-                principal=principal,
-                residual=_residual(q, branch, x),
-            )
-        )
+        s1, s2 = branch
+        degenerate = q == 0.0 or values.count(q) > 1
+        residual = abs(q * q + 2.0 * s1 * q + 2.0 * s2 * x)
+        roots.append(KohnRoot(q, alt, branch, degenerate, q.imag == 0.0 and q.real > 0.0, principal, residual))
     return KohnRootSet(x=x, roots=tuple(roots))
 
 

@@ -159,11 +159,14 @@ def j_pm_quadrature(
     """Fermi-sphere integral Jt_pm by adaptive quadrature.
 
     Needs y > 0, or y = 0 with the real pole x -+ q/2 outside [-1, 1]
-    (PoleOnContour otherwise).  A non-finite result raises NonFiniteResult.
+    (PoleOnContour otherwise).  A non-finite argument or result raises
+    NonFiniteResult.
     """
     if sign not in _VALID_SIGNS:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     x, y, q = float(x), float(y), float(q)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(q)):
+        raise NonFiniteResult(f"j_pm_quadrature needs finite arguments, got {(x, y, q)!r}")
     if y < 0.0:
         raise NonUpperHalfPlane("quadrature is defined for y >= 0")
     if y == 0.0:
@@ -187,8 +190,11 @@ def j_closed_form(x: float, y: float, q: float, sign: int) -> complex:
 
 def g0_quadrature(x: float, y: float, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
     """Spherical-shell integral (y/2) Int du/(y + i(u - x)); equals
-    g0_a(x + i y).  Needs y > 0; a non-finite result raises NonFiniteResult."""
+    g0_a(x + i y).  Needs y > 0; a non-finite argument or result raises
+    NonFiniteResult."""
     x, y = float(x), float(y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NonFiniteResult(f"g0_quadrature needs finite arguments, got {(x, y)!r}")
     if y <= 0.0:
         raise PoleOnContour("g0 quadrature needs y > 0 (pole on the segment otherwise)")
     value, _ = _quad_parts(*_fraction_parts(x, y, 0.0, False), spec)

@@ -8,6 +8,7 @@ None entries (skipped points); polylines break at the gaps.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 __all__ = ["line_plot"]
 
@@ -108,21 +109,11 @@ def line_plot(
 
     for i, (label, pts) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        run: list[str] = []
-        segments: list[list[str]] = []
-        for p in pts:
-            if p is None:
-                if len(run) > 1:
-                    segments.append(run)
-                run = []
-                continue
-            run.append("%.2f,%.2f" % (sx(p[0]), sy(p[1])))
-        if len(run) > 1:
-            segments.append(run)
-        for seg in segments:
-            out.append(
-                f'<polyline points="{" ".join(seg)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
+        runs = [pts] if None not in pts else [list(g) for gap, g in groupby(pts, lambda p: p is None) if not gap]
+        for run in runs:
+            if len(run) > 1:  # sx and sy written out, one comprehension per polyline
+                points = " ".join(["%.2f,%.2f" % (x0 + (x - x_lo) / dx * pw, y0 - (y - y_lo) / dy * ph) for x, y in run])
+                out.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         lx = WIDTH - MARGIN_R - 120
         ly = MARGIN_T + 16 + 16 * i
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')

@@ -8,7 +8,8 @@ import pytest
 from conftest import random_points
 
 from qplasma.dielectric import DimensionlessPointA, epsilon_collisional_a
-from qplasma.errors import NonUpperHalfPlane, PoleOnContour, ToleranceNotReached
+from qplasma import quadrature
+from qplasma.errors import NonFiniteResult, NonUpperHalfPlane, PoleOnContour, ToleranceNotReached
 from qplasma.kernels import g0_a, g_a
 from qplasma.quadrature import (
     QuadratureSpec,
@@ -200,15 +201,27 @@ def test_overflowing_shift_raises_tolerance_not_reached():
         j_pm_quadrature(1e308, 1.0, -1.7e308, +1)
     with pytest.raises(ToleranceNotReached):
         epsilon_from_quadrature(1e308, 1.0, -1.7e308, 1.0)
-    for x in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ToleranceNotReached):
-            g0_quadrature(x, 1.0)
 
 
-def test_nan_y_stalls_the_quadrature_even_where_w_is_zero():
+def test_fraction_parts_are_nan_for_a_nan_y_even_where_w_is_zero():
     # u + h - x rounds to 0 on the whole segment; the complex quotient by
     # nan + 0j is nan, so the parts must be nan too, not divide by w = 0
     re, im = _fraction_parts(-1e300, math.nan, -1e300, True)
     assert math.isnan(re(0.5)) and math.isnan(im(0.5))
-    with pytest.raises(ToleranceNotReached):
-        j_pm_quadrature(-1e300, math.nan, 2e300, -1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_arguments_raise_before_quadpack_runs(bad, monkeypatch):
+    # a nan y used to spend the whole subdivision budget (ToleranceNotReached),
+    # a non-finite x or q failed the shift check, and y = inf returned 0j
+    def never(*args):
+        raise AssertionError("QUADPACK ran")
+
+    monkeypatch.setattr(quadrature, "_quad_real", never)
+    for s in (+1, -1):
+        for args in ((bad, 0.1, 1.0), (0.3, bad, 1.0), (0.3, 0.1, bad), (bad, 0.0, 1.0), (-1e300, bad, 2e300)):
+            with pytest.raises(NonFiniteResult, match="j_pm_quadrature needs finite arguments"):
+                j_pm_quadrature(*args, s)
+    for args in ((bad, 1.0), (0.3, bad)):
+        with pytest.raises(NonFiniteResult, match="g0_quadrature needs finite arguments"):
+            g0_quadrature(*args)

@@ -5,6 +5,7 @@ class and text; y < 0 or xp < 0 raises the scalar's ValueError out of the row.""
 import importlib.util
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from qplasma.dielectric import (
     epsilon_lindhard,
     epsilon_mermin,
 )
+from qplasma import kernels
 from qplasma.errors import QplasmaError
 from qplasma.kernels import g_a
 from qplasma.sweep import (
@@ -227,10 +229,75 @@ def test_numerator_is_the_sum_of_the_shifted_kernels():
         assert _outcome_or_error(_numerator, z, q) == _outcome_or_error(_g_sum, z, q), (z, q)
 
 
+def _kernel_sum(z, q):
+    return 1.0 - kernels._g(z, q, +1) + kernels._g(z, q, -1)
+
+
+def _real_axis_draw(rng):
+    """(x, q) for N on the real axis: +-0 and subnormal x and q, dyadic nodes
+    on the branch points 2(1 +- x), |x| and |q| up to 1e300, inside shifts
+    whose c*L is finite but c*(-pi) is not, and 2q that overflows with
+    x = +-q/2, where one shift is 0 and its c*(-pi), c = -1/(2q), is 0."""
+    tiny = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308)
+    sign = rng.choice((1.0, -1.0))
+    r = rng.random()
+    if r < 0.1:
+        x = rng.choice(tiny)
+    elif r < 0.4:
+        x = rng.randint(-96, 96) / 32.0
+    elif r < 0.6:
+        x = sign * 10.0 ** rng.uniform(-6.0, 300.0)
+    else:
+        x = rng.uniform(-4.0, 4.0)
+    r = rng.random()
+    if r < 0.25:
+        return x, rng.choice((2.0, -2.0)) * (1.0 + rng.choice((1.0, -1.0)) * x)
+    if r < 0.35:
+        q = sign * rng.uniform(2.0 ** 1023, 1.7976931348623157e308)
+        return rng.choice((1.0, -1.0)) * q / 2.0, q
+    if r < 0.42:
+        x = rng.uniform(-0.9, 0.9)
+        return x, sign * (1.0 - x * x) * rng.uniform(0.5, 2.0) / 1.7976931348623157e308
+    if r < 0.5:
+        return x, rng.choice((0.0, -0.0, sign * 10.0 ** rng.uniform(-323.5, -300.0)))
+    if r < 0.6:
+        return x, sign * 10.0 ** rng.uniform(-6.0, 300.0)
+    return x, sign * rng.uniform(0.0, 6.0)
+
+
+def _shift_kind(r, q):
+    if abs(r) == 1.0:
+        return "branch point"
+    c = (r * r - 1.0) / (2.0 * q)
+    if abs(r) > 1.0:
+        return "outside"
+    if c * math.pi == 0.0:
+        return "inside, c*(-pi) = 0"
+    if math.isinf(c * math.pi) and math.isfinite(c * (math.log(1.0 + r) - math.log(1.0 - r))):
+        return "inside, only c*(-pi) overflows"
+    return "inside"
+
+
+def test_real_axis_numerator_equals_the_complex_evaluation():
+    # N(x +- 0j, q) is evaluated in floats: it must give the bits of the
+    # complex kernels (signed zeros included), or their error, class and text
+    rng = random.Random(36)
+    kinds = Counter()
+    for _ in range(24000):
+        x, q = _real_axis_draw(rng)
+        z = complex(x, rng.choice((0.0, -0.0)))
+        assert _outcome_or_error(_numerator, z, q) == _outcome_or_error(_kernel_sum, z, q), (z, q)
+        if q != 0.0 and math.isfinite(q):
+            kinds.update(_shift_kind(x + s * (q / 2.0), q) for s in (1.0, -1.0))
+        else:
+            kinds["q = 0 or inf"] += 1
+    assert min(kinds.values()) > 300, kinds
+
+
 def _outcome_or_error(f, *args):
     try:
         return _outcome(f(*args))
-    except QplasmaError as exc:
+    except (QplasmaError, ZeroDivisionError) as exc:  # _g divides by 2q = 0 itself
         return _outcome(exc)
 
 
