@@ -13,16 +13,17 @@ against its last commit, ``--against HEAD~1`` a commit against its parent.
 
 Each tree is imported in its own subprocess (this script with ``--worker``),
 which evaluates every public kernel and model, the Kohn roots, the unit
-conversions and, rarely, the quadrature oracle (the Fermi-sphere integrals
-Jt_pm, at y = 0 too, and g0, the quadrature assembly, and ``oracle_scan`` of
-one to three points) on the same draw of arguments: +-0, subnormals, 1e-300
-to 1e-170, 1e154 to the largest double, +-inf, nan, y = 0 and q on the
-branch points 2(1 +- x), mixed with ordinary values.  It then evaluates
-N // 30 rows (20000 for the default N = 600000) through the sweep's row
-evaluator ``sweep._evaluate_row``, every model in turn, on short q grids
-that hold q = +-0, the branch points 2(1 +- x) and +-2 and adversarial
-values, at y = +-0 and adversarial y, sometimes with the branch points
-passed as poles (as the broadening scan does).  Last come
+conversions, the broadening scan and, rarely, the quadrature oracle (the
+Fermi-sphere integrals Jt_pm, at y = 0 too, and g0, the quadrature
+assembly, and ``oracle_scan`` of one to three points) on the same draw of
+arguments: +-0, subnormals, 1e-300 to 1e-170, 1e154 to the largest double,
++-inf, nan, y = 0 and q on the branch points 2(1 +- x), mixed with ordinary
+values.  A scan has one to three rows on a short grid (3 to 49 nodes) of
+the windows the sweeps below use, in either ``on_pole`` mode.  It then
+evaluates N // 30 rows (20000 for the default N = 600000) through the
+model table, ``sweep.MODELS[model](x, (y,), qs, xp)[0]``, every model in
+turn, on short q grids that hold q = +-0, the branch points 2(1 +- x) and
++-2 and adversarial values, at y = +-0 and adversarial y.  Last come
 N // 600 whole sweeps (1000 by default), ``sweep.run_sweep(write=False)``,
 of one to four rows each: every model, x = +-0 and adversarial x, q windows
 through 0, +-2 and the branch points, windows denser than the 1e-9 node
@@ -30,10 +31,11 @@ tolerance around one of them, and couplings whose square overflows.  They
 reach what rows alone do not: the grid's nudges and the rows of one sweep
 that share work.  Each call prints one line:
 the ``float.hex`` of every returned value (so signed zeros count), sigma and
-the model tag (per row node: the value, or the skipped point's q, y and
-reason; per sweep: every field of the result and a hash of its CSV and SVG
-text), or the class and message of the raised error.  The two streams are
-compared line by line.
+the model tag (per row node: the value, or the class and message of the
+node's QplasmaError; per scan: each row's y, slope and skipped q; per
+sweep: every field of the result and a hash of its CSV and SVG text), or
+the class and message of the raised error.  The two streams are compared
+line by line.
 
 Two kinds of difference are expected and counted per function, with one
 example each: an OverflowError or ZeroDivisionError of the old tree that the
@@ -100,7 +102,7 @@ def _q(rng: random.Random, x: float) -> float:
 
 
 def _row_args(rng: random.Random) -> tuple:
-    """(x, y, xp, with_poles, *qs) of one row draw."""
+    """(x, y, xp, *qs) of one row draw."""
     x = rng.choice((0.0, -0.0, rng.randint(-12, 12) / 8.0, _real(rng)))
     y = rng.choice((0.0, -0.0, _nonneg(rng)))
     if rng.random() < 0.5:  # dyadic grid through 0 and, for dyadic x, the branch points
@@ -109,12 +111,32 @@ def _row_args(rng: random.Random) -> tuple:
     else:
         qs = [_q(rng, x) for _ in range(rng.randint(1, 8))]
     qs += rng.sample((0.0, -0.0, 2.0, -2.0, *(2.0 * (1.0 + s * x) for s in (1.0, -1.0))), rng.randint(0, 3))
-    return (x, y, _nonneg(rng), rng.random() < 0.3, *qs)
+    return (x, y, _nonneg(rng), *qs)
+
+
+def _grid_x(rng: random.Random) -> float:
+    """x of a sweep or scan draw: +-0, dyadic or adversarial."""
+    return rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.choice((rng.randint(-12, 12) / 8.0, _real(rng)))
+
+
+def _window(rng: random.Random, x: float) -> tuple[float, float, int]:
+    """(q_min, q_max, steps >= 2) of a q grid around the poles of x."""
+    pole = rng.choice((0.0, 2.0, -2.0, *(2.0 * (1.0 + s * x) for s in (1.0, -1.0))))
+    r = rng.random()
+    if r < 0.4:  # dyadic nodes through 0 and, for dyadic x, the poles
+        h = 2.0 ** -rng.randint(0, 3)
+        lo, hi = rng.randint(1, 24), rng.randint(1, 24)
+        return -lo * h, hi * h, lo + hi + 1
+    if r < 0.6:  # nodes 1e-10 apart around one pole, many within its 1e-9
+        lo, hi = rng.randint(0, 20), rng.randint(1, 20)
+        return pole - lo * 1e-10, pole + hi * 1e-10, lo + hi + 1
+    q_min = rng.choice((pole, _real(rng)))
+    return q_min, q_min + abs(_real(rng)), rng.randint(2, 40)
 
 
 def _sweep_args(rng: random.Random, model: str) -> tuple:
     """(model, x, xp, q_min, q_max, q_steps, *ys) of one sweep draw."""
-    x = rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.choice((rng.randint(-12, 12) / 8.0, _real(rng)))
+    x = _grid_x(rng)
     if model == "lindhard":
         ys = rng.choice(([0.0], [-0.0], [0.0, -0.0]))
     else:  # distinct column labels, mostly y > 0
@@ -123,17 +145,16 @@ def _sweep_args(rng: random.Random, model: str) -> tuple:
             for _ in range(rng.randint(1, 4))
         )}.values())
     xp = rng.choice((1.0, 0.0, 1e200, abs(_real(rng))))
-    pole = rng.choice((0.0, 2.0, -2.0, *(2.0 * (1.0 + s * x) for s in (1.0, -1.0))))
-    r = rng.random()
-    if r < 0.4:  # dyadic nodes through 0 and, for dyadic x, the poles
-        h = 2.0 ** -rng.randint(0, 3)
-        lo, hi = rng.randint(1, 24), rng.randint(1, 24)
-        return (model, x, xp, -lo * h, hi * h, lo + hi + 1, *ys)
-    if r < 0.6:  # nodes 1e-10 apart around one pole, many within its 1e-9
-        lo, hi = rng.randint(0, 20), rng.randint(1, 20)
-        return (model, x, xp, pole - lo * 1e-10, pole + hi * 1e-10, lo + hi + 1, *ys)
-    q_min = rng.choice((pole, _real(rng)))
-    return (model, x, xp, q_min, q_min + abs(_real(rng)), rng.randint(2, 40), *ys)
+    return (model, x, xp, *_window(rng, x), *ys)
+
+
+def _scan_args(rng: random.Random) -> tuple:
+    """(x, xp, q_min, q_max, n_points, on_pole, *ys) of one broadening scan."""
+    x = _grid_x(rng)
+    ys = [rng.choice((0.0, -0.0, _nonneg(rng), 10.0 ** rng.uniform(-3.0, 1.0))) for _ in range(rng.randint(1, 3))]
+    xp = rng.choice((1.0, 0.0, 1e200, _nonneg(rng)))
+    q_min, q_max, steps = _window(rng, x)
+    return (x, xp, q_min, q_max, max(steps, 3), rng.choice(("skip", "raise")), *ys)
 
 
 def _args(name: str, rng: random.Random) -> tuple:
@@ -158,6 +179,8 @@ def _args(name: str, rng: random.Random) -> tuple:
         return x, _nonneg(rng), _nonneg(rng)
     if name == "oracle_scan":
         return rng.randint(1, 3), rng.randrange(2 ** 31), _nonneg(rng)
+    if name == "singularity_broadening_scan":
+        return _scan_args(rng)
     if name == "kohn_roots_dimless":
         return (x,)
     if name == "kohn_wavenumbers_physical":
@@ -199,6 +222,9 @@ def call_table():
             lambda x, y, xp: d.epsilon_classical_limit(complex(x, y), xp), 20),
         "kohn_roots_dimless": (kohn.kohn_roots_dimless, 10),
         "kohn_wavenumbers_physical": (kohn.kohn_wavenumbers_physical, 10),
+        "singularity_broadening_scan": (
+            lambda x, xp, q_min, q_max, n, on_pole, *ys: kohn.singularity_broadening_scan(
+                x, xp, ys, (q_min, q_max), n, on_pole), 1),
         "to_convention_a": (lambda *a: u.to_convention_a(_physical(u, *a)), 10),
         "to_convention_b": (lambda *a: u.to_convention_b(_physical(u, *a)), 10),
         "epsilon_from_quadrature": (quad.epsilon_from_quadrature, 1),
@@ -209,13 +235,12 @@ def call_table():
 
 
 def row_table():
-    """name -> (f(x, y, xp, with_poles, *qs), weight): one sweep row per model."""
+    """name -> (f(x, y, xp, *qs), weight): one sweep row per model."""
     from qplasma import sweep
-    from qplasma.dielectric import branch_points_q
 
     def row(model):
-        def evaluate(x, y, xp, with_poles, *qs):
-            return sweep._evaluate_row(model, x, xp, qs, y, branch_points_q(x) if with_poles else ())
+        def evaluate(x, y, xp, *qs):
+            return sweep.MODELS[model](x, (y,), qs, xp)[0]
         return evaluate
 
     return {f"row_{model}": (row(model), 1) for model in ("bgk", "mermin", "lindhard")}
@@ -252,6 +277,8 @@ def flatten(value) -> list:
         return [value]
     if isinstance(value, (tuple, list)):
         return [v for item in value for v in flatten(item)]
+    if isinstance(value, Exception):  # a row node's QplasmaError
+        return [f"{type(value).__name__}: {value}"]
     if hasattr(value, "__dataclass_fields__"):
         return [v for f in value.__dataclass_fields__ for v in flatten(getattr(value, f))]
     if hasattr(value, "value"):  # an enum member such as the model tag

@@ -7,7 +7,8 @@ Subcommands:
 * ``kohn``    -- Kohn singularity report (dimensionless or physical)
 * ``verify``  -- closed forms vs the independent Fermi-sphere quadrature
 
-Exit codes: 0 success, 1 evaluation failure, 2 usage/config error.
+Exit codes: 0 success, 1 evaluation failure, 2 usage/config error (an
+unreadable config file or an unwritable output included).
 """
 
 from __future__ import annotations
@@ -101,7 +102,11 @@ def _merge_sweep_config(args: argparse.Namespace) -> SweepConfig:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merge_sweep_config(args)
-    result = run_sweep(cfg)
+    try:
+        result = run_sweep(cfg)
+    except OSError as exc:  # the output's directory or a file cannot be made or written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if result.skipped:

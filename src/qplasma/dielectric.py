@@ -34,8 +34,10 @@ model, so all of them are real at x = 0.  All routines are pure functions.
 
 The Im -> 0+ limit of the real axis (y = 0: Lindhard, the y = 0 rows of
 BGK and Mermin, and N0) is taken per node by the float path of _numerator,
-bit for bit equal to the complex kernels; kernels._L, which the scalar
-kernels use, serves it only where that path falls through.
+bit for bit equal to the complex kernels.  It writes L(r) as kernels._L
+does, ln|1 + r| - ln|1 - r| with -i*pi inside (-1, 1), and falls through
+to the complex kernels where math.log(0.0) raises ValueError (a branch
+point) or a term is not finite.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import enum
 from cmath import isfinite, log
 from dataclasses import dataclass
-from math import isfinite as _finite, log as _ln, nan as _NAN, pi
+from math import isfinite as _finite, log as _ln, pi
 
 from .errors import (
     DegenerateQ,
@@ -177,13 +179,13 @@ def _numerator(z: complex, q: float) -> complex:
 
     On the real axis (z.imag == 0.0) N is evaluated in floats, bit for bit
     equal to the complex evaluation below.  With r = x +- q/2 and
-    c = (r*r - 1)/(2q), each g is c*L(r), L the real part of _L(r); a shift
-    inside (-1, 1) adds c*(-pi) to Im g, one outside a zero whose sign
-    cancels out of 1 - g+ + g-.  (c*(-pi) underflows to 0 only where 2q
-    overflows, which leaves r = 0 as the one shift inside, and there Im g
-    is the same signed zero.)  A shift on a branch point or a non-finite
-    term is marked nan and falls through, and so does q = 0, so the
-    complex path raises exactly what it always has.
+    c = (r*r - 1)/(2q), each g is c*(ln|1 + r| - ln|1 - r|), the real part
+    of _L(r); a shift inside (-1, 1) adds c*(-pi) to Im g, one outside a
+    zero whose sign cancels out of 1 - g+ + g-.  (c*(-pi) underflows to 0
+    only where 2q overflows, which leaves r = 0 as the one shift inside, and
+    there Im g is the same signed zero.)  A shift on a branch point is the
+    ValueError of math.log(0.0) and falls through, as do a non-finite term
+    and q = 0, so the complex path raises exactly what it always has.
 
     The complex path inlines kernels._g for both shifts, bit for bit: _L
     only on the real axis, and each g checked before the next is computed.
@@ -192,28 +194,17 @@ def _numerator(z: complex, q: float) -> complex:
     h, q2 = q / 2.0, 2.0 * q
     if z.imag == 0.0 and q:
         x = z.real
-        r = x + h
-        if -1.0 < r < 1.0:
+        try:
+            r = x + h
             c = (r * r - 1.0) / q2
-            gp, tp = c * (_ln(1.0 + r) - _ln(1.0 - r)), c * _MINUS_PI
-        elif r > 1.0:
-            gp, tp = (r * r - 1.0) / q2 * (_ln(r + 1.0) - _ln(r - 1.0)), 0.0
-        elif r < -1.0:
-            gp, tp = (r * r - 1.0) / q2 * (_ln(-1.0 - r) - _ln(1.0 - r)), 0.0
-        else:
-            gp = tp = _NAN
-        r = x - h
-        if -1.0 < r < 1.0:
+            gp, tp = c * (_ln(abs(1.0 + r)) - _ln(abs(1.0 - r))), 0.0 if abs(r) > 1.0 else c * _MINUS_PI
+            r = x - h
             c = (r * r - 1.0) / q2
-            gm, tm = c * (_ln(1.0 + r) - _ln(1.0 - r)), c * _MINUS_PI
-        elif r > 1.0:
-            gm, tm = (r * r - 1.0) / q2 * (_ln(r + 1.0) - _ln(r - 1.0)), 0.0
-        elif r < -1.0:
-            gm, tm = (r * r - 1.0) / q2 * (_ln(-1.0 - r) - _ln(1.0 - r)), 0.0
-        else:
-            gm = tm = _NAN
-        if _finite(gp + gm + tp + tm):  # else some term is nan or inf (or the sum overflows)
-            return complex((1.0 - gp) + gm, (0.0 - tp) + tm)
+            gm, tm = c * (_ln(abs(1.0 + r)) - _ln(abs(1.0 - r))), 0.0 if abs(r) > 1.0 else c * _MINUS_PI
+            if _finite(gp + gm + tp + tm):  # else some term is nan or inf (or the sum overflows)
+                return complex((1.0 - gp) + gm, (0.0 - tp) + tm)
+        except ValueError:  # math.log(0.0): a shift on a branch point
+            pass
     a = z + h
     gp = (a * a - 1.0) / q2 * (_L(a) if a.imag == 0.0 else log(a + 1.0) - log(a - 1.0))
     if not isfinite(gp):

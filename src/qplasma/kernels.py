@@ -10,13 +10,14 @@ imaginary part (retarded response, exp(-i omega t) convention), so values
 on the real axis mean the limit Im(a) -> 0+.  That limit is evaluated
 analytically, never by substituting a small imaginary part:
 
-    |Re a| > 1:   L(a) = ln|a + 1| - ln|a - 1|            (real)
-    |Re a| < 1:   L(a) = ln((1 + a)/(1 - a)) - i*pi
+    L(r) = ln|1 + r| - ln|1 - r|  (- i*pi for r inside (-1, 1)),   r real.
 
-_L below evaluates it for the scalar kernels of this module.  The models'
-numerator N = 1 - g(z,+q) + g(z,-q) evaluates it per node in floats on the
-real axis (dielectric._numerator, bit for bit the same), and through _L
-only where that path falls through: a branch point or a non-finite term.
+That one formula is written twice: in _L below, for the scalar kernels of
+this module, and per node in floats in the models' numerator
+N = 1 - g(z,+q) + g(z,-q) (dielectric._numerator, bit for bit the same).
+At a branch point r = +-1 it is math.log(0.0), whose ValueError _L raises
+as PoleAtBranchPoint; the numerator falls through to the complex kernels
+there and for a non-finite term, and so raises what they raise.
 
 Two kernel families sit on top of L.  Convention A scales frequencies by
 k*v_F, with z = (omega + i*nu)/(k v_F) and q = k/k_F:
@@ -74,11 +75,11 @@ def _L(a: complex) -> complex:
     """L(a) for Im a >= 0, unchecked: only a branch point raises; nan/inf in, nan/inf out."""
     if a.imag == 0.0:  # the Im a -> 0+ limit: exactly -i*pi inside (-1, 1)
         x = a.real
-        if abs(x) == 1.0:
-            raise PoleAtBranchPoint(f"clog_ratio argument at branch point {x:+g}")
-        if abs(x) > 1.0:
-            return complex(math.log(abs(x + 1.0)) - math.log(abs(x - 1.0)), 0.0)
-        return complex(math.log(1.0 + x) - math.log(1.0 - x), -math.pi)
+        try:
+            re = math.log(abs(1.0 + x)) - math.log(abs(1.0 - x))
+        except ValueError:  # math.log(0.0): x is +-1
+            raise PoleAtBranchPoint(f"clog_ratio argument at branch point {x:+g}") from None
+        return complex(re, 0.0 if abs(x) > 1.0 else -math.pi)
     # Im a > 0: a + 1 and a - 1 lie above the real axis; no unwinding needed.
     return cmath.log(a + 1.0) - cmath.log(a - 1.0)
 

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from .dielectric import _divisor, branch_points_q
 from .errors import NonFiniteResult, WindowContainsPole
-from .sweep import SkippedPoint, _evaluate_row, _linspace, _pole_nodes
+from .sweep import MODELS, _linspace, _pole_nodes
 
 __all__ = [
     "KohnRoot",
@@ -159,14 +160,16 @@ def singularity_broadening_scan(
 
     For y = 0, grid nodes within 1e-9 of a branch point are excluded from
     the derivative and reported in ``skipped_q`` (``on_pole="skip"``, the
-    default) or raise WindowContainsPole (``on_pole="raise"``).  Skipped
-    points are never interpolated.  A non-finite x, xp, y or window edge
-    raises ValueError before anything is evaluated.
+    default) or raise WindowContainsPole (``on_pole="raise"``).  Nodes whose
+    evaluation raises a QplasmaError are excluded and reported the same
+    way.  Skipped points are never interpolated.  A non-finite x, xp, y or
+    window edge, or an ``n_points`` that is not an integer >= 3, raises
+    ValueError before anything is evaluated.
     """
     if on_pole not in ("skip", "raise"):
         raise ValueError(f"on_pole must be 'skip' or 'raise', got {on_pole!r}")
-    if n_points < 3:
-        raise ValueError("n_points must be at least 3")
+    if not isinstance(n_points, numbers.Integral) or n_points < 3:
+        raise ValueError(f"n_points must be an integer >= 3, got {n_points!r}")
     q_lo, q_hi = float(q_window[0]), float(q_window[1])
     if not q_hi > q_lo:
         raise ValueError("q_window must satisfy q_min < q_max")
@@ -178,20 +181,18 @@ def singularity_broadening_scan(
     h = qs[1] - qs[0]
     h2 = 2.0 * h
     poles = [b for b in branch_points_q(x) if q_lo - h <= b <= q_hi + h]
+    on_pole_nodes = _pole_nodes(qs, poles) if 0.0 in ys else []
 
     rows = []
     for y in ys:
-        row_poles = poles if y == 0.0 else ()
-        if on_pole == "raise":
-            hits = _pole_nodes(qs, row_poles)
-            if hits:
-                raise WindowContainsPole(f"grid node q={qs[hits[0]]} sits on a branch point (y=0)")
-            row_poles = ()  # none of them is on a node
-        row = _evaluate_row("bgk", x, xp, qs, y, row_poles)
-        skipped = ()
-        if any(isinstance(v, SkippedPoint) for v in row):
-            skipped = tuple(v.q for v in row if isinstance(v, SkippedPoint))
-            row = [None if isinstance(v, SkippedPoint) else v for v in row]
+        if y == 0.0 and on_pole_nodes and on_pole == "raise":
+            raise WindowContainsPole(f"grid node q={qs[on_pole_nodes[0]]} sits on a branch point (y=0)")
+        row = MODELS["bgk"](x, (y,), qs, xp)[0]
+        for i in on_pole_nodes if y == 0.0 else ():
+            row[i] = None
+        gaps = [i for i, v in enumerate(row) if not isinstance(v, complex)]  # a pole node or a QplasmaError
+        for i in gaps:
+            row[i] = None
         max_slope = 0.0
         for lo, hi in zip(row, row[2:]):  # the central difference at each inner node
             if lo is None or hi is None:
@@ -199,5 +200,5 @@ def singularity_broadening_scan(
             slope = abs(hi - lo) / h2
             if slope > max_slope:  # a nan slope never replaces the maximum
                 max_slope = slope
-        rows.append(BroadeningRow(y=y, max_abs_deps_dq=max_slope, skipped_q=skipped))
+        rows.append(BroadeningRow(y=y, max_abs_deps_dq=max_slope, skipped_q=tuple(qs[i] for i in gaps)))
     return rows

@@ -15,9 +15,9 @@ This module owns the rule for "a grid node sits on a singular q": within
 1e-9 of it, found in one pass over the grid per distinct pole.  Sweep
 nodes that land on a y = 0 branch point (or on the static screening pole
 at q = 2 for the Mermin model) are nudged by +1e-6 with a warning; the
-broadening scan in :mod:`qplasma.kohn` reuses the same rule and the same
-row evaluator, but skips such nodes instead.  Points whose evaluation fails
-are left as empty CSV cells and summarised on stderr; they are never
+broadening scan in :mod:`qplasma.kohn` reuses the same rule and the BGK
+row of ``MODELS``, but skips such nodes instead.  Points whose evaluation
+fails are left as empty CSV cells and summarised on stderr; they are never
 interpolated.
 """
 
@@ -167,9 +167,14 @@ def parse_q_range(text: str) -> tuple[float, float, int]:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat key=value config file ('#' comments, blank lines ok)."""
+    """Read a flat key=value config file ('#' comments, blank lines ok), in
+    UTF-8; a file that cannot be read or decoded raises ConfigError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -187,10 +192,8 @@ def _singular_q(cfg: SweepConfig) -> list[float]:
         qs.extend(branch_points_q(cfg.x))
     if cfg.model == "mermin":
         # static screening combination N0(q) hits its branch point at q = 2
-        # for every y, and the x = 0 route is static for every y as well
+        # for every y; these are also the poles of the x = 0 static route
         qs.extend((2.0, -2.0))
-        if cfg.x == 0.0:
-            qs.extend(branch_points_q(0.0))
     return qs
 
 
@@ -231,33 +234,14 @@ def _grid(cfg: SweepConfig) -> tuple[list[float], list[tuple[float, float]]]:
     return qs, nudged
 
 
-def _skipped(q: float, y: float, exc: QplasmaError) -> SkippedPoint:
-    """The SkippedPoint of node (q, y), whose evaluation raised exc."""
-    return SkippedPoint(q=q, y=y, reason=f"{type(exc).__name__}: {exc}")
-
-
-def _evaluate_row(model: str, x: float, xp: float, qs, y: float, poles=()) -> list[complex | SkippedPoint]:
-    """eps of ``model`` over the q grid at fixed x, xp and y: a value per
-    node, or the SkippedPoint that says why there is none.  Nodes on one of
-    ``poles`` are skipped without being evaluated."""
-    on_pole = _pole_nodes(qs, poles)
-    skip = set(on_pole)
-    live = [q for i, q in enumerate(qs) if i not in skip] if skip else qs
-    row = MODELS[model](x, (y,), live, xp)[0] if live else []
-    if any(isinstance(v, QplasmaError) for v in row):
-        row = [_skipped(q, y, v) if isinstance(v, QplasmaError) else v for q, v in zip(live, row)]
-    for i in on_pole:  # ascending, so each lands at its own index
-        row.insert(i, SkippedPoint(q=qs[i], y=y, reason="grid node sits on a singular q"))
-    return row
-
-
 def run_sweep(cfg: SweepConfig, write: bool = True) -> SweepResult:
     """Evaluate the sweep and (optionally) write <output>.csv / <output>.svg."""
     qs, nudged = _grid(cfg)
     rows = MODELS[cfg.model](cfg.x, cfg.y, qs, cfg.xp)
     bad = [iy for iy, row in enumerate(rows) if any(isinstance(v, QplasmaError) for v in row)]
     skipped = tuple(  # node by node, then row by row
-        _skipped(q, cfg.y[iy], v) for i, q in enumerate(qs) for iy in bad if isinstance(v := rows[iy][i], QplasmaError)
+        SkippedPoint(q, cfg.y[iy], f"{type(v).__name__}: {v}")
+        for i, q in enumerate(qs) for iy in bad if isinstance(v := rows[iy][i], QplasmaError)
     )
     for iy in bad:
         rows[iy] = [None if isinstance(v, QplasmaError) else v for v in rows[iy]]

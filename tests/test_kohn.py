@@ -146,6 +146,13 @@ def test_broadening_scan_y0_dominates():
     assert slopes[0] > slopes[1] > slopes[2]
 
 
+@pytest.mark.parametrize("n_points", [5.9, 3.0, math.inf, math.nan, "11", 2, -1])
+def test_broadening_scan_rejects_a_non_integer_point_count(n_points):
+    # before: 5.9 ran 5 nodes, inf raised OverflowError, nan a conversion error
+    with pytest.raises(ValueError, match="^n_points must be an integer >= 3"):
+        singularity_broadening_scan(0.0, 1.0, [0.005], (1.5, 2.5), n_points)
+
+
 @pytest.mark.parametrize("x, xp, ys, window", [
     (math.nan, 1.0, (0.0, 0.005), (1.5, 2.5)),
     (math.inf, 1.0, (0.005,), (1.5, 2.5)),

@@ -20,13 +20,12 @@ from qplasma.dielectric import (
     epsilon_mermin,
 )
 from qplasma import kernels
-from qplasma.errors import QplasmaError
+from qplasma.errors import QplasmaError, WindowContainsPole
 from qplasma.kernels import g_a
+from qplasma.kohn import singularity_broadening_scan
 from qplasma.sweep import (
     MODELS,
-    SkippedPoint,
     SweepConfig,
-    _evaluate_row,
     _grid,
     _linspace,
     _pole_nodes,
@@ -71,7 +70,7 @@ def _row_draws(seed, n):
     spec = importlib.util.spec_from_file_location("compare_builds", ROOT / "scripts" / "compare_builds.py")
     cb = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cb)
-    for name, (x, y, xp, _, *qs) in cb.draws(seed, n, cb.row_table()):
+    for name, (x, y, xp, *qs) in cb.draws(seed, n, cb.row_table()):
         yield name[len("row_"):], x, y, qs, xp
 
 
@@ -175,24 +174,74 @@ def test_pole_nodes_follow_the_node_rule(seed):
         assert _pole_nodes(qs, poles) == [i for i, q in enumerate(qs) if _on_pole_rule(q, poles)], (qs, poles)
 
 
-@pytest.mark.parametrize("model", list(MODELS))
-def test_evaluate_row_skips_pole_nodes_in_place(model):
-    rng = random.Random(33)
-    for _ in range(300):
-        x = rng.choice((0.0, 0.5, -0.25))
-        y = 0.0 if model == "lindhard" else rng.choice((0.0, -0.0, 0.1))
-        poles = rng.choice(((), branch_points_q(x), (*branch_points_q(x), 2.0, -2.0, 2.0)))
-        qs = _adversarial_qs(rng, list(poles))
-        row = _evaluate_row(model, x, 1.0, qs, y, poles)
-        assert len(row) == len(qs)
-        for q, v in zip(qs, row):
-            if _on_pole_rule(q, poles):
-                assert v == SkippedPoint(q=q, y=y, reason="grid node sits on a singular q")
-            elif isinstance(v, SkippedPoint):
-                assert (v.q, v.y) == (q, y)
-                assert v.reason == "%s: %s" % _scalar(model, x, y, q, 1.0)
-            else:
-                assert _outcome(v) == _scalar(model, x, y, q, 1.0)
+def _scan_by_points(x, xp, ys, window, n_points, on_pole):
+    """singularity_broadening_scan rebuilt node by node from
+    epsilon_collisional_a: (y, max slope, skipped q) per y, or
+    WindowContainsPole.  A node is a gap if it is a y = 0 node within 1e-9
+    of a branch point, or if its point raises a QplasmaError."""
+    qs = _linspace(*window, n_points)
+    h = qs[1] - qs[0]
+    # the scan looks only at the branch points within one grid step of its window
+    poles = [b for b in branch_points_q(x) if window[0] - h <= b <= window[1] + h]
+    rows = []
+    for y in ys:
+        on_pole_here = [y == 0.0 and _on_pole_rule(q, poles) for q in qs]
+        if on_pole == "raise" and any(on_pole_here):
+            return WindowContainsPole
+        eps = []
+        for q, skip in zip(qs, on_pole_here):
+            try:
+                eps.append(None if skip else epsilon_collisional_a(DimensionlessPointA(x, y, q, xp)).epsilon)
+            except QplasmaError:
+                eps.append(None)
+        slopes = [abs(hi - lo) / (2.0 * h) for lo, hi in zip(eps, eps[2:]) if lo is not None and hi is not None]
+        max_slope = max([s for s in slopes if not math.isnan(s)], default=0.0)
+        rows.append((y.hex(), max_slope.hex(), tuple(q for q, e in zip(qs, eps) if e is None)))
+    return rows
+
+
+def _scan_window(rng, x):
+    """(q_min, q_max, n_points): dyadic nodes through q = 0 and, for dyadic
+    x, the branch points; nodes 1e-10 apart around (or just beside) a
+    branch point or q = +-2; or a window from a pole or a random edge."""
+    pole = rng.choice((0.0, 2.0, -2.0, *branch_points_q(x)))
+    r = rng.random()
+    if r < 0.4:
+        h = 2.0 ** -rng.randint(0, 3)
+        lo, hi = rng.randint(0, 24), rng.randint(2, 24)
+        return -lo * h, hi * h, lo + hi + 1
+    if r < 0.7:
+        lo = rng.randint(-12, 20)
+        return pole - lo * 1e-10, pole + rng.randint(max(1, 3 - lo), 20) * 1e-10, rng.randint(3, 30)
+    q_min = rng.choice((pole, rng.uniform(-4.0, 4.0)))
+    return q_min, q_min + rng.uniform(1e-6, 4.0), rng.randint(3, 40)
+
+
+@pytest.mark.parametrize("seed", [38, 39])
+def test_broadening_scan_matches_the_scalar_path(seed):
+    # the scan gives, row by row, the slope and gaps of the scalar points:
+    # every max |d eps/d q| to the last bit and every skipped q
+    rng = random.Random(seed)
+    seen = Counter()
+    for _ in range(1200):
+        x = rng.choice((0.0, -0.0, rng.randint(-12, 12) / 8.0, rng.uniform(-2.0, 2.0)))
+        xp = rng.choice((1.0, 0.0, 1e200, rng.uniform(0.0, 10.0)))
+        ys = [rng.choice((0.0, -0.0, 10.0 ** rng.uniform(-3.0, 1.0))) for _ in range(rng.randint(1, 3))]
+        window = _scan_window(rng, x)
+        on_pole = rng.choice(("skip", "raise"))
+        expected = _scan_by_points(x, xp, ys, window[:2], window[2], on_pole)
+        if expected is WindowContainsPole:
+            with pytest.raises(WindowContainsPole):
+                singularity_broadening_scan(x, xp, ys, window[:2], window[2], on_pole)
+            seen["raised"] += 1
+            continue
+        rows = singularity_broadening_scan(x, xp, ys, window[:2], window[2], on_pole)
+        got = [(r.y.hex(), r.max_abs_deps_dq.hex(), r.skipped_q) for r in rows]
+        assert got == expected, (x, xp, ys, window, on_pole)
+        for y, _, skipped in expected:
+            seen["y = 0 row with gaps" if skipped and float.fromhex(y) == 0.0 else
+                 "y > 0 row with gaps" if skipped else "row without gaps"] += 1
+    assert len(seen) == 4 and min(seen.values()) > 50, seen
 
 
 @pytest.mark.parametrize("q_min, q_max, q_steps", [

@@ -188,6 +188,31 @@ def test_cli_sweep_bad_flag(tmp_path):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_cli_sweep_unreadable_config_is_a_config_error(tmp_path, capsys):
+    # before: a FileNotFoundError / UnicodeDecodeError traceback and exit 1
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"model = bgk\n# \xe9\n")
+    for cfg in (tmp_path / "nonexistent.cfg", latin1):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config_file(cfg)
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {cfg}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("output", ["file/sub/s", "dir"], ids=["directory-not-creatable", "csv-is-a-directory"])
+def test_cli_sweep_unwritable_output_is_a_usage_error(tmp_path, capsys, output):
+    # before: an OSError traceback from mkdir or open
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir.csv").mkdir()
+    rc = main(["sweep", "--model", "bgk", "--x", "0.3", "--y", "0.1", "--q", "0.5:1.5:3", "--xp", "1",
+               "--output", str(tmp_path / output)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_compare_near_collisionless_agreement(capsys):
     rc = main(["compare", "--x", "0.5", "--y", "1e-8", "--q", "1.2", "--xp", "1"])
     assert rc == 0
