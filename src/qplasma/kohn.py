@@ -164,7 +164,8 @@ def singularity_broadening_scan(
     evaluation raises a QplasmaError are excluded and reported the same
     way.  Skipped points are never interpolated.  A non-finite x, xp, y or
     window edge, or an ``n_points`` that is not an integer >= 3, raises
-    ValueError before anything is evaluated.
+    ValueError before anything is evaluated; a maximum slope that overflows
+    raises NonFiniteResult.
     """
     if on_pole not in ("skip", "raise"):
         raise ValueError(f"on_pole must be 'skip' or 'raise', got {on_pole!r}")
@@ -178,10 +179,8 @@ def singularity_broadening_scan(
         raise ValueError("x, xp, y and q_window must be finite")
 
     qs = _linspace(q_lo, q_hi, int(n_points))
-    h = qs[1] - qs[0]
-    h2 = 2.0 * h
-    poles = [b for b in branch_points_q(x) if q_lo - h <= b <= q_hi + h]
-    on_pole_nodes = _pole_nodes(qs, poles) if 0.0 in ys else []
+    h2 = 2.0 * (qs[1] - qs[0])
+    on_pole_nodes = _pole_nodes(qs, branch_points_q(x)) if 0.0 in ys else []
 
     rows = []
     for y in ys:
@@ -200,5 +199,7 @@ def singularity_broadening_scan(
             slope = abs(hi - lo) / h2
             if slope > max_slope:  # a nan slope never replaces the maximum
                 max_slope = slope
+        if max_slope == math.inf:
+            raise NonFiniteResult(f"the maximum |d eps/d q| at y={y!r} overflows")
         rows.append(BroadeningRow(y=y, max_abs_deps_dq=max_slope, skipped_q=tuple(qs[i] for i in gaps)))
     return rows

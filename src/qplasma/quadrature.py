@@ -23,24 +23,52 @@ and the difference factorises through the dielectric numerator:
 
     Jt_+ - Jt_- = -2 pi i q (1 - g(z,+q) + g(z,-q)).
 
-``epsilon_from_quadrature`` assembles the full permittivity from the two
+``epsilon_from_quadrature`` assembles the full permittivity from two
 quadratures alone, providing an end-to-end cross-check of
 ``epsilon_collisional_a`` that shares no code path with it beyond complex
-arithmetic.
+arithmetic.  It never subtracts Jt_- from Jt_+, whose leading parts
+cancel (about 10 digits are lost at q = 1e-6), and subtracts g0_quad from
+1 only for y <= 1.  The fractions of N are combined under the integral
+sign instead: 1/(y + i w+) - 1/(y + i w-) = -i q / ((y + i w+)(y + i w-))
+with w+- = u +- q/2 - x, whose q cancels the prefactor's exactly.  For
+y > 1, where g0 tends to 1, 1 - y/(y + i w) = i w / (y + i w) with
+w = u - x is combined the same way.  That gives
+
+    N_quad = (1/2) Int (1 - u^2) / ((y + i w+)(y + i w-)) du,
+    (1 - g0)_quad = (1/2) Int i w / (y + i w) du         (y > 1),
+    (1 - g0)_quad = 1 - g0_quad                           (y <= 1),
+
+and eps = 1 + (3/2) xp^2 N_quad / (1 - g0)_quad.  Neither integral
+cancels.  N's integrand is no difference of nearly equal terms: its parts
+are (1 - u^2)(y^2 - w+ w-) and -(1 - u^2) 2 y w over
+(y^2 + w+^2)(y^2 + w-^2), where y^2 - w+ w- only changes sign along u.
+Those of i w / (y + i w) are w^2 and w y over y^2 + w^2, with no
+subtraction at all.  For y <= 1, |g0| < 0.8, so 1 - g0_quad loses at most
+2 bits; there the direct integrand would be worse, as its real part dips
+from 1 to 0 over a width y that QUADPACK does not sample once it has
+bisected at u = x, and it returned (1 - g0) off by ~y for y <= 1e-5
+without an error.  g0's integrand has a peak of height 1/y there instead,
+which QUADPACK resolves or stalls on.  Where y and |q| are both small, Re
+N's integrand has lobes of either sign, of size ~1/(y max(y, |q|/2)), that
+add up to a value of order 1.  QUADPACK sees them and may stop there with
+ToleranceNotReached (roundoff); the Jt difference, whose cancellation
+QUADPACK never saw, returned wrong digits there instead.
 
 The 1-D integrals are smooth for y > 0, so the adaptive Gauss-Kronrod
 scheme from scipy (QUADPACK) with its embedded error estimate is used on
-the real and imaginary parts separately.  For y > 0 the two parts of
-n(u) / (y + i(u + h - x)) are plain float functions of u: each repeats
-CPython's complex division operation for operation, so it equals the part
-of the complex quotient bit for bit, and QUADPACK calls one Python frame
-per node instead of two plus three complex temporaries.
+the real and imaginary parts separately, four real calls per permittivity.
+Every integrand part is a plain float function of u, so QUADPACK calls one
+Python frame per node and builds no complex temporaries.  For Jt_pm and
+g0_quad the two parts of n(u) / (y + i(u + h - x)) repeat CPython's
+complex division operation for operation, so they equal the parts of the
+complex quotient bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +110,9 @@ class QuadratureSpec:
 
 
 DEFAULT_SPEC = QuadratureSpec()
+
+# y and |x| + |q| within which the plain integrands neither overflow nor underflow to 0
+_PLAIN_MIN, _PLAIN_MAX = 2.0 ** -100, 2.0 ** 100
 
 
 def _quad_real(f, spec: QuadratureSpec) -> tuple[float, float]:
@@ -201,23 +232,119 @@ def g0_quadrature(x: float, y: float, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     return _require_finite((y / 2.0) * value, "g0_quadrature")
 
 
+def _numerator_parts(x: float, y: float, q: float):
+    """The real and imaginary parts of (1 - u^2) / ((y + i a)(y + i b)),
+    a = w + q/2, b = w - q/2, w = u - x, as two float functions of u, for
+    y > 0 and q != 0.
+
+    Where no square or product below can overflow or underflow to 0
+    (2^-100 <= y <= 2^100 and |x| + |q| <= 2^100), they are the plain
+    quotients (1 - u^2)(y^2 - a b) / ((y^2 + a^2)(y^2 + b^2)) and
+    -(1 - u^2) 2 y w / ((y^2 + a^2)(y^2 + b^2)).  Elsewhere each factor is
+    scaled on its own by ``_fraction_parts``, which also raises
+    ToleranceNotReached where a shift leaves double range on [-1, 1], and a
+    part whose value at a node is not finite (its peak, of order
+    1/(y max(y, |q|)), overflows) raises NonFiniteResult.
+    """
+    h = q / 2.0
+    if _PLAIN_MIN <= y <= _PLAIN_MAX and abs(x) + abs(q) <= _PLAIN_MAX:
+        y2, two_y = y * y, 2.0 * y
+
+        def re(u):
+            w = u - x
+            a = w + h
+            b = w - h
+            return (1.0 - u * u) * (y2 - a * b) / ((y2 + a * a) * (y2 + b * b))
+
+        def im(u):
+            w = u - x
+            a = w + h
+            b = w - h
+            return (u * u - 1.0) * two_y * w / ((y2 + a * a) * (y2 + b * b))
+
+        return re, im
+    re_p, im_p = _fraction_parts(x, y, h, True)
+    re_m, im_m = _fraction_parts(x, y, -h, False)
+
+    def checked(part):
+        # QUADPACK must not see inf or nan: scipy's can crash the process on them
+        def f(u):
+            v = part(u)
+            if not math.isfinite(v):
+                raise NonFiniteResult(f"the N integrand leaves double range at u={u!r} (x={x!r}, y={y!r}, q={q!r})")
+            return v
+
+        return f
+
+    return (checked(lambda u: re_p(u) * re_m(u) - im_p(u) * im_m(u)),
+            checked(lambda u: re_p(u) * im_m(u) + im_p(u) * re_m(u)))
+
+
+def _denominator_parts(x: float, y: float):
+    """The real and imaginary parts of i w / (y + i w), w = u - x, as two
+    float functions of u, for y > 0: w^2/(y^2 + w^2) and w y/(y^2 + w^2),
+    written in t = y/w or w/y, whichever is at most 1 in size, so that no
+    square overflows or underflows to 0.
+    """
+
+    def re(u):
+        w = u - x
+        if abs(w) > y:
+            t = y / w
+            return 1.0 / (1.0 + t * t)
+        t = w / y
+        return t * t / (1.0 + t * t)
+
+    def im(u):
+        w = u - x
+        t = y / w if abs(w) > y else w / y
+        return t / (1.0 + t * t)
+
+    return re, im
+
+
 def epsilon_from_quadrature(
     x: float, y: float, q: float, xp: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> complex:
-    """Permittivity assembled from quadratures only:
+    """Permittivity assembled from two quadratures only:
 
-        eps = 1 + (3/2) xp^2 * N_quad / (1 - g0_quad),
-        N_quad = (Jt_+ - Jt_-) / (-2 pi i q).
+        eps = 1 + (3/2) xp^2 * N_quad / (1 - g0)_quad,
+        N_quad = (1/2) Int (1 - u^2) / ((y + i w+)(y + i w-)) du,
+        (1 - g0)_quad = (1/2) Int i w / (y + i w) du,
 
-    A non-finite argument or result raises NonFiniteResult.
+    with w+- = u +- q/2 - x and w = u - x, over u in [-1, 1]; for y <= 1,
+    (1 - g0)_quad is 1 - g0_quadrature(x, y) instead (see the module
+    docstring).  Four real QUADPACK calls per point.
+
+    Raises, in this order: NonFiniteResult for a non-finite argument,
+    NonUpperHalfPlane for y < 0, PoleOnContour for y = 0 and
+    NonFiniteResult for q = 0, all before any quadrature runs;
+    ToleranceNotReached where a shift u +- q/2 - x leaves double range on
+    [-1, 1] or QUADPACK stalls; NonFiniteResult where the N integrand
+    leaves double range, N_quad is below the normal range (subnormal or 0),
+    xp^2 overflows, (1 - g0)_quad is 0 or the result is not finite.
     """
     if not all(math.isfinite(v) for v in (x, y, q, xp)):
         raise NonFiniteResult(f"epsilon_from_quadrature needs finite arguments, got {(x, y, q, xp)!r}")
-    jp = j_pm_quadrature(x, y, q, +1, spec)
-    jm = j_pm_quadrature(x, y, q, -1, spec)
-    n_quad = (jp - jm) / _divisor(-2j * math.pi * q, "2 pi q")
+    x, y, q = float(x), float(y), float(q)
+    if y < 0.0:
+        raise NonUpperHalfPlane("quadrature is defined for y >= 0")
+    if y == 0.0:
+        raise PoleOnContour("epsilon_from_quadrature needs y > 0: at y = 0 the integrands' poles lie on the real axis")
+    if q == 0.0:
+        raise NonFiniteResult("epsilon_from_quadrature needs q != 0, as the closed forms do")
+    n_quad = 0.5 * _quad_parts(*_numerator_parts(x, y, q), spec)[0]
+    if abs(n_quad) < sys.float_info.min:
+        raise NonFiniteResult(f"N_quad underflows below the normal range at {(x, y, q)!r}")
     coupling = 1.5 * _square(xp, "xp")
-    den = _divisor(1.0 - g0_quadrature(x, y, spec), "1 - g0_quad")
+    if y <= 1.0:
+        # |g0| < 0.8 here, so 1 - g0 loses at most 2 bits; g0's Lorentzian
+        # peak of height 1/y is what QUADPACK resolves (or stalls on), where
+        # the direct integrand's dip of depth 1 and width y goes unseen
+        den = 1.0 - g0_quadrature(x, y, spec)
+    else:
+        den = 0.5 * _quad_parts(*_denominator_parts(x, y), spec)[0]
+    den = _divisor(den, "1 - g0_quad")
     return _require_finite(1.0 + coupling * n_quad / den, "epsilon_from_quadrature")
 
 

@@ -167,3 +167,20 @@ def test_broadening_scan_rejects_non_finite_input(x, xp, ys, window):
     # before: every node skipped and a slope of 0.0 returned, with no error
     with pytest.raises(ValueError, match="must be finite"):
         singularity_broadening_scan(x, xp, ys, window, 201)
+
+
+def test_broadening_scan_overflowing_slope_raises_non_finite():
+    # eps is finite at every node, but with xp = 5e153 and a step of 1e-9 the
+    # central difference overflows; the scan returned max_abs_deps_dq = inf
+    with pytest.raises(NonFiniteResult):
+        singularity_broadening_scan(0.3, 5e153, [0.0], (1.4 + 2e-9, 1.4 + 6e-9), 5)
+
+
+def test_broadening_scan_skips_nodes_near_a_branch_point_outside_the_window():
+    # all 5 nodes lie within 1e-9 of q = 2, which lies outside the window;
+    # the node rule must not depend on the grid step (1e-10 here)
+    rows = singularity_broadening_scan(0.0, 1.0, [0.0], (2 + 2e-10, 2 + 6e-10), 5)
+    assert len(rows[0].skipped_q) == 5
+    assert rows[0].max_abs_deps_dq == 0.0
+    with pytest.raises(WindowContainsPole):
+        singularity_broadening_scan(0.0, 1.0, [0.0], (2 + 2e-10, 2 + 6e-10), 5, on_pole="raise")

@@ -3,9 +3,11 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import random_points
+from reference import ref_bgk, rel_err
 
 from qplasma.dielectric import DimensionlessPointA, epsilon_collisional_a
 from qplasma import quadrature
@@ -13,7 +15,9 @@ from qplasma.errors import NonFiniteResult, NonUpperHalfPlane, PoleOnContour, To
 from qplasma.kernels import g0_a, g_a
 from qplasma.quadrature import (
     QuadratureSpec,
+    _denominator_parts,
     _fraction_parts,
+    _numerator_parts,
     epsilon_from_quadrature,
     g0_quadrature,
     j_closed_form,
@@ -225,3 +229,83 @@ def test_non_finite_arguments_raise_before_quadpack_runs(bad, monkeypatch):
     for args in ((bad, 1.0), (0.3, bad)):
         with pytest.raises(NonFiniteResult, match="g0_quadrature needs finite arguments"):
             g0_quadrature(*args)
+    for args in ((bad, 0.1, 1.0, 1.0), (0.3, bad, 1.0, 1.0), (0.3, 0.1, bad, 1.0), (0.3, 0.1, 1.0, bad)):
+        with pytest.raises(NonFiniteResult, match="epsilon_from_quadrature needs finite arguments"):
+            epsilon_from_quadrature(*args)
+
+
+# (x, y, q, xp), the error class, and whether QUADPACK may run before it is
+# raised; non-finite arguments, xp^2 overflow and an overflowing shift are
+# pinned in test_non_finite_arguments_raise_before_quadpack_runs,
+# tests/test_typed_errors.py and test_overflowing_shift_raises_tolerance_not_reached
+_ORACLE_ERRORS = [
+    ((0.3, -0.1, 1.0, 1.0), NonUpperHalfPlane, False),
+    ((0.3, -0.1, 0.0, 1.0), NonUpperHalfPlane, False),
+    ((0.3, 0.0, 0.8, 1.0), PoleOnContour, False),  # both poles on the segment
+    ((3.0, 0.0, 1.0, 1.0), PoleOnContour, False),  # both poles off it
+    ((3.0, 0.0, 0.0, 1.0), PoleOnContour, False),
+    ((0.3, 0.1, -0.0, 1.0), NonFiniteResult, False),  # eps needs q != 0, though N_quad is finite there
+    ((-5e-324, 1e-170, 1e-170, 1.0), NonFiniteResult, True),  # the N integrand's peak ~ 1/y^2 overflows
+    ((0.3, 1e156, 1.0, 1e150), NonFiniteResult, True),  # N_quad ~ 1/y^2 is subnormal
+]
+
+
+@pytest.mark.parametrize("args, error, integrates", _ORACLE_ERRORS)
+def test_epsilon_from_quadrature_error_contract(args, error, integrates, monkeypatch):
+    if not integrates:
+        def never(*a):
+            raise AssertionError("QUADPACK ran")
+
+        monkeypatch.setattr(quadrature, "_quad_real", never)
+    with pytest.raises(error):
+        epsilon_from_quadrature(*args)
+
+
+@pytest.mark.parametrize("y", [0.1, 3.0, 1e-40, 2.0 ** -101, 2.0 ** 101, 1e200])
+def test_integrand_parts_match_the_exact_quotients(y):
+    # dyadic x, q and u make every shift exact, so N's plain quotients
+    # (y = 0.1, 3), its scaled ones (y outside [2^-100, 2^100]) and the
+    # t-form of i w/(y + i w) are checked against the exact complex values
+    # to a few ulps (or to the smallest normal double, where the value
+    # underflows)
+    rng = random.Random(41)
+    for x, q in [(0.375, 0.75), (-1.25, 0.5), (0.0, 2.0 ** -20), (2.5, -3.0)]:
+        n_re, n_im = _numerator_parts(x, y, q)
+        d_re, d_im = _denominator_parts(x, y)
+        for u in (-1.0, 1.0, 0.0, x, x + q / 2.0, x - q / 2.0, *(rng.randint(-1024, 1024) / 1024.0 for _ in range(50))):
+            if abs(u) > 1.0:
+                continue
+            with mp.workdps(40):
+                w, yy = mp.mpf(u) - mp.mpf(x), mp.mpf(y)
+                n = (1 - mp.mpf(u) ** 2) / ((yy + 1j * (w + mp.mpf(q) / 2)) * (yy + 1j * (w - mp.mpf(q) / 2)))
+                d = 1j * w / (yy + 1j * w)
+                for (re, im), ref in (((n_re, n_im), n), ((d_re, d_im), d)):
+                    got = mp.mpc(re(u), im(u))
+                    assert abs(got - ref) <= 1e-15 * abs(ref) + 2.0 ** -1022, (x, y, q, u, got, ref)
+
+
+# the y > 0 rows of the accuracy table in ROADMAP.md (item 3)
+_TABLE_ROWS = [(1e3, 0.1, 1.0, 1.0), (1e5, 1.0, 1.0, 1.0), (0.3, 1e3, 1.0, 1.0), (0.3, 1e5, 1.0, 1.0),
+               (0.3, 0.1, 1e-6, 1.0)]
+
+
+def test_epsilon_from_quadrature_is_exact_to_1e_14():
+    # at the default spec, small q included
+    rng = random.Random(20261018)
+    box = [(rng.uniform(-2.0, 2.0), rng.uniform(1e-3, 10.0), rng.uniform(0.05, 5.0), 1.0) for _ in range(50)]
+    for args in _TABLE_ROWS + box:
+        assert rel_err(epsilon_from_quadrature(*args), ref_bgk(*args)) < 1e-14, args
+
+
+@pytest.mark.parametrize("q", [1e-6, 1.0])
+@pytest.mark.parametrize("x", [0.0, 0.5, -0.5, 0.25])
+def test_small_y_raises_or_is_right(x, q):
+    # the 1 - g0 integrand i w/(y + i w) dips from 1 to 0 over a width y that
+    # QUADPACK never samples once it has bisected at u = x: for y <= 1e-4 it
+    # returned eps off by ~y, e.g. 3.99995 for 4.0 at (0, 1e-5, 1e-6, 1)
+    for y in (1e-5, 1e-6, 1e-8):
+        try:
+            got = epsilon_from_quadrature(x, y, q, 1.0)
+        except ToleranceNotReached:
+            continue
+        assert rel_err(got, ref_bgk(x, y, q, 1.0)) < 1e-9, (x, y, q, got)

@@ -181,8 +181,7 @@ def _scan_by_points(x, xp, ys, window, n_points, on_pole):
     of a branch point, or if its point raises a QplasmaError."""
     qs = _linspace(*window, n_points)
     h = qs[1] - qs[0]
-    # the scan looks only at the branch points within one grid step of its window
-    poles = [b for b in branch_points_q(x) if window[0] - h <= b <= window[1] + h]
+    poles = branch_points_q(x)
     rows = []
     for y in ys:
         on_pole_here = [y == 0.0 and _on_pole_rule(q, poles) for q in qs]
