@@ -14,7 +14,7 @@ against its last commit, ``--against HEAD~1`` a commit against its parent.
 Each tree is imported in its own subprocess (this script with ``--worker``),
 which evaluates every public kernel and model, the Kohn roots, the unit
 conversions, the broadening scan and, rarely, the quadrature oracle (the
-Fermi-sphere integrals Jt_pm, at y = 0 too, and g0, the quadrature
+Fermi-sphere integral g0, the quadrature
 assembly, and ``oracle_scan`` of one to three points) on the same draw of
 arguments: +-0, subnormals, 1e-300 to 1e-170, 1e154 to the largest double,
 +-inf, nan, y = 0 and q on the branch points 2(1 +- x), mixed with ordinary
@@ -42,7 +42,8 @@ example each: an OverflowError or ZeroDivisionError of the old tree that the
 new tree raises as NonFiniteResult, and a call with a non-finite argument or
 result in the old tree that the new tree rejects with NonFiniteResult.
 Changed error-message texts are counted the same way.  Any other difference
-is printed and the exit status is 1.
+is printed and the exit status is 1.  The summary also lists both trees'
+per-module and total line counts of ``qplasma``.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def _args(name: str, rng: random.Random) -> tuple:
     x = _real(rng)
     if name in ("clog_ratio", "g0_a", "g0_quadrature"):
         return x, _nonneg(rng)
-    if name in ("g_a", "g_b", "j_pm_quadrature"):
+    if name in ("g_a", "g_b"):
         return x, _nonneg(rng), _q(rng, x), rng.choice((1, -1))
     if name == "g0_b":
         return x, _nonneg(rng), _q(rng, x)
@@ -228,7 +229,6 @@ def call_table():
         "to_convention_a": (lambda *a: u.to_convention_a(_physical(u, *a)), 10),
         "to_convention_b": (lambda *a: u.to_convention_b(_physical(u, *a)), 10),
         "epsilon_from_quadrature": (quad.epsilon_from_quadrature, 1),
-        "j_pm_quadrature": (quad.j_pm_quadrature, 1),
         "g0_quadrature": (quad.g0_quadrature, 1),
         "oracle_scan": (quad.oracle_scan, 1),
     }
@@ -328,6 +328,17 @@ def _spawn(src: Path, seed: int, n: int) -> subprocess.Popen:
     return subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True, bufsize=1 << 20)
 
 
+def _print_line_counts(old_src: Path, new_src: Path) -> None:
+    """Print each module's and the total line count (as ``wc -l`` counts) of both trees' ``qplasma``."""
+    old, new = ({f.name: f.read_bytes().count(b"\n") for f in (src / "qplasma").glob("*.py")}
+                for src in (old_src, new_src))
+    rows = [(name, old.get(name, 0), new.get(name, 0)) for name in sorted(old.keys() | new.keys())]
+    rows.append(("total", sum(old.values()), sum(new.values())))
+    print("qplasma lines, old -> new:")
+    for name, was, now in rows:
+        print(f"  {name:<16}{was:>6} -> {now:>6} {now - was:>+6}")
+
+
 def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
     procs = [_spawn(src, seed, n) for src in (old_src, new_src)]
     old, new = (p.stdout for p in procs)
@@ -380,6 +391,7 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
         was, now = examples[key]
         print(f"  {key[0]}: {count} x non-finite {key[1]} now raises {EXPECTED_NEW}, e.g.\n"
               f"    old: {was}\n    new: {now}")
+    _print_line_counts(old_src, new_src)
     print(f"{bad} unexpected difference(s)" if bad else "no unexpected difference")
     return 1 if bad else 0
 

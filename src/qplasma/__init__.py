@@ -71,10 +71,7 @@ _QUADRATURE_NAMES = frozenset({
     "QuadratureSpec",
     "epsilon_from_quadrature",
     "g0_quadrature",
-    "j_closed_form",
-    "j_pm_quadrature",
     "oracle_scan",
-    "quad_complex",
 })
 
 

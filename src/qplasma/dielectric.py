@@ -159,9 +159,9 @@ class DielectricResult:
 
 
 def _square(v: float, what: str) -> float:
-    """v ** 2 of a caller's value; an overflow raises NonFiniteResult."""
+    """v ** 2 of a caller's value, rounded once to a float; an overflow raises NonFiniteResult."""
     try:
-        return v ** 2
+        return float(v ** 2)
     except OverflowError:
         raise NonFiniteResult(f"the square of {what} = {v!r} overflows") from None
 

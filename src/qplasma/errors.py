@@ -45,8 +45,8 @@ class ToleranceNotReached(QplasmaError):
 
 
 class PoleOnContour(QplasmaError):
-    """The integrand has a pole on the real integration segment (y = 0 with
-    the shifted pole inside [-1, 1])."""
+    """The quadrature oracle was asked for y = 0, where its integrands'
+    poles lie on the real axis; it raises this for every y = 0."""
 
 
 class WindowContainsPole(QplasmaError):

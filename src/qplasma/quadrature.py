@@ -1,46 +1,33 @@
 """Independent Fermi-sphere quadratures behind the closed-form kernels.
 
-The dielectric closed forms descend from two velocity-space integrals over
-the Fermi sphere.  Slicing the sphere into disks perpendicular to the wave
+The dielectric closed forms descend from velocity-space integrals over the
+Fermi sphere.  Slicing the sphere into disks perpendicular to the wave
 vector reduces them to smooth 1-D integrals, which are evaluated here by
 adaptive quadrature and used as the ground truth everything else is checked
-against.  In per-k dimensionless variables (u = v_x/v_F):
+against.  In per-k dimensionless variables (u = v_x/v_F, w = u - x and
+w+- = u +- q/2 - x), the permittivity eps = 1 + (3/2) xp^2 N / (1 - g0) is
+assembled from two integrals, the numerator
 
-    Jt_pm(x, y, q) = pi * Int_{-1}^{1} (1 - u^2) / (y + i(u +- q/2 - x)) du
+    N_quad = (1/2) Int_{-1}^{1} (1 - u^2) / ((y + i w+)(y + i w-)) du,
 
-with the pole of Jt_+ at u = x - q/2 and of Jt_- at u = x + q/2 (the
-shifted frequency pairs "across" the superscript), and
+which equals N = 1 - g(z,+q) + g(z,-q), and the denominator
 
-    g0_quad(x, y)  = (y/2) * Int_{-1}^{1} du / (y + i(u - x)),
+    (1 - g0)_quad = (1/2) Int_{-1}^{1} i w / (y + i w) du      (y > 1),
+    (1 - g0)_quad = 1 - g0_quad                                (y <= 1),
+    g0_quad(x, y) = (y/2) Int_{-1}^{1} du / (y + i w),
 
-which equals g0_a(x + i y) directly (the spherical-shell prefactor cancels
-in this normalisation).  Antiderivatives give the closed forms
-
-    Jt_pm = pi * (2 i zeta - i (zeta^2 - 1) ln((zeta+1)/(zeta-1))),
-    zeta = x -+ q/2 + i y,
-
-and the difference factorises through the dielectric numerator:
-
-    Jt_+ - Jt_- = -2 pi i q (1 - g(z,+q) + g(z,-q)).
-
-``epsilon_from_quadrature`` assembles the full permittivity from two
-quadratures alone, providing an end-to-end cross-check of
+where g0_quad equals g0_a(x + i y) directly (the spherical-shell prefactor
+cancels in this normalisation).  N's integrand is the difference of the
+two fractions (1 - u^2)/(y + i w+-) combined under the integral sign,
+1/(y + i w+) - 1/(y + i w-) = -i q / ((y + i w+)(y + i w-)), whose q
+cancels the prefactor's exactly; 1 - y/(y + i w) = i w / (y + i w) is
+combined the same way.  ``epsilon_from_quadrature`` assembles eps from
+these alone, providing an end-to-end cross-check of
 ``epsilon_collisional_a`` that shares no code path with it beyond complex
-arithmetic.  It never subtracts Jt_- from Jt_+, whose leading parts
-cancel (about 10 digits are lost at q = 1e-6), and subtracts g0_quad from
-1 only for y <= 1.  The fractions of N are combined under the integral
-sign instead: 1/(y + i w+) - 1/(y + i w-) = -i q / ((y + i w+)(y + i w-))
-with w+- = u +- q/2 - x, whose q cancels the prefactor's exactly.  For
-y > 1, where g0 tends to 1, 1 - y/(y + i w) = i w / (y + i w) with
-w = u - x is combined the same way.  That gives
+arithmetic.
 
-    N_quad = (1/2) Int (1 - u^2) / ((y + i w+)(y + i w-)) du,
-    (1 - g0)_quad = (1/2) Int i w / (y + i w) du         (y > 1),
-    (1 - g0)_quad = 1 - g0_quad                           (y <= 1),
-
-and eps = 1 + (3/2) xp^2 N_quad / (1 - g0)_quad.  Neither integral
-cancels.  N's integrand is no difference of nearly equal terms: its parts
-are (1 - u^2)(y^2 - w+ w-) and -(1 - u^2) 2 y w over
+Neither integral cancels.  N's integrand is no difference of nearly equal
+terms: its parts are (1 - u^2)(y^2 - w+ w-) and -(1 - u^2) 2 y w over
 (y^2 + w+^2)(y^2 + w-^2), where y^2 - w+ w- only changes sign along u.
 Those of i w / (y + i w) are w^2 and w y over y^2 + w^2, with no
 subtraction at all.  For y <= 1, |g0| < 0.8, so 1 - g0_quad loses at most
@@ -51,17 +38,18 @@ without an error.  g0's integrand has a peak of height 1/y there instead,
 which QUADPACK resolves or stalls on.  Where y and |q| are both small, Re
 N's integrand has lobes of either sign, of size ~1/(y max(y, |q|/2)), that
 add up to a value of order 1.  QUADPACK sees them and may stop there with
-ToleranceNotReached (roundoff); the Jt difference, whose cancellation
-QUADPACK never saw, returned wrong digits there instead.
+ToleranceNotReached (roundoff); the two fractions integrated apart and then
+subtracted, whose leading parts cancel (about 10 digits are lost at
+q = 1e-6), returned wrong digits there instead.
 
 The 1-D integrals are smooth for y > 0, so the adaptive Gauss-Kronrod
 scheme from scipy (QUADPACK) with its embedded error estimate is used on
 the real and imaginary parts separately, four real calls per permittivity.
 Every integrand part is a plain float function of u, so QUADPACK calls one
-Python frame per node and builds no complex temporaries.  For Jt_pm and
-g0_quad the two parts of n(u) / (y + i(u + h - x)) repeat CPython's
-complex division operation for operation, so they equal the parts of the
-complex quotient bit for bit.
+Python frame per node and builds no complex temporaries.  For g0_quad and
+for the factors of N's scaled form the two parts of
+n(u) / (y + i(u + h - x)) repeat CPython's complex division operation for
+operation, so they equal the parts of the complex quotient bit for bit.
 """
 
 from __future__ import annotations
@@ -76,13 +64,10 @@ from scipy import integrate
 
 from .dielectric import DimensionlessPointA, _divisor, _square, epsilon_collisional_a
 from .errors import NonFiniteResult, NonUpperHalfPlane, PoleOnContour, ToleranceNotReached
-from .kernels import _VALID_SIGNS, _require_finite, clog_ratio
+from .kernels import _require_finite
 
 __all__ = [
     "QuadratureSpec",
-    "quad_complex",
-    "j_pm_quadrature",
-    "j_closed_form",
     "g0_quadrature",
     "epsilon_from_quadrature",
     "oracle_scan",
@@ -128,15 +113,6 @@ def _quad_real(f, spec: QuadratureSpec) -> tuple[float, float]:
     return ret[0], ret[1]
 
 
-def quad_complex(f, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[complex, float]:
-    """Integrate a complex-valued integrand over [-1, 1].
-
-    Returns (value, error_estimate); the estimate is the summed QUADPACK
-    estimates of the real and imaginary parts.
-    """
-    return _quad_parts(lambda u: f(u).real, lambda u: f(u).imag, spec)
-
-
 def _quad_parts(re, im, spec: QuadratureSpec) -> tuple[complex, float]:
     re_val, re_err = _quad_real(re, spec)
     im_val, im_err = _quad_real(im, spec)
@@ -177,46 +153,6 @@ def _fraction_parts(x: float, y: float, h: float, weighted: bool):
         return (0.0 - n * t) / (y + w * t)
 
     return re, im
-
-
-def _zeta(x: float, y: float, q: float, sign: int) -> complex:
-    # J_+ pairs with the down-shifted frequency x - q/2 and vice versa.
-    return complex(x - sign * q / 2.0, y)
-
-
-def j_pm_quadrature(
-    x: float, y: float, q: float, sign: int, spec: QuadratureSpec = DEFAULT_SPEC
-) -> complex:
-    """Fermi-sphere integral Jt_pm by adaptive quadrature.
-
-    Needs y > 0, or y = 0 with the real pole x -+ q/2 outside [-1, 1]
-    (PoleOnContour otherwise).  A non-finite argument or result raises
-    NonFiniteResult.
-    """
-    if sign not in _VALID_SIGNS:
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    x, y, q = float(x), float(y), float(q)
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(q)):
-        raise NonFiniteResult(f"j_pm_quadrature needs finite arguments, got {(x, y, q)!r}")
-    if y < 0.0:
-        raise NonUpperHalfPlane("quadrature is defined for y >= 0")
-    if y == 0.0:
-        c = x - sign * q / 2.0
-        if abs(c) <= 1.0:
-            raise PoleOnContour(f"pole at u={c} lies on the integration segment")
-        value, _ = quad_complex(lambda u: -1j * (1.0 - u * u) / (u - c), spec)
-    else:
-        value, _ = _quad_parts(*_fraction_parts(x, y, sign * q / 2.0, True), spec)
-    return _require_finite(math.pi * value, "j_pm_quadrature")
-
-
-def j_closed_form(x: float, y: float, q: float, sign: int) -> complex:
-    """Closed form of Jt_pm:  pi (2 i zeta - i (zeta^2 - 1) L(zeta)) with
-    zeta = x -+ q/2 + i y."""
-    if sign not in _VALID_SIGNS:
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    zeta = _zeta(float(x), float(y), float(q), sign)
-    return math.pi * (2j * zeta - 1j * (zeta * zeta - 1.0) * clog_ratio(zeta))
 
 
 def g0_quadrature(x: float, y: float, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:

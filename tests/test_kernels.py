@@ -3,9 +3,12 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
+from conftest import random_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import MP_DIGITS, _g, _z
 
 from qplasma.errors import (
     DegenerateQ,
@@ -120,6 +123,15 @@ def test_g_a_shifted_origin():
     # z + q/2 = 0 with q=2: (0 - 1)/(2*2) * (-i pi) = i pi/4
     v = g_a(complex(-1.0, 0.0), 2.0, +1)
     assert abs(v - 0.25j * math.pi) < 1e-15
+
+
+def test_g_a_matches_the_40_digit_reference():
+    for (x, y, q) in random_points(25, seed=23, y_range=(1e-3, 10.0)):
+        for s in (+1, -1):
+            got = g_a(complex(x, y), q, s)
+            with mp.workdps(MP_DIGITS):
+                ref = _g(_z(x, y), mp.mpf(q), s)
+                assert abs(got - ref) <= 1e-13 * abs(ref), (x, y, q, s)
 
 
 def test_g_a_sign_flip_identity_pointwise():

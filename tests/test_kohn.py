@@ -22,6 +22,18 @@ def test_roots_at_x0_multiset():
     assert 0.0 in degenerate
 
 
+def test_physical_roots_keep_the_real_positive_ones_in_branch_order():
+    assert kohn_roots_dimless(0.3).physical_roots() == pytest.approx(
+        (1.0 + math.sqrt(1.6), 1.0 + math.sqrt(0.4)), rel=1e-15)
+    # |x| > 1/2: one locus has complex roots, the other one positive root
+    for x in (0.75, -0.75):
+        (root,) = kohn_roots_dimless(x).physical_roots()
+        assert root == pytest.approx(1.0 + math.sqrt(2.5), rel=1e-15)
+        assert root.real == pytest.approx(2.5811388, abs=1e-7)
+    # x = 0: the degenerate root 0 is not physical
+    assert kohn_roots_dimless(0.0).physical_roots() == (2.0,)
+
+
 def test_roots_small_x_splitting():
     roots = kohn_roots_dimless(0.005).roots
     q1, q2 = roots[0].q.real, roots[1].q.real

@@ -12,7 +12,7 @@ from reference import ref_bgk, rel_err
 from qplasma.dielectric import DimensionlessPointA, epsilon_collisional_a
 from qplasma import quadrature
 from qplasma.errors import NonFiniteResult, NonUpperHalfPlane, PoleOnContour, ToleranceNotReached
-from qplasma.kernels import g0_a, g_a
+from qplasma.kernels import g0_a
 from qplasma.quadrature import (
     QuadratureSpec,
     _denominator_parts,
@@ -20,75 +20,10 @@ from qplasma.quadrature import (
     _numerator_parts,
     epsilon_from_quadrature,
     g0_quadrature,
-    j_closed_form,
-    j_pm_quadrature,
     oracle_scan,
-    quad_complex,
 )
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
-
-
-def test_j_agreement_at_reference_point():
-    for s in (+1, -1):
-        quad = j_pm_quadrature(0.3, 0.1, 0.8, s, TIGHT)
-        closed = j_closed_form(0.3, 0.1, 0.8, s)
-        assert abs(quad - closed) / abs(quad) < 1e-9
-
-
-def test_j_agreement_random_sweep():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(50):
-        x = float(rng.uniform(-2, 2))
-        y = float(rng.uniform(1e-3, 10))
-        q = float(rng.uniform(0.05, 5))
-        for s in (+1, -1):
-            quad = j_pm_quadrature(x, y, q, s, TIGHT)
-            closed = j_closed_form(x, y, q, s)
-            worst = max(worst, abs(quad - closed) / abs(quad))
-    assert worst < 1e-9
-
-
-def test_j_large_y_dominant_balance():
-    # (1-u^2) weighs u around 0, so J+ ~ pi*(4/3)/(y + i q/2) within 20%
-    val = j_pm_quadrature(0.0, 5.0, 1.0, +1, TIGHT)
-    estimate = math.pi * (4.0 / 3.0) / (5.0 + 0.5j)
-    assert abs(val - estimate) / abs(estimate) < 0.2
-
-
-def test_j_conjugation_relation():
-    # J-(-x, y, q) = conj(J+(x, y, q))
-    for (x, y, q) in [(0.3, 0.1, 0.8), (1.1, 0.7, 2.4)]:
-        jp = j_pm_quadrature(x, y, q, +1, TIGHT)
-        jm = j_pm_quadrature(-x, y, q, -1, TIGHT)
-        assert abs(jm - jp.conjugate()) < 1e-10 * abs(jp)
-
-
-def test_j_difference_factorisation():
-    # J+ - J- = -2 pi i q (1 - g(z,+q) + g(z,-q)), two algebraic routes
-    for (x, y, q) in [(0.3, 0.1, 0.8), (0.9, 0.4, 2.6), (-1.3, 2.0, 0.3)]:
-        z = complex(x, y)
-        lhs = j_closed_form(x, y, q, +1) - j_closed_form(x, y, q, -1)
-        rhs = -2j * math.pi * q * (1.0 - g_a(z, q, +1) + g_a(z, q, -1))
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-
-def test_j_pole_off_segment_allows_y0():
-    # x - q/2 = 2.0 lies outside [-1, 1]
-    quad = j_pm_quadrature(2.5, 0.0, 1.0, +1, TIGHT)
-    closed = j_closed_form(2.5, 0.0, 1.0, +1)
-    assert abs(quad - closed) / abs(closed) < 1e-10
-
-
-def test_j_pole_on_segment_raises():
-    with pytest.raises(PoleOnContour):
-        j_pm_quadrature(0.3, 0.0, 0.8, +1)
-
-
-def test_j_negative_y_rejected():
-    with pytest.raises(NonUpperHalfPlane):
-        j_pm_quadrature(0.3, -0.1, 0.8, +1)
 
 
 def test_g0_quadrature_matches_kernel():
@@ -106,16 +41,6 @@ def test_g0_quadrature_needs_positive_y():
         g0_quadrature(0.5, 0.0)
 
 
-def test_kernel_g_from_j_quadrature():
-    # invert Jt = pi(2 i zeta - i (zeta^2-1) L(zeta)) for the g kernel
-    for (x, y, q) in random_points(25, seed=23, y_range=(1e-3, 10.0)):
-        z = complex(x, y)
-        jp = j_pm_quadrature(x, y, q, +1, TIGHT)
-        zeta = z - q / 2.0
-        g_quad = (2.0 * zeta + 1j * jp / math.pi) / (2.0 * q)
-        assert abs(g_quad - g_a(z, q, -1)) <= 1e-9 * max(1.0, abs(g_quad))
-
-
 def test_assembled_epsilon_matches_closed_form():
     for (x, y, q) in random_points(25, seed=29, y_range=(1e-3, 10.0)):
         closed = epsilon_collisional_a(DimensionlessPointA(x, y, q, 1.0)).epsilon
@@ -123,15 +48,27 @@ def test_assembled_epsilon_matches_closed_form():
         assert abs(closed - quad) / abs(quad) < 1e-8
 
 
+def test_epsilon_from_quadrature_conjugation_symmetry():
+    # eps(-x) = conj eps(x), as for the closed forms: the integrands at -x are
+    # the conjugates of those at x, mirrored in u; both denominators, y <= 1
+    # (1 - g0_quad) and y > 1 (the i w/(y + i w) integral), are covered
+    rng = random.Random(20261019)
+    box = [(rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-3.0, 1.0), rng.uniform(0.05, 5.0)) for _ in range(40)]
+    points = [(0.3, 0.1, 0.8), (1.1, 0.7, 2.4)] + box
+    assert {y <= 1.0 for _, y, _ in points} == {True, False}
+    for (x, y, q) in points:
+        plus = epsilon_from_quadrature(x, y, q, 1.0)
+        minus = epsilon_from_quadrature(-x, y, q, 1.0)
+        assert abs(minus - plus.conjugate()) <= 1e-14 * abs(plus), (x, y, q)
+
+
 def test_error_estimates_are_honest():
     # halving tolerances moves the result by less than the reported estimate
-    def integrand(u):
-        return (1.0 - u * u) / (0.01 + 1j * (u - 0.3))
-
+    parts = _fraction_parts(0.3, 0.01, 0.0, True)  # (1 - u^2) / (0.01 + i(u - 0.3))
     loose = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-6)
     tight = QuadratureSpec(abs_tol=5e-9, rel_tol=5e-7)
-    v1, err1 = quad_complex(integrand, loose)
-    v2, _ = quad_complex(integrand, tight)
+    v1, err1 = quadrature._quad_parts(*parts, loose)
+    v2, _ = quadrature._quad_parts(*parts, tight)
     assert abs(v1 - v2) <= err1 + 1e-15
 
 
@@ -139,7 +76,7 @@ def test_tolerance_not_reached():
     # a 1e-7-wide peak cannot be resolved to 1e-13 with 64 bisections
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=64)
     with pytest.raises(ToleranceNotReached):
-        j_pm_quadrature(0.3, 1e-7, 0.8, +1, spec)
+        g0_quadrature(0.3, 1e-7, spec)
 
 
 def test_spec_validation():
@@ -191,18 +128,16 @@ def test_fraction_parts_equal_complex_division_bit_for_bit():
 
 def test_fraction_parts_reproduce_the_complex_integrand_quadratures():
     # the parts feed QUADPACK the same values, so the results are identical
-    for (x, y, q) in [(0.3, 0.1, 0.8), (1.1, 1e-3, 2.4), (-1.7, 7.0, 0.05)]:
-        for s in (+1, -1):
-            old, _ = quad_complex(lambda u: (1.0 - u * u) / (y + 1j * (u + s * q / 2.0 - x)))
-            assert j_pm_quadrature(x, y, q, s) == math.pi * old
-        old, _ = quad_complex(lambda u: 1.0 / (y + 1j * (u - x)))
+    for (x, y) in [(0.3, 0.1), (1.1, 1e-3), (-1.7, 7.0)]:
+        def f(u):
+            return 1.0 / (y + 1j * (u - x))
+
+        old, _ = quadrature._quad_parts(lambda u: f(u).real, lambda u: f(u).imag, quadrature.DEFAULT_SPEC)
         assert g0_quadrature(x, y) == (y / 2.0) * old
 
 
 def test_overflowing_shift_raises_tolerance_not_reached():
     # u - q/2 - x overflows: the complex integrand is nan on the whole segment
-    with pytest.raises(ToleranceNotReached):
-        j_pm_quadrature(1e308, 1.0, -1.7e308, +1)
     with pytest.raises(ToleranceNotReached):
         epsilon_from_quadrature(1e308, 1.0, -1.7e308, 1.0)
 
@@ -222,10 +157,6 @@ def test_non_finite_arguments_raise_before_quadpack_runs(bad, monkeypatch):
         raise AssertionError("QUADPACK ran")
 
     monkeypatch.setattr(quadrature, "_quad_real", never)
-    for s in (+1, -1):
-        for args in ((bad, 0.1, 1.0), (0.3, bad, 1.0), (0.3, 0.1, bad), (bad, 0.0, 1.0), (-1e300, bad, 2e300)):
-            with pytest.raises(NonFiniteResult, match="j_pm_quadrature needs finite arguments"):
-                j_pm_quadrature(*args, s)
     for args in ((bad, 1.0), (0.3, bad)):
         with pytest.raises(NonFiniteResult, match="g0_quadrature needs finite arguments"):
             g0_quadrature(*args)

@@ -20,7 +20,7 @@ from qplasma.dielectric import (
     epsilon_mermin,
 )
 from qplasma import kernels
-from qplasma.errors import QplasmaError, WindowContainsPole
+from qplasma.errors import NonFiniteResult, QplasmaError, WindowContainsPole
 from qplasma.kernels import g_a
 from qplasma.kohn import singularity_broadening_scan
 from qplasma.sweep import (
@@ -135,13 +135,13 @@ def test_negative_y_or_xp_raises_out_of_the_row(model, y, xp, text):
     ("bgk", 0.3, 0.1), ("mermin", 0.3, 0.1), ("mermin", 0.3, 0.0), ("mermin", 0.0, 0.1), ("lindhard", 0.3, 0.0),
 ])
 def test_int_xp_whose_coupling_overflows_raises_as_the_scalar(model, x, y):
-    # an int's square does not overflow; 1.5 * xp**2 does, as OverflowError
+    # an int's exact square does not overflow, its float does: the scalar
+    # raises NonFiniteResult, as for the float 1e200, and so does the node
     xp = 10 ** 200
-    with pytest.raises(OverflowError):
+    with pytest.raises(NonFiniteResult, match="square of xp"):
         SCALAR[model](x, y, 1.0, xp)
-    with pytest.raises(OverflowError):
-        MODELS[model](x, (y,), [1.0], xp)
-    _check(model, x, y, [0.0, -0.0], xp)
+    assert _row(model, x, y, [1.0], xp)[0][0] == "NonFiniteResult"
+    _check(model, x, y, [0.0, -0.0, 1.0], xp)
 
 
 # --- the hoisted parts of the sweep, against the rules they replace ------

@@ -61,6 +61,7 @@ def test_adversarial_draw_raises_only_typed_errors(seed):
 
 
 _HUGE_XP = 1e200
+_INT_XP = 10 ** 200
 
 
 @pytest.mark.parametrize("call", [
@@ -90,13 +91,21 @@ _HUGE_XP = 1e200
     lambda: epsilon_from_quadrature(0.3, 0.1, 1.0, 1e154),
     lambda: to_convention_a(PhysicalParams(1e300, 0.0, 1e160, 1e160 * (HBAR / M_E), 1e160, 1e300)),
     lambda: to_convention_b(PhysicalParams(1e300, 0.0, 1e160, 1e160 * (HBAR / M_E), 1e160, 1e300)),
+    # an int's exact square does not overflow; its conversion to a float does
+    lambda: epsilon_collisional_a(DimensionlessPointA(0.3, 0.1, 1.0, _INT_XP)),
+    lambda: epsilon_mermin(DimensionlessPointA(0.3, 0.1, 1.0, _INT_XP)),
+    lambda: epsilon_mermin(DimensionlessPointA(0.0, 0.1, 1.0, _INT_XP)),
+    lambda: epsilon_lindhard(0.3, 1.0, _INT_XP),
+    lambda: epsilon_classical_limit(0.3 + 0.1j, _INT_XP),
+    lambda: epsilon_from_quadrature(0.3, 0.1, 1.0, _INT_XP),
 ], ids=[
     "bgk", "mermin", "mermin-y0", "mermin-x0", "lindhard", "static-mermin",
     "static-collisional", "classical", "bgk-b-q2-overflow", "bgk-b-q2-underflow",
-    "quadrature-xp", "quadrature-q0", "quadrature-g0-is-1", "kohn-physical",
+    "quadrature-xp", "quadrature-q0", "quadrature-n-underflows", "kohn-physical",
     "units-a-scale", "units-b-xp2", "kohn-roots-overflow", "kohn-physical-kf-q-overflow",
     "units-a-x-overflow", "units-b-x-overflow", "units-a-nan-omega", "quadrature-nan-xp",
     "quadrature-inf-x", "quadrature-result-overflow", "units-a-scale-inf", "units-b-scale-inf",
+    "bgk-int-xp", "mermin-int-xp", "mermin-x0-int-xp", "lindhard-int-xp", "classical-int-xp", "quadrature-int-xp",
 ])
 def test_squares_and_scales_that_leave_double_range_raise_non_finite(call):
     with pytest.raises(NonFiniteResult):
