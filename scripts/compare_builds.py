@@ -43,12 +43,15 @@ new tree raises as NonFiniteResult, and a call with a non-finite argument or
 result in the old tree that the new tree rejects with NonFiniteResult.
 Changed error-message texts are counted the same way.  Any other difference
 is printed and the exit status is 1.  The summary also lists both trees'
-per-module and total line counts of ``qplasma``.
+per-module and total line counts of ``qplasma``: all lines, as ``wc -l``
+counts them, and code lines, without blank lines, comment lines and
+docstrings.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import io
 import math
@@ -328,15 +331,28 @@ def _spawn(src: Path, seed: int, n: int) -> subprocess.Popen:
     return subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True, bufsize=1 << 20)
 
 
+def _code_lines(text: str) -> int:
+    """Lines of ``text`` that are not blank, not a comment alone and not part
+    of a module, class or function docstring (found with ``ast``)."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, owners) and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(1 for i, line in enumerate(text.splitlines(), 1)
+               if i not in docs and line.strip() and not line.lstrip().startswith("#"))
+
+
 def _print_line_counts(old_src: Path, new_src: Path) -> None:
-    """Print each module's and the total line count (as ``wc -l`` counts) of both trees' ``qplasma``."""
-    old, new = ({f.name: f.read_bytes().count(b"\n") for f in (src / "qplasma").glob("*.py")}
-                for src in (old_src, new_src))
-    rows = [(name, old.get(name, 0), new.get(name, 0)) for name in sorted(old.keys() | new.keys())]
-    rows.append(("total", sum(old.values()), sum(new.values())))
-    print("qplasma lines, old -> new:")
+    """Print each module's and the total line count (as ``wc -l`` counts) and
+    code-line count (``_code_lines``) of both trees' ``qplasma``."""
+    old, new = ({f.name: (f.read_bytes().count(b"\n"), _code_lines(f.read_text(encoding="utf-8")))
+                 for f in (src / "qplasma").glob("*.py")} for src in (old_src, new_src))
+    rows = [(name, old.get(name, (0, 0)), new.get(name, (0, 0))) for name in sorted(old.keys() | new.keys())]
+    rows.append(("total", *(tuple(map(sum, zip(*counts.values()))) for counts in (old, new))))
+    print("qplasma lines (wc -l) and code lines, old -> new:")
     for name, was, now in rows:
-        print(f"  {name:<16}{was:>6} -> {now:>6} {now - was:>+6}")
+        print(f"  {name:<16}" + "   ".join(f"{w:>6} -> {n:>6} {n - w:>+6}" for w, n in zip(was, now)))
 
 
 def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:

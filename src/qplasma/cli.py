@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--y", help="comma-separated collision frequencies nu/(k vF)")
     p_sweep.add_argument("--q", help="q grid as min:max:steps")
     p_sweep.add_argument("--xp", type=float, help="coupling omega_p/(k vF)")
-    p_sweep.add_argument("--output", help="output base path (suffixes .csv/.svg added)")
+    p_sweep.add_argument("--output", help="output base path; .csv/.svg appended (a .csv or .svg it ends in is dropped first)")
     p_sweep.add_argument("--format", choices=FORMATS)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -31,21 +31,13 @@ and makes the omega -> 0 limit of the collisional model continuous.
 
 Conjugation symmetry eps(-x, y, q) = conj(eps(x, y, q)) holds for every
 model, so all of them are real at x = 0.  All routines are pure functions.
-
-The Im -> 0+ limit of the real axis (y = 0: Lindhard, the y = 0 rows of
-BGK and Mermin, and N0) is taken per node by the float path of _numerator,
-bit for bit equal to the complex kernels.  It writes L(r) as kernels._L
-does, ln|1 + r| - ln|1 - r| with -i*pi inside (-1, 1), and falls through
-to the complex kernels where math.log(0.0) raises ValueError (a branch
-point) or a term is not finite.
 """
 
 from __future__ import annotations
 
 import enum
-from cmath import isfinite, log
+from cmath import isfinite
 from dataclasses import dataclass
-from math import isfinite as _finite, log as _ln, pi
 
 from .errors import (
     DegenerateQ,
@@ -55,7 +47,7 @@ from .errors import (
     QplasmaError,
     StaticDenominatorVanishes,
 )
-from .kernels import _L, _as_upper_half, _require_finite, clog_ratio, g0_a
+from .kernels import _as_upper_half, _numerator, _require_finite, clog_ratio, g0_a
 
 __all__ = [
     "Model",
@@ -74,7 +66,6 @@ __all__ = [
 ]
 
 _DENOMINATOR_FLOOR = 1e-30
-_MINUS_PI = -pi  # Im L(r) for a real r inside (-1, 1), as _L gives it
 # DegenerateQ texts of a q = 0 node: the points reject it, Lindhard's g_a does
 _Q0_POINT = "q = 0: use epsilon_classical_limit"
 _Q0_KERNEL = "g_a needs q != 0"
@@ -174,48 +165,6 @@ def _divisor(v: complex, what: str) -> complex:
     return v
 
 
-def _numerator(z: complex, q: float) -> complex:
-    """N(z, q) = 1 - g(z,+q) + g(z,-q), for a checked z and q != 0.
-
-    On the real axis (z.imag == 0.0) N is evaluated in floats, bit for bit
-    equal to the complex evaluation below.  With r = x +- q/2 and
-    c = (r*r - 1)/(2q), each g is c*(ln|1 + r| - ln|1 - r|), the real part
-    of _L(r); a shift inside (-1, 1) adds c*(-pi) to Im g, one outside a
-    zero whose sign cancels out of 1 - g+ + g-.  (c*(-pi) underflows to 0
-    only where 2q overflows, which leaves r = 0 as the one shift inside, and
-    there Im g is the same signed zero.)  A shift on a branch point is the
-    ValueError of math.log(0.0) and falls through, as do a non-finite term
-    and q = 0, so the complex path raises exactly what it always has.
-
-    The complex path inlines kernels._g for both shifts, bit for bit: _L
-    only on the real axis, and each g checked before the next is computed.
-    The shift is z + -h, as _g's z + sign*(q/2): z - h would keep
-    Im a = -0.0 where _g gives +0.0."""
-    h, q2 = q / 2.0, 2.0 * q
-    if z.imag == 0.0 and q:
-        x = z.real
-        try:
-            r = x + h
-            c = (r * r - 1.0) / q2
-            gp, tp = c * (_ln(abs(1.0 + r)) - _ln(abs(1.0 - r))), 0.0 if abs(r) > 1.0 else c * _MINUS_PI
-            r = x - h
-            c = (r * r - 1.0) / q2
-            gm, tm = c * (_ln(abs(1.0 + r)) - _ln(abs(1.0 - r))), 0.0 if abs(r) > 1.0 else c * _MINUS_PI
-            if _finite(gp + gm + tp + tm):  # else some term is nan or inf (or the sum overflows)
-                return complex((1.0 - gp) + gm, (0.0 - tp) + tm)
-        except ValueError:  # math.log(0.0): a shift on a branch point
-            pass
-    a = z + h
-    gp = (a * a - 1.0) / q2 * (_L(a) if a.imag == 0.0 else log(a + 1.0) - log(a - 1.0))
-    if not isfinite(gp):
-        _require_finite(gp, "g_a")
-    a = z + -h
-    gm = (a * a - 1.0) / q2 * (_L(a) if a.imag == 0.0 else log(a + 1.0) - log(a - 1.0))
-    if not isfinite(gm):
-        _require_finite(gm, "g_a")
-    return 1.0 - gp + gm
-
-
 def _bgk_denominator(z: complex) -> complex:
     """1 - g0(z), the BGK denominator; raises DenominatorVanishes near 0."""
     den = 1.0 - g0_a(z)
@@ -303,15 +252,15 @@ def _lindhard_setup(x: float, y: float, xp: float):
 
 
 def _mermin_setup(x: float, y: float, xp: float):
-    """x = 0 is the static route, independent of y, which squares xp before
-    N0; y = 0 is the Lindhard form; otherwise the full form.  The last two
-    check z as g_a does."""
+    """x = 0 is the static route, independent of y, which squares xp in its
+    setup, before N0; y = 0 is the Lindhard form; otherwise the full form.
+    The last two check z as g_a does."""
     _nonnegative("y", y)
     _nonnegative("xp", xp)
     if x == 0.0:
+        c = 1.5 * _square(xp, "xp")
 
         def static(q: float) -> tuple[complex, None]:
-            c = 1.5 * _square(xp, "xp")  # before N0, so its error wins
             eps = 1.0 + c * _static_numerator(q)
             if not isfinite(eps):
                 _require_finite(eps, "epsilon_mermin")

@@ -12,12 +12,11 @@ analytically, never by substituting a small imaginary part:
 
     L(r) = ln|1 + r| - ln|1 - r|  (- i*pi for r inside (-1, 1)),   r real.
 
-That one formula is written twice: in _L below, for the scalar kernels of
-this module, and per node in floats in the models' numerator
-N = 1 - g(z,+q) + g(z,-q) (dielectric._numerator, bit for bit the same).
-At a branch point r = +-1 it is math.log(0.0), whose ValueError _L raises
-as PoleAtBranchPoint; the numerator falls through to the complex kernels
-there and for a non-finite term, and so raises what they raise.
+That formula is written in two places, both in this module: in _L, the
+reference every public kernel evaluates, and inline in _numerator, the
+models' per-node fast path for N = 1 - g(z,+q) + g(z,-q).  At a branch
+point r = +-1 it is math.log(0.0), whose ValueError _L raises as
+PoleAtBranchPoint.
 
 Two kernel families sit on top of L.  Convention A scales frequencies by
 k*v_F, with z = (omega + i*nu)/(k v_F) and q = k/k_F:
@@ -40,31 +39,30 @@ All functions are scalar, pure and binary64.  Each public kernel checks its
 argument once (non-finite: NonFiniteResult; Im < 0: NonUpperHalfPlane) and
 evaluates L by the unchecked _L (branch point: PoleAtBranchPoint).  L and g0_a
 stay finite; g_a checks its result, as z + s q/2 and (a^2 - 1)/(2q) can overflow.
-g_a's body _g skips the argument checks, for callers that checked z once for
-a whole row of q.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
+from cmath import isfinite, log
+from math import isfinite as _finite, log as _ln, pi
 
 from .errors import DegenerateQ, NonFiniteResult, NonUpperHalfPlane, PoleAtBranchPoint
 
 __all__ = ["clog_ratio", "g0_a", "g_a", "g0_b", "g_b"]
 
 _VALID_SIGNS = (1, -1)
+_MINUS_PI = -pi  # Im L(r) for a real r inside (-1, 1)
 
 
 def _require_finite(value: complex, what: str) -> complex:
-    if not cmath.isfinite(value):
+    if not isfinite(value):
         raise NonFiniteResult(f"{what} overflowed or is undefined: {value!r}")
     return value
 
 
 def _as_upper_half(z: complex, what: str) -> complex:
     z = complex(z)
-    if not cmath.isfinite(z):
+    if not isfinite(z):
         raise NonFiniteResult(f"non-finite argument to {what}: {z!r}")
     if z.imag < 0.0:
         raise NonUpperHalfPlane(f"{what} is defined for Im >= 0 only, got {z!r}")
@@ -76,12 +74,12 @@ def _L(a: complex) -> complex:
     if a.imag == 0.0:  # the Im a -> 0+ limit: exactly -i*pi inside (-1, 1)
         x = a.real
         try:
-            re = math.log(abs(1.0 + x)) - math.log(abs(1.0 - x))
+            re = _ln(abs(1.0 + x)) - _ln(abs(1.0 - x))
         except ValueError:  # math.log(0.0): x is +-1
             raise PoleAtBranchPoint(f"clog_ratio argument at branch point {x:+g}") from None
-        return complex(re, 0.0 if abs(x) > 1.0 else -math.pi)
+        return complex(re, 0.0 if abs(x) > 1.0 else _MINUS_PI)
     # Im a > 0: a + 1 and a - 1 lie above the real axis; no unwinding needed.
-    return cmath.log(a + 1.0) - cmath.log(a - 1.0)
+    return log(a + 1.0) - log(a - 1.0)
 
 
 def clog_ratio(a: complex) -> complex:
@@ -115,13 +113,50 @@ def g_a(z: complex, q: float, sign: int) -> complex:
     q = float(q)
     if q == 0.0:
         raise DegenerateQ("g_a needs q != 0")
-    return _g(_as_upper_half(z, "g_a"), q, sign)
-
-
-def _g(z: complex, q: float, sign: int) -> complex:
-    """g_a's body for a checked z, q != 0 and sign +-1; the result is checked."""
-    a = z + sign * (q / 2.0)
+    a = _as_upper_half(z, "g_a") + sign * (q / 2.0)
     return _require_finite((a * a - 1.0) / (2.0 * q) * _L(a), "g_a")
+
+
+def _numerator(z: complex, q: float) -> complex:
+    """N(z, q) = 1 - g(z,+q) + g(z,-q), for a checked z and q != 0.
+
+    On the real axis (z.imag == 0.0) N is evaluated in floats, bit for bit
+    equal to g_a.  With r = x +- q/2 and c = (r*r - 1)/(2q), each g is
+    c*(ln|1 + r| - ln|1 - r|), the real part of _L(r); a shift inside
+    (-1, 1) adds c*(-pi) to Im g, one outside a zero whose sign cancels out
+    of 1 - g+ + g-.  (c*(-pi) underflows to 0 only where 2q overflows, which
+    leaves r = 0 as the one shift inside, and there Im g is the same signed
+    zero.)  A shift on a branch point (the ValueError of math.log(0.0)), a
+    non-finite term and q = 0 take g_a itself, so N raises what g_a raises
+    (DegenerateQ for q = 0, which only the real axis checks).
+
+    For Im z > 0 both shifts keep Im a = Im z > 0, and g_a's body is inline:
+    each g is checked before the next is computed."""
+    h, q2 = q / 2.0, 2.0 * q
+    if z.imag == 0.0:
+        if q:
+            x = z.real
+            try:
+                r = x + h
+                c = (r * r - 1.0) / q2
+                gp, tp = c * (_ln(abs(1.0 + r)) - _ln(abs(1.0 - r))), 0.0 if abs(r) > 1.0 else c * _MINUS_PI
+                r = x - h
+                c = (r * r - 1.0) / q2
+                gm, tm = c * (_ln(abs(1.0 + r)) - _ln(abs(1.0 - r))), 0.0 if abs(r) > 1.0 else c * _MINUS_PI
+                if _finite(gp + gm + tp + tm):  # else some term is nan or inf (or the sum overflows)
+                    return complex((1.0 - gp) + gm, (0.0 - tp) + tm)
+            except ValueError:  # math.log(0.0): a shift on a branch point
+                pass
+        return 1.0 - g_a(z, q, 1) + g_a(z, q, -1)
+    a = z + h
+    gp = (a * a - 1.0) / q2 * (log(a + 1.0) - log(a - 1.0))
+    if not isfinite(gp):
+        _require_finite(gp, "g_a")
+    a = z - h
+    gm = (a * a - 1.0) / q2 * (log(a + 1.0) - log(a - 1.0))
+    if not isfinite(gm):
+        _require_finite(gm, "g_a")
+    return 1.0 - gp + gm
 
 
 def _b_to_a(z: complex, q: float, what: str) -> tuple[complex, float]:

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os.path
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 from pathlib import Path
 
 from .dielectric import _Q0_KERNEL, _Q0_POINT, _bgk_setup, _lindhard_setup, _mermin_rows, _rows, branch_points_q
@@ -59,7 +61,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: model, fixed x and xp, y values, uniform q grid, output
-    base path and format ("csv", "svg" or "both")."""
+    base path and format ("csv", "svg" or "both").  The output needs a file
+    name; a .csv or .svg it ends in is dropped (see _output_base)."""
 
     model: str
     x: float
@@ -78,6 +81,8 @@ class SweepConfig:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.fmt!r}")
         if not all(math.isfinite(v) for v in (self.x, self.xp, self.q_min, self.q_max, *self.y)):
             raise ConfigError("x, y, xp and the q range must be finite")
+        if not isinstance(self.q_steps, Integral):
+            raise ConfigError(f"q_steps must be an integer, got {self.q_steps!r}")
         if self.q_steps < 2:
             raise ConfigError(f"q range needs at least 2 steps, got {self.q_steps}")
         if not self.q_max > self.q_min:
@@ -93,6 +98,15 @@ class SweepConfig:
         labels = [format(y, "g") for y in self.y]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"y values must have distinct column labels, got {', '.join(labels)}")
+        if os.path.basename(_output_base(self.output)) in ("", ".", ".."):
+            raise ConfigError(f"output needs a file name, got {self.output!r}")
+
+
+def _output_base(output: str) -> str:
+    """The output path without a .csv or .svg it ends in; run_sweep appends
+    each file's suffix to it, so a dot elsewhere in the name is kept."""
+    output = os.fspath(output)
+    return output[:-4] if output.endswith((".csv", ".svg")) else output
 
 
 @dataclass(frozen=True)
@@ -235,7 +249,8 @@ def _grid(cfg: SweepConfig) -> tuple[list[float], list[tuple[float, float]]]:
 
 
 def run_sweep(cfg: SweepConfig, write: bool = True) -> SweepResult:
-    """Evaluate the sweep and (optionally) write <output>.csv / <output>.svg."""
+    """Evaluate the sweep and (optionally) write <base>.csv / <base>.svg, where
+    <base> is the output without a .csv or .svg it ends in."""
     qs, nudged = _grid(cfg)
     rows = MODELS[cfg.model](cfg.x, cfg.y, qs, cfg.xp)
     bad = [iy for iy, row in enumerate(rows) if any(isinstance(v, QplasmaError) for v in row)]
@@ -255,15 +270,15 @@ def run_sweep(cfg: SweepConfig, write: bool = True) -> SweepResult:
     if not write:
         return result
 
-    base = Path(cfg.output)
-    base.parent.mkdir(parents=True, exist_ok=True)
+    base = _output_base(cfg.output)
+    Path(base).parent.mkdir(parents=True, exist_ok=True)
     csv_path = svg_path = None
     if cfg.fmt in ("csv", "both"):
-        csv_path = base.with_suffix(".csv")
+        csv_path = Path(base + ".csv")
         with open(csv_path, "w", newline="") as fh:
             fh.write(result.csv_text())
     if cfg.fmt in ("svg", "both"):
-        svg_path = base.with_suffix(".svg")
+        svg_path = Path(base + ".svg")
         with open(svg_path, "w", newline="") as fh:
             fh.write(result.svg_text())
     return dataclasses.replace(result, csv_path=csv_path, svg_path=svg_path)

@@ -146,6 +146,52 @@ def test_shipped_configs_parse():
         assert values["q"] == "1.5:2.5:501"
 
 
+def test_sweep_config_rejects_a_non_integer_q_steps(tmp_path):
+    # before: TypeError from _linspace (10.5, 10.0) or from the "< 2" test ("5")
+    for steps in (10.5, 10.0, "5", float("nan"), None):
+        with pytest.raises(ConfigError, match=r"^q_steps must be an integer, got "):
+            _cfg(tmp_path, q_steps=steps)
+    with pytest.raises(ConfigError, match=r"^q range needs at least 2 steps, got 1$"):
+        _cfg(tmp_path, q_steps=1)
+    assert len(run_sweep(_cfg(tmp_path, q_steps=np.int64(5)), write=False).q_values) == 5
+
+
+@pytest.mark.parametrize("name, written", [
+    ("fig_x0.3", ("fig_x0.3.csv", "fig_x0.3.svg")),
+    ("x.csv", ("x.csv", "x.svg")),
+    ("x.svg", ("x.csv", "x.svg")),
+    ("x.csv.csv", ("x.csv.csv", "x.csv.svg")),
+])
+def test_sweep_output_suffixes_are_appended_to_the_base_name(tmp_path, name, written):
+    # before: Path.with_suffix replaced everything after the last dot, so
+    # fig_x0.3 wrote fig_x0.csv and a sweep at x0.5 overwrote it
+    res = run_sweep(_cfg(tmp_path, output=str(tmp_path / "o" / name), fmt="both", q_steps=11))
+    assert (res.csv_path, res.svg_path) == tuple(tmp_path / "o" / w for w in written)
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == sorted(written)
+
+
+def test_sweeps_with_dotted_names_do_not_overwrite_each_other(tmp_path, capsys):
+    for x in ("0.3", "0.5"):
+        assert main(["sweep", "--model", "bgk", "--x", x, "--y", "0.1", "--q", "0.5:1.5:3", "--xp", "1",
+                     "--output", str(tmp_path / f"fig_x{x}"), "--format", "both"]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / f'fig_x{x}.csv'}\nwrote {tmp_path / f'fig_x{x}.svg'}\n"
+    assert (tmp_path / "fig_x0.3.csv").read_text() != (tmp_path / "fig_x0.5.csv").read_text()
+    assert len(list(tmp_path.iterdir())) == 4
+
+
+@pytest.mark.parametrize("output", ["", ".", "..", "o/", "o/.", "o/..", ".csv", "o/.svg"])
+def test_sweep_output_without_a_file_name_is_a_config_error(tmp_path, monkeypatch, capsys, output):
+    # before: "" and "." were a ValueError traceback (exit 1), and "o/" wrote o.csv beside o
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="^output needs a file name, got "):
+        _cfg(tmp_path, output=output)
+    rc = main(["sweep", "--model", "bgk", "--x", "0.3", "--y", "0.1", "--q", "0.5:1.5:3", "--xp", "1",
+               "--output", output])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: output needs a file name, got {output!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------------- CLI
 
 def test_cli_sweep_with_config_and_override(tmp_path, capsys):
