@@ -9,75 +9,41 @@ Three models built on common branch-safe logarithmic kernels:
 
 plus Kohn-singularity location, an independent Fermi-sphere quadrature
 cross-check, SI unit conversions and a sweep CLI (``qplasma``).
+
+Importing the package loads none of its modules: each public name loads the
+module the table below names on first use (PEP 562).  So a CLI command loads
+only the modules it runs, and only ``qplasma verify`` loads numpy and scipy.
 """
 
-from .dielectric import (
-    DielectricResult,
-    DimensionlessPointA,
-    DimensionlessPointB,
-    Model,
-    branch_points_q,
-    epsilon_classical_limit,
-    epsilon_collisional_a,
-    epsilon_collisional_b,
-    epsilon_lindhard,
-    epsilon_mermin,
-    epsilon_static_collisional,
-    epsilon_static_mermin,
-    sigma_longitudinal,
-)
-from .errors import (
-    DegenerateQ,
-    DenominatorVanishes,
-    DivisionByZeroFrequency,
-    InconsistentParameters,
-    NonFiniteResult,
-    NonUpperHalfPlane,
-    PoleAtBranchPoint,
-    PoleOnContour,
-    QplasmaError,
-    StaticDenominatorVanishes,
-    ToleranceNotReached,
-    WindowContainsPole,
-    ZeroWavenumber,
-)
-from .kernels import clog_ratio, g0_a, g0_b, g_a, g_b
-from .kohn import (
-    BroadeningRow,
-    KohnRoot,
-    KohnRootSet,
-    kohn_roots_dimless,
-    kohn_wavenumbers_physical,
-    singularity_broadening_scan,
-)
-from .sweep import SweepConfig, SweepResult, run_sweep
-from .units import (
-    FermiQuantities,
-    PhysicalParams,
-    fermi_quantities,
-    from_convention_a,
-    plasma_frequency,
-    to_convention_a,
-    to_convention_b,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# The quadrature oracle is the one part that needs numpy and scipy, whose
-# import is most of a CLI call's wall time; its names load on first use, so
-# that importing the package (and every CLI command but ``verify``) loads
-# neither.
-_QUADRATURE_NAMES = frozenset({
-    "QuadratureSpec",
-    "epsilon_from_quadrature",
-    "g0_quadrature",
-    "oracle_scan",
-})
+# submodule -> the public names it defines
+_MODULES = {
+    "dielectric": """DielectricResult DimensionlessPointA DimensionlessPointB Model branch_points_q
+        epsilon_classical_limit epsilon_collisional_a epsilon_collisional_b epsilon_lindhard epsilon_mermin
+        epsilon_static_collisional epsilon_static_mermin sigma_longitudinal""",
+    "errors": """DegenerateQ DenominatorVanishes DivisionByZeroFrequency InconsistentParameters NonFiniteResult
+        NonUpperHalfPlane PoleAtBranchPoint PoleOnContour QplasmaError StaticDenominatorVanishes
+        ToleranceNotReached WindowContainsPole ZeroWavenumber""",
+    "kernels": "clog_ratio g0_a g0_b g_a g_b",
+    "kohn": "BroadeningRow KohnRoot KohnRootSet kohn_roots_dimless kohn_wavenumbers_physical singularity_broadening_scan",
+    "quadrature": "QuadratureSpec epsilon_from_quadrature g0_quadrature oracle_scan",
+    "sweep": "SweepConfig SweepResult run_sweep",
+    "units": """FermiQuantities PhysicalParams fermi_quantities from_convention_a plasma_frequency
+        to_convention_a to_convention_b""",
+}
+_NAMES = {name: module for module, names in _MODULES.items() for name in names.split()}
+__all__ = list(_NAMES)
 
 
 def __getattr__(name: str):
-    if name in _QUADRATURE_NAMES:
-        from . import quadrature
+    if name not in _NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{_NAMES[name]}", __name__), name)  # bound from now on
+    return value
 
-        return getattr(quadrature, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return [*globals(), *_NAMES]

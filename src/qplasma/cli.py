@@ -9,19 +9,18 @@ Subcommands:
 
 Exit codes: 0 success, 1 evaluation failure, 2 usage/config error (an
 unreadable config file or an unwritable output included).
+
+Each command imports what it runs inside its handler: a call pays no other command's imports.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 
-from .errors import QplasmaError
-from .kohn import kohn_roots_dimless, kohn_wavenumbers_physical
-from .sweep import FORMATS, MODELS, ConfigError, SweepConfig, load_config_file, parse_q_range, run_sweep
+from .errors import ConfigError, QplasmaError
 
 __all__ = ["main"]
 
@@ -38,13 +37,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep eps over q and write CSV/SVG")
     p_sweep.add_argument("--config", help="key=value config file; flags override it")
-    p_sweep.add_argument("--model", choices=MODELS)
+    p_sweep.add_argument("--model", help="bgk, mermin or lindhard")
     p_sweep.add_argument("--x", type=float, help="omega/(k vF), held fixed over the sweep")
     p_sweep.add_argument("--y", help="comma-separated collision frequencies nu/(k vF)")
     p_sweep.add_argument("--q", help="q grid as min:max:steps")
     p_sweep.add_argument("--xp", type=float, help="coupling omega_p/(k vF)")
     p_sweep.add_argument("--output", help="output base path; .csv/.svg appended (a .csv or .svg it ends in is dropped first)")
-    p_sweep.add_argument("--format", choices=FORMATS)
+    p_sweep.add_argument("--format", help="csv (the default), svg or both")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="compare the three models at one point")
@@ -71,7 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_sweep_config(args: argparse.Namespace) -> SweepConfig:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import SweepConfig, load_config_file, parse_q_range, run_sweep
+
     values: dict[str, str] = {}
     if args.config:
         values = load_config_file(args.config)
@@ -93,15 +94,11 @@ def _merge_sweep_config(args: argparse.Namespace) -> SweepConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     q_min, q_max, q_steps = parse_q_range(values["q"])
-    return SweepConfig(
+    cfg = SweepConfig(  # checks every value, --model and --format included
         model=values["model"], x=x, y=y,
         q_min=q_min, q_max=q_max, q_steps=q_steps,
         xp=xp, output=values["output"], fmt=values.get("format", "csv"),
     )
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _merge_sweep_config(args)
     try:
         result = run_sweep(cfg)
     except OSError as exc:  # the output's directory or a file cannot be made or written
@@ -131,6 +128,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.y < 0.0 or args.xp < 0.0:
         print("error: y and xp must be >= 0", file=sys.stderr)
         return 2
+    from .dielectric import MODELS
+
     values = {}
     for name, row in MODELS.items():
         values[name] = row(args.x, (args.y,), [args.q], args.xp)[0][0]
@@ -138,6 +137,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             raise values[name]
     pairs = list(itertools.combinations(values, 2))
     if args.json:
+        import json
+
         for model, eps in values.items():
             print(json.dumps({
                 "kind": "epsilon", "model": model,
@@ -166,6 +167,8 @@ def _fmt_root(value: complex) -> str:
 
 
 def _cmd_kohn(args: argparse.Namespace) -> int:
+    from .kohn import kohn_roots_dimless, kohn_wavenumbers_physical
+
     physical = args.omega is not None or args.kf is not None or args.vf is not None
     if physical:
         if None in (args.omega, args.kf, args.vf):

@@ -38,16 +38,16 @@ from __future__ import annotations
 import enum
 from cmath import isfinite
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     DegenerateQ,
     DenominatorVanishes,
     DivisionByZeroFrequency,
-    NonFiniteResult,
     QplasmaError,
     StaticDenominatorVanishes,
 )
-from .kernels import _as_upper_half, _numerator, _require_finite, clog_ratio, g0_a
+from .kernels import _as_upper_half, _divisor, _floats, _number, _numerator, _require_finite, _square, clog_ratio, g0_a
 
 __all__ = [
     "Model",
@@ -63,6 +63,7 @@ __all__ = [
     "epsilon_classical_limit",
     "sigma_longitudinal",
     "branch_points_q",
+    "MODELS",
 ]
 
 _DENOMINATOR_FLOOR = 1e-30
@@ -104,6 +105,8 @@ class DimensionlessPointA:
             raise ValueError(f"xp must be >= 0, got {self.xp}")
         if self.q == 0.0:
             raise DegenerateQ(_Q0_POINT)
+        if int in (type(self.x), type(self.y), type(self.q), type(self.xp)):
+            _floats(self, "DimensionlessPointA")
 
     @property
     def z(self) -> complex:
@@ -127,6 +130,8 @@ class DimensionlessPointB:
             raise ValueError(f"xp2 must be >= 0, got {self.xp2}")
         if self.q == 0.0:
             raise DegenerateQ(_Q0_POINT)
+        if int in (type(self.x), type(self.y), type(self.q), type(self.xp2)):
+            _floats(self, "DimensionlessPointB")
 
     @property
     def z(self) -> complex:
@@ -147,22 +152,6 @@ class DielectricResult:
     epsilon: complex
     sigma: complex | None
     model: Model
-
-
-def _square(v: float, what: str) -> float:
-    """v ** 2 of a caller's value, rounded once to a float; an overflow raises NonFiniteResult."""
-    try:
-        return float(v ** 2)
-    except OverflowError:
-        raise NonFiniteResult(f"the square of {what} = {v!r} overflows") from None
-
-
-def _divisor(v: complex, what: str) -> complex:
-    """A divisor built from a caller's values; 0 (an underflow, or an exact
-    cancellation) raises NonFiniteResult."""
-    if v == 0.0:
-        raise NonFiniteResult(f"{what} is 0, so the quotient is undefined")
-    return v
 
 
 def _bgk_denominator(z: complex) -> complex:
@@ -247,7 +236,7 @@ def _lindhard_form(z: complex, xp: float, s: complex | None, what: str):
 def _lindhard_setup(x: float, y: float, xp: float):
     """y is ignored; z = x is checked as g_a checks it, after q = 0."""
     _nonnegative("xp", xp)
-    x = float(x)
+    x, xp = _number(x, "epsilon_lindhard"), _number(xp, "epsilon_lindhard")
     return _lindhard_form(_as_upper_half(complex(x, 0.0), "g_a"), xp, _sigma(x, 0.0), "epsilon_lindhard")
 
 
@@ -295,7 +284,7 @@ def _rows(setup, q0: str, x: float, ys, qs, xp: float) -> list[list[complex | Qp
     rows: list[list[complex | QplasmaError]] = []
     for y in ys:
         try:
-            node = setup(x, y, xp)
+            node = setup(*(_number(v, "a MODELS row") for v in (x, y, xp)))
         except QplasmaError as exc:
             rows.append([DegenerateQ(q0) if q == 0.0 else exc for q in qs])
             continue
@@ -323,6 +312,16 @@ def _mermin_rows(x: float, ys, qs, xp: float) -> list[list[complex | QplasmaErro
         _nonnegative("y", y)
         rows.append(rows[0].copy())
     return rows
+
+
+# Model name -> rows(x, ys, qs, xp), for the sweep, the broadening scan and the CLI:
+# one row per y of ys, each node the eps of the scalar epsilon_* at (x, y, q, xp)
+# or the QplasmaError raised there; y or xp < 0 raises ValueError.
+MODELS = {
+    "bgk": partial(_rows, _bgk_setup, _Q0_POINT),
+    "mermin": _mermin_rows,
+    "lindhard": partial(_rows, _lindhard_setup, _Q0_KERNEL),
+}
 
 
 def epsilon_collisional_a(p: DimensionlessPointA) -> DielectricResult:
@@ -356,7 +355,7 @@ def epsilon_lindhard(x: float, q: float, xp: float) -> DielectricResult:
     _nonnegative("xp", xp)
     if q == 0.0:
         raise DegenerateQ(_Q0_KERNEL)
-    return DielectricResult(*_lindhard_setup(x, 0.0, xp)(q), Model.Lindhard)
+    return DielectricResult(*_lindhard_setup(x, 0.0, xp)(_number(q, "epsilon_lindhard")), Model.Lindhard)
 
 
 def epsilon_mermin(p: DimensionlessPointA) -> DielectricResult:
@@ -372,7 +371,7 @@ def epsilon_mermin(p: DimensionlessPointA) -> DielectricResult:
 
 def _static_q(w: float) -> float:
     """q = 2w of a static limit given at half-wavenumber w > 0."""
-    w = float(w)
+    w = _number(w, "a static limit")
     if w <= 0.0:
         raise ValueError(f"w must be > 0, got {w}")
     return 2.0 * w
@@ -401,7 +400,7 @@ def epsilon_static_collisional(y: float, w: float, xp: float) -> DielectricResul
     Evaluated as epsilon_collisional_a at x = 0, q = 2w, hence real for all
     y >= 0; at y = 0 it coincides with the static Mermin value.
     """
-    p = DimensionlessPointA(0.0, float(y), _static_q(w), xp)
+    p = DimensionlessPointA(0.0, _number(y, "epsilon_static_collisional"), _static_q(w), xp)
     return DielectricResult(epsilon_collisional_a(p).epsilon, None, Model.StaticCollisional)
 
 
@@ -415,7 +414,7 @@ def epsilon_classical_limit(z: complex, xp: float) -> DielectricResult:
     in the test suite via q in {1e-2, 1e-3, 1e-4} with a Richardson
     extrapolation in q^2.
     """
-    z = complex(z)
+    z = _number(z, "epsilon_classical_limit", complex)
     _nonnegative("xp", xp)
     num = 2.0 - z * clog_ratio(z)
     den = _bgk_denominator(z)

@@ -59,3 +59,7 @@ class ZeroWavenumber(QplasmaError):
 
 class InconsistentParameters(QplasmaError):
     """Redundant physical inputs (density vs. kF vs. omega_p) disagree."""
+
+
+class ConfigError(ValueError):
+    """Bad sweep configuration (maps to CLI exit code 2)."""

@@ -60,8 +60,41 @@ def _require_finite(value: complex, what: str) -> complex:
     return value
 
 
+def _number(v, what: str, kind=float, error=NonFiniteResult):
+    """kind(v) of a caller's value; an int beyond double range (OverflowError) raises ``error`` instead."""
+    try:
+        return kind(v)
+    except OverflowError:
+        raise error(f"an argument to {what} is beyond double range") from None
+
+
+def _floats(obj, what: str) -> None:
+    """Store each int field of the frozen dataclass obj as a float, through _number."""
+    for name, value in vars(obj).items():
+        if type(value) is int:
+            object.__setattr__(obj, name, _number(value, what))
+
+
+def _square(v: float, what: str) -> float:
+    """v ** 2 of a caller's value, rounded once to a float; an overflow raises NonFiniteResult."""
+    try:
+        return float(v ** 2)
+    except OverflowError:
+        raise NonFiniteResult(f"the square of {what} = {v!r} overflows") from None
+
+
+def _divisor(v: complex, what: str) -> complex:
+    """A divisor built from a caller's values; 0 (an underflow or exact cancellation) raises NonFiniteResult."""
+    if v == 0.0:
+        raise NonFiniteResult(f"{what} is 0, so the quotient is undefined")
+    return v
+
+
 def _as_upper_half(z: complex, what: str) -> complex:
-    z = complex(z)
+    try:
+        z = complex(z)
+    except OverflowError:  # an int beyond double range; a try costs no time on the hot path
+        z = _number(z, what, complex)
     if not isfinite(z):
         raise NonFiniteResult(f"non-finite argument to {what}: {z!r}")
     if z.imag < 0.0:
@@ -110,7 +143,7 @@ def g_a(z: complex, q: float, sign: int) -> complex:
     """
     if sign not in _VALID_SIGNS:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    q = float(q)
+    q = _number(q, "g_a")
     if q == 0.0:
         raise DegenerateQ("g_a needs q != 0")
     a = _as_upper_half(z, "g_a") + sign * (q / 2.0)
@@ -161,7 +194,7 @@ def _numerator(z: complex, q: float) -> complex:
 
 def _b_to_a(z: complex, q: float, what: str) -> tuple[complex, float]:
     """Map a convention-B (z, q) onto convention A: (z/|q|, |q|)."""
-    q = abs(float(q))
+    q = abs(_number(q, what))
     if q == 0.0:
         raise DegenerateQ(f"{what} needs q != 0")
     return z / q, q

@@ -31,9 +31,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .dielectric import _divisor, branch_points_q
 from .errors import NonFiniteResult, WindowContainsPole
-from .sweep import MODELS, _linspace, _pole_nodes
+from .kernels import _divisor, _number
 
 __all__ = [
     "KohnRoot",
@@ -82,7 +81,7 @@ def kohn_roots_dimless(x: float) -> KohnRootSet:
     """All four Kohn singularities of eps(q) at fixed x = omega/(k_F v_F);
     a non-finite x, or |x| so large that 1 +- 2x overflows, raises
     NonFiniteResult."""
-    x = float(x)
+    x = _number(x, "kohn_roots_dimless")
     if not math.isfinite(x):
         raise NonFiniteResult(f"kohn_roots_dimless needs a finite x, got {x!r}")
     sp = cmath.sqrt(complex(1.0 + 2.0 * x, 0.0))
@@ -126,6 +125,7 @@ def kohn_wavenumbers_physical(omega: float, kF: float, vF: float) -> tuple[compl
     """
     if not (0.0 < kF < math.inf and 0.0 < vF < math.inf):
         raise ValueError("kF and vF must be positive and finite")
+    omega, kF, vF = (_number(v, "kohn_wavenumbers_physical") for v in (omega, kF, vF))
     roots = kohn_roots_dimless(omega / _divisor(kF * vF, "kF*vF")).roots
     ks = tuple(kF * (r.q if r.principal else r.q_alt) for r in roots)
     if not all(cmath.isfinite(k) for k in ks):
@@ -165,17 +165,21 @@ def singularity_broadening_scan(
     way.  Skipped points are never interpolated.  A non-finite x, xp, y or
     window edge, or an ``n_points`` that is not an integer >= 3, raises
     ValueError before anything is evaluated; a maximum slope that overflows
-    raises NonFiniteResult.
+    raises NonFiniteResult, as does an int argument beyond double range.
     """
+    from .dielectric import MODELS, branch_points_q
+    from .sweep import _linspace, _pole_nodes
+
     if on_pole not in ("skip", "raise"):
         raise ValueError(f"on_pole must be 'skip' or 'raise', got {on_pole!r}")
     if not isinstance(n_points, numbers.Integral) or n_points < 3:
         raise ValueError(f"n_points must be an integer >= 3, got {n_points!r}")
-    q_lo, q_hi = float(q_window[0]), float(q_window[1])
+    what = "singularity_broadening_scan"
+    q_lo, q_hi = _number(q_window[0], what), _number(q_window[1], what)
     if not q_hi > q_lo:
         raise ValueError("q_window must satisfy q_min < q_max")
-    ys = [float(y) for y in y_list]
-    if not all(math.isfinite(v) for v in (float(x), float(xp), q_lo, q_hi, *ys)):
+    ys = [_number(y, what) for y in y_list]
+    if not all(math.isfinite(v) for v in (_number(x, what), _number(xp, what), q_lo, q_hi, *ys)):
         raise ValueError("x, xp, y and q_window must be finite")
 
     qs = _linspace(q_lo, q_hi, int(n_points))

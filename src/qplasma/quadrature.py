@@ -62,9 +62,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .dielectric import DimensionlessPointA, _divisor, _square, epsilon_collisional_a
+from .dielectric import DimensionlessPointA, epsilon_collisional_a
 from .errors import NonFiniteResult, NonUpperHalfPlane, PoleOnContour, ToleranceNotReached
-from .kernels import _require_finite
+from .kernels import _divisor, _number, _require_finite, _square
 
 __all__ = [
     "QuadratureSpec",
@@ -159,7 +159,7 @@ def g0_quadrature(x: float, y: float, spec: QuadratureSpec = DEFAULT_SPEC) -> co
     """Spherical-shell integral (y/2) Int du/(y + i(u - x)); equals
     g0_a(x + i y).  Needs y > 0; a non-finite argument or result raises
     NonFiniteResult."""
-    x, y = float(x), float(y)
+    x, y = _number(x, "g0_quadrature"), _number(y, "g0_quadrature")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise NonFiniteResult(f"g0_quadrature needs finite arguments, got {(x, y)!r}")
     if y <= 0.0:
@@ -260,7 +260,7 @@ def epsilon_from_quadrature(
     leaves double range, N_quad is below the normal range (subnormal or 0),
     xp^2 overflows, (1 - g0)_quad is 0 or the result is not finite.
     """
-    if not all(math.isfinite(v) for v in (x, y, q, xp)):
+    if not all(math.isfinite(_number(v, "epsilon_from_quadrature")) for v in (x, y, q, xp)):
         raise NonFiniteResult(f"epsilon_from_quadrature needs finite arguments, got {(x, y, q, xp)!r}")
     x, y, q = float(x), float(y), float(q)
     if y < 0.0:

@@ -2,7 +2,8 @@
 
 A sweep fixes the model, x, xp and a list of collision frequencies y, and
 evaluates the permittivity over a uniform q grid, serially, one y-row at a
-time.  ``MODELS`` is a table of row functions, one per model: a row hoists
+time.  ``MODELS``, which :mod:`qplasma.dielectric` defines and this module
+re-binds, is a table of row functions, one per model: a row hoists
 what is constant at its fixed z = x + iy (the checked z, the BGK
 denominator 1 - g0(z), 1.5 xp^2) and then evaluates each q node in the
 scalar ``epsilon_*`` order, so every value and every error is the one the
@@ -27,35 +28,19 @@ import dataclasses
 import math
 import os.path
 from dataclasses import dataclass
-from functools import partial
 from numbers import Integral
 from pathlib import Path
 
-from .dielectric import _Q0_KERNEL, _Q0_POINT, _bgk_setup, _lindhard_setup, _mermin_rows, _rows, branch_points_q
-from .errors import QplasmaError
+from .dielectric import MODELS, branch_points_q
+from .errors import ConfigError, QplasmaError
+from .kernels import _number
 from .svg import line_plot
 
 __all__ = ["SweepConfig", "SweepResult", "run_sweep", "load_config_file", "parse_q_range"]
 
-# The one table from model name to its row function, read by the sweep, the
-# broadening scan and the CLI: rows(x, ys, qs, xp) is one row per y of ys,
-# and a row is, per q in qs, the eps of epsilon_collisional_a /
-# epsilon_mermin / epsilon_lindhard at (x, y, q, xp) or the QplasmaError
-# that raises there; y or xp < 0 raises ValueError.  Lindhard ignores y.
-# BGK and Lindhard are dielectric._rows with the model's setup and the text
-# of its DegenerateQ at q = 0; Mermin evaluates its x = 0 row once.
-MODELS = {
-    "bgk": partial(_rows, _bgk_setup, _Q0_POINT),
-    "mermin": _mermin_rows,
-    "lindhard": partial(_rows, _lindhard_setup, _Q0_KERNEL),
-}
 FORMATS = ("csv", "svg", "both")
 _NUDGE = 1e-6
 _NODE_POLE_TOL = 1e-9
-
-
-class ConfigError(ValueError):
-    """Bad sweep configuration (maps to CLI exit code 2)."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +64,8 @@ class SweepConfig:
             raise ConfigError(f"model must be one of {tuple(MODELS)}, got {self.model!r}")
         if self.fmt not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.fmt!r}")
-        if not all(math.isfinite(v) for v in (self.x, self.xp, self.q_min, self.q_max, *self.y)):
+        values = (self.x, self.xp, self.q_min, self.q_max, *self.y)
+        if not all(math.isfinite(_number(v, "SweepConfig", error=ConfigError)) for v in values):
             raise ConfigError("x, y, xp and the q range must be finite")
         if not isinstance(self.q_steps, Integral):
             raise ConfigError(f"q_steps must be an integer, got {self.q_steps!r}")

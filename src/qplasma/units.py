@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dielectric import DimensionlessPointA, DimensionlessPointB, _divisor, _square
+from .dielectric import DimensionlessPointA, DimensionlessPointB
 from .errors import InconsistentParameters, NonFiniteResult, ZeroWavenumber
+from .kernels import _divisor, _floats, _square
 
 __all__ = [
     "HBAR",
@@ -84,6 +85,7 @@ class PhysicalParams:
     omega and nu may be zero; everything else must be positive.  kF must
     equal vF/(hbar/m) -- the dimensionless reduction assumes it -- and a
     supplied N must reproduce both kF and omega_p, all to 1e-6 relative.
+    Int fields are stored as floats (beyond double range: NonFiniteResult).
     """
 
     omega: float
@@ -96,6 +98,9 @@ class PhysicalParams:
     hbar_over_m: float = HBAR / M_E
 
     def __post_init__(self) -> None:
+        if int in (type(self.omega), type(self.nu), type(self.k), type(self.vF), type(self.kF), type(self.omega_p),
+                   type(self.N), type(self.hbar_over_m)):  # int arithmetic can overflow where floats round
+            _floats(self, "PhysicalParams")
         if self.omega < 0.0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
         if self.nu < 0.0:

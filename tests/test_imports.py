@@ -1,61 +1,71 @@
-"""Importing the package, and every CLI command but ``verify``, loads
-neither numpy nor scipy: only the quadrature oracle needs them, and their
-import is most of a CLI call's wall time."""
+"""Importing the package loads none of its modules, and each CLI command
+loads only the modules it runs: only ``verify`` loads numpy and scipy,
+whose import is most of a CLI call's wall time."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qplasma
-from qplasma import quadrature
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# Prints [exit status or None, the qplasma modules loaded, whether numpy or
+# scipy is loaded] of `import qplasma` and, given arguments, one CLI call.
 _SCRIPT = r"""
 import contextlib, io, json, sys
-import qplasma, qplasma.cli
-
-def heavy():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
-
-steps = {"import qplasma, qplasma.cli": heavy()}
-for argv in (
-    ["compare", "--x", "0.3", "--y", "0.1", "--q", "1", "--xp", "1"],
-    ["compare", "--x", "0.3", "--y", "0.1", "--q", "1", "--xp", "1", "--json"],
-    ["kohn", "--x", "0.01"],
-    ["kohn", "--omega", "1e14", "--kf", "1e10", "--vf", "1e6"],
-    ["sweep", "--model", "bgk", "--x", "0", "--y", "0,0.01", "--q", "1.5:2.5:11", "--xp", "1",
-     "--format", "both", "--output", sys.argv[1]],
-):
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = qplasma.cli.main(argv)
-    steps[" ".join(argv[:1] + argv[-1:])] = [rc, heavy()]
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    rc = qplasma.cli.main(["verify", "--points", "5"])
-steps["verify"] = [rc, out.getvalue()]
-print(json.dumps(steps))
+import qplasma
+rc = None
+if sys.argv[1:]:
+    import qplasma.cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = qplasma.cli.main(sys.argv[1:])
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "qplasma"),
+                  any(m.split(".")[0] in ("numpy", "scipy") for m in sys.modules)]))
 """
 
+_CLI = ["qplasma", "qplasma.cli", "qplasma.errors", "qplasma.kernels"]
+_POINT = ["--x", "0.3", "--y", "0.1", "--q", "1", "--xp", "1"]
+_SWEEP = ["sweep", "--model", "bgk", "--x", "0", "--y", "0,0.01", "--q", "1.5:2.5:11", "--xp", "1",
+          "--format", "both", "--output", "out"]
 
-def test_package_and_cli_load_neither_numpy_nor_scipy(tmp_path):
+
+@pytest.mark.parametrize("argv, rc, modules, heavy", [
+    ([], None, ["qplasma"], False),
+    (["compare", *_POINT], 0, [*_CLI, "qplasma.dielectric"], False),
+    (["compare", *_POINT, "--json"], 0, [*_CLI, "qplasma.dielectric"], False),
+    (["kohn", "--x", "0.01"], 0, [*_CLI, "qplasma.kohn"], False),
+    (["kohn", "--omega", "1e14", "--kf", "1e10", "--vf", "1e6"], 0, [*_CLI, "qplasma.kohn"], False),
+    (_SWEEP, 0, [*_CLI, "qplasma.dielectric", "qplasma.svg", "qplasma.sweep"], False),
+    (["sweep", "--config", "bad.cfg", "--output", "bad"], 2,
+     [*_CLI, "qplasma.dielectric", "qplasma.svg", "qplasma.sweep"], False),
+    (["verify", "--points", "5"], 0, [*_CLI, "qplasma.dielectric", "qplasma.quadrature"], True),
+], ids=["import", "compare", "compare-json", "kohn", "kohn-physical", "sweep", "sweep-bad-config", "verify"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, rc, modules, heavy):
+    (tmp_path / "bad.cfg").write_text("model bgk\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-    p = subprocess.run([sys.executable, "-c", _SCRIPT, str(tmp_path / "sweep")], env=env, cwd=tmp_path,
+    p = subprocess.run([sys.executable, "-c", _SCRIPT, *argv], env=env, cwd=tmp_path,
                        capture_output=True, text=True, timeout=120, check=True)
-    steps = json.loads(p.stdout)
-    verify_rc, verify_out = steps.pop("verify")
-    assert steps.pop("import qplasma, qplasma.cli") == []
-    assert len(steps) == 5
-    for step, (rc, heavy) in steps.items():
-        assert (step, rc, heavy) == (step, 0, [])
-    assert (tmp_path / "sweep.csv").exists() and (tmp_path / "sweep.svg").exists()
-    assert verify_rc == 0
-    assert "PASS" in verify_out
+    assert json.loads(p.stdout) == [rc, sorted(modules), heavy]
+    if argv == _SWEEP:
+        assert (tmp_path / "out.csv").exists() and (tmp_path / "out.svg").exists()
 
 
-def test_package_resolves_every_quadrature_name_lazily():
-    for name in quadrature.__all__:
-        assert getattr(qplasma, name) is getattr(quadrature, name)
-    assert set(qplasma._QUADRATURE_NAMES) == set(quadrature.__all__)
+def test_package_resolves_every_public_name_lazily():
+    names = qplasma._NAMES
+    assert set(names) <= set(dir(qplasma))  # before the names are bound on first use
+    assert sorted(qplasma.__all__) == sorted(names)
+    for name, module in names.items():
+        assert getattr(qplasma, name) is vars(importlib.import_module(f"qplasma.{module}"))[name]
+    quadrature = {name for name, module in names.items() if module == "quadrature"}
+    assert quadrature == set(importlib.import_module("qplasma.quadrature").__all__)
+    namespace: dict = {}
+    exec("from qplasma import *", namespace)
+    assert set(names) <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        qplasma.not_a_name

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from qplasma.cli import main
 from qplasma.dielectric import DimensionlessPointA, epsilon_collisional_a, epsilon_lindhard, epsilon_mermin
-from qplasma.sweep import MODELS, ConfigError, SweepConfig, _linspace, load_config_file, parse_q_range, run_sweep
+from qplasma.sweep import FORMATS, MODELS, ConfigError, SweepConfig, _linspace, load_config_file, parse_q_range, run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -232,6 +233,28 @@ def test_cli_sweep_bad_flag(tmp_path):
         argv[flag] = value
         assert main(["sweep", *[tok for pair in argv.items() for tok in pair]]) == 2, flag
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--model", "nope", "model must be one of ('bgk', 'mermin', 'lindhard'), got 'nope'"),
+    ("--format", "pdf", "format must be one of ('csv', 'svg', 'both'), got 'pdf'"),
+])
+def test_cli_sweep_model_and_format_are_checked_as_config_values(tmp_path, capsys, flag, value, error):
+    argv = {"--model": "bgk", "--x": "0", "--y": "0.01", "--q": "1.5:2.5:11", "--xp": "1",
+            "--output": str(tmp_path / "s"), flag: value}
+    assert main(["sweep", *[tok for pair in argv.items() for tok in pair]]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+def test_cli_sweep_help_names_every_model_and_format(capsys):
+    assert main(["sweep", "--help"]) == 0
+    options = capsys.readouterr().out.split("options:", 1)[1]
+
+    def help_words(flag):
+        return set(re.findall(r"[a-z]+", options.split(flag, 1)[1].split("\n  -", 1)[0]))
+
+    assert set(MODELS) <= help_words("--model MODEL")
+    assert set(FORMATS) <= help_words("--format FORMAT")
 
 
 def test_cli_sweep_unreadable_config_is_a_config_error(tmp_path, capsys):

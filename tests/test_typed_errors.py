@@ -4,12 +4,14 @@ ValueError), never a bare OverflowError or ZeroDivisionError."""
 
 import importlib.util
 import math
+import random
 from pathlib import Path
 
 import pytest
 
 from qplasma.cli import main
 from qplasma.dielectric import (
+    MODELS,
     DimensionlessPointA,
     DimensionlessPointB,
     epsilon_classical_limit,
@@ -20,9 +22,11 @@ from qplasma.dielectric import (
     epsilon_static_collisional,
     epsilon_static_mermin,
 )
-from qplasma.errors import NonFiniteResult, QplasmaError
-from qplasma.kohn import kohn_roots_dimless, kohn_wavenumbers_physical
-from qplasma.quadrature import epsilon_from_quadrature
+from qplasma.errors import ConfigError, NonFiniteResult, QplasmaError
+from qplasma.kernels import clog_ratio, g0_a, g0_b, g_a
+from qplasma.kohn import kohn_roots_dimless, kohn_wavenumbers_physical, singularity_broadening_scan
+from qplasma.quadrature import epsilon_from_quadrature, g0_quadrature
+from qplasma.sweep import SweepConfig
 from qplasma.units import HBAR, M_E, PhysicalParams, to_convention_a, to_convention_b
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,12 +39,33 @@ def _compare_builds():
     return module
 
 
+_HUGE_INT = 10 ** 400  # an int beyond double range: float() of it raises OverflowError
+# argument slots the call table itself converts before the call (it joins
+# x and y into complex(x, y), and divides vF by hbar/m for kF)
+_TABLE_CONVERTS = {
+    **dict.fromkeys(("clog_ratio", "g0_a", "g_a", "g0_b", "g_b", "epsilon_classical_limit"), (0, 1)),
+    "to_convention_a": (3,), "to_convention_b": (3,),
+}
+
+
+def _with_huge_ints(seed: int, draws):
+    """The draws, each followed, one time in five, by the same call with one
+    float argument that reaches the library replaced by +-10**400."""
+    rng = random.Random(seed)
+    for name, args in draws:
+        yield name, args
+        slots = [i for i, v in enumerate(args) if isinstance(v, float) and i not in _TABLE_CONVERTS.get(name, ())]
+        if slots and rng.random() < 0.2:
+            i = rng.choice(slots)
+            yield name, (*args[:i], rng.choice((1, -1)) * _HUGE_INT, *args[i + 1:])
+
+
 @pytest.mark.parametrize("seed", [11, 12])
 def test_adversarial_draw_raises_only_typed_errors(seed):
     cb = _compare_builds()
     table = cb.call_table()
     bad = []
-    for name, args in cb.draws(seed, 30_000, table):
+    for name, args in _with_huge_ints(seed, cb.draws(seed, 30_000, table)):
         fn, _ = table[name]
         try:
             value = fn(*args)
@@ -110,6 +135,53 @@ _INT_XP = 10 ** 200
 def test_squares_and_scales_that_leave_double_range_raise_non_finite(call):
     with pytest.raises(NonFiniteResult):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: epsilon_collisional_a(DimensionlessPointA(_HUGE_INT, 0.1, 1, 1)),
+    lambda: epsilon_collisional_a(DimensionlessPointA(0.3, 0.1, _HUGE_INT, 1)),
+    lambda: epsilon_collisional_b(DimensionlessPointB(0.3, 0.1, 1, _HUGE_INT)),
+    lambda: epsilon_mermin(DimensionlessPointA(0.3, _HUGE_INT, 1, 1)),
+    lambda: epsilon_lindhard(_HUGE_INT, 1, 1),
+    lambda: epsilon_static_collisional(_HUGE_INT, 0.6, 1),
+    lambda: epsilon_static_mermin(_HUGE_INT, 1),
+    lambda: epsilon_classical_limit(_HUGE_INT, 1),
+    lambda: clog_ratio(_HUGE_INT),
+    lambda: g0_a(-_HUGE_INT),
+    lambda: g_a(0.3, _HUGE_INT, 1),
+    lambda: g0_b(0.3, _HUGE_INT),
+    lambda: kohn_roots_dimless(_HUGE_INT),
+    lambda: kohn_wavenumbers_physical(_HUGE_INT, 1e10, 1e6),
+    lambda: kohn_wavenumbers_physical(1.0, _HUGE_INT, 1e6),
+    lambda: singularity_broadening_scan(_HUGE_INT, 1, [0.1], (1, 3), 5),
+    lambda: epsilon_from_quadrature(_HUGE_INT, 0.1, 1, 1),
+    lambda: epsilon_from_quadrature(0.3, 0.1, 1, _HUGE_INT),
+    lambda: g0_quadrature(0.3, _HUGE_INT),
+    lambda: PhysicalParams(1, 0, 1, _HUGE_INT, _HUGE_INT, 1),
+], ids=[
+    "bgk-x", "bgk-q", "bgk-b-xp2", "mermin-y", "lindhard-x", "static-collisional-y", "static-mermin-w",
+    "classical-z", "clog-ratio", "g0-a", "g-a-q", "g0-b-q", "kohn-roots", "kohn-physical-omega",
+    "kohn-physical-kf", "scan-x", "quadrature-x", "quadrature-xp", "g0-quadrature-y", "units-vf",
+])
+def test_int_beyond_double_range_raises_non_finite(call):
+    with pytest.raises(NonFiniteResult, match="beyond double range"):
+        call()
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+def test_model_row_of_an_int_beyond_double_range_holds_non_finite_nodes(model):
+    assert all(isinstance(v, NonFiniteResult) for v in MODELS[model](0.3, (0.0,), [1.0, 1.5], _HUGE_INT)[0])
+
+
+def test_int_fields_are_stored_as_floats():
+    for fields in (DimensionlessPointA(1, 0, 2, 3), DimensionlessPointB(1, 0, 2, 3),
+                   PhysicalParams(1, 0, 1, 10 ** 6, 10 ** 6 / (HBAR / M_E), 1)):
+        assert {type(v) for v in vars(fields).values()} <= {float, type(None)}
+
+
+def test_sweep_config_int_beyond_double_range_is_a_config_error():
+    with pytest.raises(ConfigError, match="beyond double range"):
+        SweepConfig("bgk", _HUGE_INT, (0.1,), 0.5, 1.5, 3, 1.0, "o")
 
 
 def test_cli_compare_huge_coupling_is_an_evaluation_error(capsys):
