@@ -30,12 +30,12 @@ through 0, +-2 and the branch points, windows denser than the 1e-9 node
 tolerance around one of them, and couplings whose square overflows.  They
 reach what rows alone do not: the grid's nudges and the rows of one sweep
 that share work.  Each call prints one line:
-the ``float.hex`` of every returned value (so signed zeros count), sigma and
-the model tag (per row node: the value, or the class and message of the
-node's QplasmaError; per scan: each row's y, slope and skipped q; per
-sweep: every field of the result and a hash of its CSV and SVG text), or
-the class and message of the raised error.  The two streams are compared
-line by line.
+the ``float.hex`` of every returned value (so signed zeros count), sigma,
+the model tag and the class name of every dataclass value (per row node:
+the value, or the class and message of the node's QplasmaError; per scan:
+each row's y, slope and skipped q; per sweep: every field of the result and
+a hash of its CSV and SVG text), or the class and message of the raised
+error.  The two streams are compared line by line.
 
 Two kinds of difference are expected and counted per function, with one
 example each: an OverflowError or ZeroDivisionError of the old tree that the
@@ -273,7 +273,9 @@ def draws(seed: int, n: int, table):
 
 
 def flatten(value) -> list:
-    """Every number, flag and tag of a returned value, in a fixed order."""
+    """Every number, flag and tag of a returned value, in a fixed order; a
+    dataclass value leads with its class name, so a result type swapped for
+    a tuple-like one does not flatten the same."""
     if isinstance(value, (complex, float, int, bool, str)) or value is None:
         if isinstance(value, complex):
             return [value.real, value.imag]
@@ -283,7 +285,7 @@ def flatten(value) -> list:
     if isinstance(value, Exception):  # a row node's QplasmaError
         return [f"{type(value).__name__}: {value}"]
     if hasattr(value, "__dataclass_fields__"):
-        return [v for f in value.__dataclass_fields__ for v in flatten(getattr(value, f))]
+        return [type(value).__name__, *(v for f in value.__dataclass_fields__ for v in flatten(getattr(value, f)))]
     if hasattr(value, "value"):  # an enum member such as the model tag
         return [value.value]
     raise TypeError(f"cannot flatten {type(value).__name__}")

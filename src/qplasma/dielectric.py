@@ -44,6 +44,7 @@ from .errors import (
     DegenerateQ,
     DenominatorVanishes,
     DivisionByZeroFrequency,
+    NonFiniteResult,
     QplasmaError,
     StaticDenominatorVanishes,
 )
@@ -98,6 +99,10 @@ class DimensionlessPointA:
     q: float
     xp: float
 
+    # No explicit __init__ as in DimensionlessPointB: fields written into the
+    # instance dict read slower, and a point is read ~20 times per pointwise
+    # evaluation, which cancelled the faster construction.
+
     def __post_init__(self) -> None:
         if self.y < 0.0:
             raise ValueError(f"y must be >= 0, got {self.y}")
@@ -122,6 +127,13 @@ class DimensionlessPointB:
     y: float
     q: float
     xp2: float
+
+    def __init__(self, x: float, y: float, q: float, xp2: float) -> None:
+        # The generated frozen __init__ stores each field through
+        # object.__setattr__; a store into the instance dict costs a fraction.
+        d = self.__dict__
+        d["x"], d["y"], d["q"], d["xp2"] = x, y, q, xp2
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.y < 0.0:
@@ -152,6 +164,10 @@ class DielectricResult:
     epsilon: complex
     sigma: complex | None
     model: Model
+
+    def __init__(self, epsilon: complex, sigma: complex | None, model: Model) -> None:
+        d = self.__dict__  # as DimensionlessPointB.__init__
+        d["epsilon"], d["sigma"], d["model"] = epsilon, sigma, model
 
 
 def _bgk_denominator(z: complex) -> complex:
@@ -297,6 +313,8 @@ def _rows(setup, q0: str, x: float, ys, qs, xp: float) -> list[list[complex | Qp
                 out.append(node(q)[0])
             except QplasmaError as exc:
                 out.append(exc)
+            except OverflowError:  # an int q beyond double range, which a point rejects the same way
+                out.append(NonFiniteResult("an argument to a MODELS row is beyond double range"))
         rows.append(out)
     return rows
 

@@ -60,6 +60,14 @@ class KohnRoot:
     principal: bool
     residual: float
 
+    def __init__(self, q: complex, q_alt: complex, branch: tuple[int, int], degenerate: bool, physical: bool,
+                 principal: bool, residual: float) -> None:
+        # The generated frozen __init__ stores each field through
+        # object.__setattr__; a store into the instance dict costs a fraction.
+        d = self.__dict__
+        d["q"], d["q_alt"], d["branch"], d["degenerate"] = q, q_alt, branch, degenerate
+        d["physical"], d["principal"], d["residual"] = physical, principal, residual
+
     @property
     def branch_label(self) -> str:
         s1, s2 = self.branch
@@ -72,6 +80,10 @@ class KohnRootSet:
 
     x: float
     roots: tuple[KohnRoot, KohnRoot, KohnRoot, KohnRoot]
+
+    def __init__(self, x: float, roots: tuple[KohnRoot, KohnRoot, KohnRoot, KohnRoot]) -> None:
+        d = self.__dict__  # as KohnRoot.__init__: cheaper than object.__setattr__ per field
+        d["x"], d["roots"] = x, roots
 
     def physical_roots(self) -> tuple[complex, ...]:
         return tuple(r.q for r in self.roots if r.physical)
@@ -89,26 +101,28 @@ def kohn_roots_dimless(x: float) -> KohnRootSet:
     if not (cmath.isfinite(sp) and cmath.isfinite(sm)):
         raise NonFiniteResult(f"the Kohn roots at x={x!r} overflow")
 
-    # (branch, selected root, other root, principal selection)
-    picks = [
-        ((-1, -1), 1.0 + sp, 1.0 - sp, True),
-        ((-1, +1), 1.0 + sm, 1.0 - sm, True),
-        ((+1, -1), -1.0 - sp, -1.0 + sp, True),
-        ((+1, +1), -1.0 - sm, -1.0 + sm, True),
-    ]
+    # Each branch (s1, s2): its selected root, the other root and the residual
+    # q*q + 2*s1*q + 2*s2*x, with the sign pair written as the constants +-2.0.
+    q1, a1 = 1.0 + sp, 1.0 - sp
+    q2, a2, principal2 = 1.0 + sm, 1.0 - sm, True
+    q3, a3 = -1.0 - sp, -1.0 + sp
+    q4, a4 = -1.0 - sm, -1.0 + sm
     if x == 0.0:
         # The (-,+) principal root duplicates the (-,-) one; surface the
         # degenerate q = 0 root of that equation instead.
-        picks[1] = ((-1, +1), 1.0 - sm, 1.0 + sm, False)
-
-    values = [q for (_, q, _, _) in picks]
-    roots = []
-    for branch, q, alt, principal in picks:
-        s1, s2 = branch
-        degenerate = q == 0.0 or values.count(q) > 1
-        residual = abs(q * q + 2.0 * s1 * q + 2.0 * s2 * x)
-        roots.append(KohnRoot(q, alt, branch, degenerate, q.imag == 0.0 and q.real > 0.0, principal, residual))
-    return KohnRootSet(x=x, roots=tuple(roots))
+        q2, a2, principal2 = a2, q2, False
+    # For |x| below ~1e-16, 1 +- 2x rounds to 1: the roots coincide in pairs, all degenerate.
+    values = (q1, q2, q3, q4)
+    return KohnRootSet(x, (
+        KohnRoot(q1, a1, (-1, -1), q1 == 0.0 or values.count(q1) > 1, q1.imag == 0.0 and q1.real > 0.0, True,
+                 abs(q1 * q1 + -2.0 * q1 + -2.0 * x)),
+        KohnRoot(q2, a2, (-1, +1), q2 == 0.0 or values.count(q2) > 1, q2.imag == 0.0 and q2.real > 0.0, principal2,
+                 abs(q2 * q2 + -2.0 * q2 + 2.0 * x)),
+        KohnRoot(q3, a3, (+1, -1), q3 == 0.0 or values.count(q3) > 1, q3.imag == 0.0 and q3.real > 0.0, True,
+                 abs(q3 * q3 + 2.0 * q3 + -2.0 * x)),
+        KohnRoot(q4, a4, (+1, +1), q4 == 0.0 or values.count(q4) > 1, q4.imag == 0.0 and q4.real > 0.0, True,
+                 abs(q4 * q4 + 2.0 * q4 + 2.0 * x)),
+    ))
 
 
 def kohn_wavenumbers_physical(omega: float, kF: float, vF: float) -> tuple[complex, complex, complex, complex]:
@@ -175,6 +189,7 @@ def singularity_broadening_scan(
     if not isinstance(n_points, numbers.Integral) or n_points < 3:
         raise ValueError(f"n_points must be an integer >= 3, got {n_points!r}")
     what = "singularity_broadening_scan"
+    _number(n_points, what)  # a count beyond double range cannot space the grid
     q_lo, q_hi = _number(q_window[0], what), _number(q_window[1], what)
     if not q_hi > q_lo:
         raise ValueError("q_window must satisfy q_min < q_max")

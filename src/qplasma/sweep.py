@@ -71,6 +71,7 @@ class SweepConfig:
             raise ConfigError(f"q_steps must be an integer, got {self.q_steps!r}")
         if self.q_steps < 2:
             raise ConfigError(f"q range needs at least 2 steps, got {self.q_steps}")
+        _number(self.q_steps, "SweepConfig", error=ConfigError)  # a count beyond double range cannot space the grid
         if not self.q_max > self.q_min:
             raise ConfigError("q range needs q_min < q_max")
         if not self.y:

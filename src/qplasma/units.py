@@ -97,6 +97,15 @@ class PhysicalParams:
     N: float | None = None
     hbar_over_m: float = HBAR / M_E
 
+    def __init__(self, omega: float, nu: float, k: float, vF: float, kF: float, omega_p: float,
+                 N: float | None = None, hbar_over_m: float = HBAR / M_E) -> None:
+        # The generated frozen __init__ stores each field through
+        # object.__setattr__; a store into the instance dict costs a fraction.
+        d = self.__dict__
+        d["omega"], d["nu"], d["k"], d["vF"], d["kF"] = omega, nu, k, vF, kF
+        d["omega_p"], d["N"], d["hbar_over_m"] = omega_p, N, hbar_over_m
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         if int in (type(self.omega), type(self.nu), type(self.k), type(self.vF), type(self.kF), type(self.omega_p),
                    type(self.N), type(self.hbar_over_m)):  # int arithmetic can overflow where floats round

@@ -196,3 +196,74 @@ def test_broadening_scan_skips_nodes_near_a_branch_point_outside_the_window():
     assert rows[0].max_abs_deps_dq == 0.0
     with pytest.raises(WindowContainsPole):
         singularity_broadening_scan(0.0, 1.0, [0.0], (2 + 2e-10, 2 + 6e-10), 5, on_pole="raise")
+
+
+# (q, q_alt, degenerate, physical, principal, residual.hex()) of each root in
+# branch order (-,-), (-,+), (+,-), (+,+), as the list-and-loop form of
+# kohn_roots_dimless computed them; q and q_alt as repr, so signed zeros count.
+_EDGE_ROOTS = [
+    (0.0, [
+        ('(2+0j)', '0j', False, True, True, '0x0.0p+0'),
+        ('0j', '(2+0j)', True, False, False, '0x0.0p+0'),
+        ('(-2+0j)', '0j', True, False, True, '0x0.0p+0'),
+        ('(-2+0j)', '0j', True, False, True, '0x0.0p+0'),
+    ]),
+    (-0.0, [
+        ('(2+0j)', '0j', False, True, True, '0x0.0p+0'),
+        ('0j', '(2+0j)', True, False, False, '0x0.0p+0'),
+        ('(-2+0j)', '0j', True, False, True, '0x0.0p+0'),
+        ('(-2+0j)', '0j', True, False, True, '0x0.0p+0'),
+    ]),
+    # 1 +- 2x rounds to 1, so all four roots coincide with their partners
+    (5e-324, [
+        ('(2+0j)', '0j', True, True, True, '0x0.0000000000002p-1022'),
+        ('(2+0j)', '0j', True, True, True, '0x0.0000000000002p-1022'),
+        ('(-2+0j)', '0j', True, False, True, '0x0.0000000000002p-1022'),
+        ('(-2+0j)', '0j', True, False, True, '0x0.0000000000002p-1022'),
+    ]),
+    (1e-17, [
+        ('(2+0j)', '0j', True, True, True, '0x1.70ef54646d497p-56'),
+        ('(2+0j)', '0j', True, True, True, '0x1.70ef54646d497p-56'),
+        ('(-2+0j)', '0j', True, False, True, '0x1.70ef54646d497p-56'),
+        ('(-2+0j)', '0j', True, False, True, '0x1.70ef54646d497p-56'),
+    ]),
+    (0.5, [
+        ('(2.414213562373095+0j)', '(-0.41421356237309515+0j)', False, True, True, '0x0.0p+0'),
+        ('(1+0j)', '(1+0j)', False, True, True, '0x0.0p+0'),
+        ('(-2.414213562373095+0j)', '(0.41421356237309515+0j)', False, False, True, '0x0.0p+0'),
+        ('(-1+0j)', '(-1+0j)', False, False, True, '0x0.0p+0'),
+    ]),
+    (-0.5, [
+        ('(1+0j)', '(1+0j)', False, True, True, '0x0.0p+0'),
+        ('(2.414213562373095+0j)', '(-0.41421356237309515+0j)', False, True, True, '0x0.0p+0'),
+        ('(-1+0j)', '(-1+0j)', False, False, True, '0x0.0p+0'),
+        ('(-2.414213562373095+0j)', '(0.41421356237309515+0j)', False, False, True, '0x0.0p+0'),
+    ]),
+    (2.0, [
+        ('(3.23606797749979+0j)', '(-1.2360679774997898+0j)', False, True, True, '0x0.0p+0'),
+        ('(1+1.7320508075688772j)', '(1-1.7320508075688772j)', False, False, True, '0x1.0000000000000p-51'),
+        ('(-3.23606797749979+0j)', '(1.2360679774997898+0j)', False, False, True, '0x0.0p+0'),
+        ('(-1-1.7320508075688772j)', '(-1+1.7320508075688772j)', False, False, True, '0x1.0000000000000p-51'),
+    ]),
+    (-2.0, [
+        ('(1+1.7320508075688772j)', '(1-1.7320508075688772j)', False, False, True, '0x1.0000000000000p-51'),
+        ('(3.23606797749979+0j)', '(-1.2360679774997898+0j)', False, True, True, '0x0.0p+0'),
+        ('(-1-1.7320508075688772j)', '(-1+1.7320508075688772j)', False, False, True, '0x1.0000000000000p-51'),
+        ('(-3.23606797749979+0j)', '(1.2360679774997898+0j)', False, False, True, '0x0.0p+0'),
+    ]),
+    (1e300, [
+        ('(1.4142135623730951e+150+0j)', '(-1.4142135623730951e+150+0j)', False, True, True, '0x1.0000000000000p+945'),
+        ('(1+1.4142135623730951e+150j)', '(1-1.4142135623730951e+150j)', False, False, True, '0x1.0000000000000p+945'),
+        ('(-1.4142135623730951e+150+0j)', '(1.4142135623730951e+150+0j)', False, False, True, '0x1.0000000000000p+945'),
+        ('(-1-1.4142135623730951e+150j)', '(-1+1.4142135623730951e+150j)', False, False, True, '0x1.0000000000000p+945'),
+    ]),
+]
+
+
+@pytest.mark.parametrize("x, expected", _EDGE_ROOTS, ids=[repr(x) for x, _ in _EDGE_ROOTS])
+def test_roots_at_edge_x_are_pinned(x, expected):
+    roots = kohn_roots_dimless(x)
+    assert repr(roots.x) == repr(x)
+    assert [r.branch for r in roots.roots] == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    assert [(repr(r.q), repr(r.q_alt), r.degenerate, r.physical, r.principal, r.residual.hex())
+            for r in roots.roots] == expected

@@ -26,7 +26,7 @@ from qplasma.errors import ConfigError, NonFiniteResult, QplasmaError
 from qplasma.kernels import clog_ratio, g0_a, g0_b, g_a
 from qplasma.kohn import kohn_roots_dimless, kohn_wavenumbers_physical, singularity_broadening_scan
 from qplasma.quadrature import epsilon_from_quadrature, g0_quadrature
-from qplasma.sweep import SweepConfig
+from qplasma.sweep import SweepConfig, run_sweep
 from qplasma.units import HBAR, M_E, PhysicalParams, to_convention_a, to_convention_b
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -171,6 +171,20 @@ def test_int_beyond_double_range_raises_non_finite(call):
 @pytest.mark.parametrize("model", list(MODELS))
 def test_model_row_of_an_int_beyond_double_range_holds_non_finite_nodes(model):
     assert all(isinstance(v, NonFiniteResult) for v in MODELS[model](0.3, (0.0,), [1.0, 1.5], _HUGE_INT)[0])
+
+
+def test_count_beyond_double_range_raises_before_the_grid_is_built():
+    with pytest.raises(NonFiniteResult, match="beyond double range"):
+        singularity_broadening_scan(0.3, 1, [0.1], (1, 3), _HUGE_INT)
+    with pytest.raises(ConfigError, match="beyond double range"):
+        run_sweep(SweepConfig("bgk", 0.3, (0.1,), 1, 3, _HUGE_INT, 1.0, "o"), write=False)
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+def test_model_row_node_at_an_int_q_beyond_double_range_is_non_finite(model):
+    ok, huge = MODELS[model](0.3, (0.0 if model == "lindhard" else 0.1,), [1.0, _HUGE_INT], 1.0)[0]
+    assert isinstance(ok, complex)
+    assert isinstance(huge, NonFiniteResult) and "beyond double range" in str(huge)
 
 
 def test_int_fields_are_stored_as_floats():
