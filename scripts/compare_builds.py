@@ -13,13 +13,15 @@ against its last commit, ``--against HEAD~1`` a commit against its parent.
 
 Each tree is imported in its own subprocess (this script with ``--worker``),
 which evaluates every public kernel and model, the Kohn roots, the unit
-conversions, the broadening scan and, rarely, the quadrature oracle (the
-Fermi-sphere integral g0, the quadrature
-assembly, and ``oracle_scan`` of one to three points) on the same draw of
-arguments: +-0, subnormals, 1e-300 to 1e-170, 1e154 to the largest double,
-+-inf, nan, y = 0 and q on the branch points 2(1 +- x), mixed with ordinary
-values.  A scan has one to three rows on a short grid (3 to 49 nodes) of
-the windows the sweeps below use, in either ``on_pole`` mode.  It then
+conversions, the density helpers (``fermi_quantities``,
+``plasma_frequency`` and ``PhysicalParams.from_density``, flattened to the
+SI fields every revision has), the broadening scan and, rarely, the
+quadrature oracle (the Fermi-sphere integral g0, the quadrature assembly,
+and ``oracle_scan`` of one to three points) on the same draw of arguments:
++-0, subnormals, 1e-300 to 1e-170, 1e154 to the largest double, +-inf, nan,
+y = 0 and q on the branch points 2(1 +- x), mixed with ordinary values.
+A scan has one to three rows on a short grid (3 to 49 nodes) of the
+windows the sweeps below use, in either ``on_pole`` mode.  It then
 evaluates N // 30 rows (20000 for the default N = 600000) through the
 model table, ``sweep.MODELS[model](x, (y,), qs, xp)[0]``, every model in
 turn, on short q grids that hold q = +-0, the branch points 2(1 +- x) and
@@ -182,7 +184,7 @@ def _args(name: str, rng: random.Random) -> tuple:
     if name == "epsilon_classical_limit":
         return x, _nonneg(rng), _nonneg(rng)
     if name == "oracle_scan":
-        return rng.randint(1, 3), rng.randrange(2 ** 31), _nonneg(rng)
+        return rng.randint(1, 3), rng.randrange(2 ** 31)
     if name == "singularity_broadening_scan":
         return _scan_args(rng)
     if name == "kohn_roots_dimless":
@@ -191,12 +193,21 @@ def _args(name: str, rng: random.Random) -> tuple:
         return x, _nonneg(rng), _nonneg(rng)
     if name in ("to_convention_a", "to_convention_b"):
         return abs(x), _nonneg(rng), _nonneg(rng), _nonneg(rng), _nonneg(rng)
+    if name in ("fermi_quantities", "plasma_frequency"):
+        return (x,)
+    if name == "from_density":
+        return abs(x), _nonneg(rng), _nonneg(rng), _real(rng)
     # the (x, y, q, coupling) models and the quadrature assembly
     return x, _nonneg(rng), _q(rng, x), _nonneg(rng)
 
 
 def _physical(u, omega, nu, k, vF, omega_p):
     return u.PhysicalParams(omega, nu, k, vF, vF / (u.HBAR / u.M_E), omega_p)
+
+
+def _si_fields(p) -> tuple:
+    """The SI fields that PhysicalParams has in every revision."""
+    return p.omega, p.nu, p.k, p.vF, p.kF, p.omega_p, p.N
 
 
 def call_table():
@@ -231,6 +242,9 @@ def call_table():
                 x, xp, ys, (q_min, q_max), n, on_pole), 1),
         "to_convention_a": (lambda *a: u.to_convention_a(_physical(u, *a)), 10),
         "to_convention_b": (lambda *a: u.to_convention_b(_physical(u, *a)), 10),
+        "fermi_quantities": (u.fermi_quantities, 10),
+        "plasma_frequency": (u.plasma_frequency, 10),
+        "from_density": (lambda *a: _si_fields(u.PhysicalParams.from_density(*a)), 10),
         "epsilon_from_quadrature": (quad.epsilon_from_quadrature, 1),
         "g0_quadrature": (quad.g0_quadrature, 1),
         "oracle_scan": (quad.oracle_scan, 1),

@@ -321,14 +321,24 @@ def _rows(setup, q0: str, x: float, ys, qs, xp: float) -> list[list[complex | Qp
 
 def _mermin_rows(x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
     """_rows of the Mermin model.  Its x = 0 static route is the same for
-    every y, so that row is evaluated once and copied to each further y,
-    which is checked as the setup checks it."""
+    every y that converts and is not negative, so that row is evaluated once
+    and copied to each further such y; any other y gets its own _rows row
+    (or ValueError)."""
     if x != 0.0:
         return _rows(_mermin_setup, _Q0_POINT, x, ys, qs, xp)
-    rows = _rows(_mermin_setup, _Q0_POINT, x, ys[:1], qs, xp)
-    for y in ys[1:]:
-        _nonnegative("y", y)
-        rows.append(rows[0].copy())
+    rows: list[list[complex | QplasmaError]] = []
+    static = None
+    for y in ys:
+        try:
+            own = _number(y, "a MODELS row") < 0.0
+        except NonFiniteResult:
+            own = True
+        if own:
+            rows += _rows(_mermin_setup, _Q0_POINT, x, (y,), qs, xp)
+            continue
+        if static is None:
+            static = _rows(_mermin_setup, _Q0_POINT, x, (y,), qs, xp)[0]
+        rows.append(static.copy())
     return rows
 
 

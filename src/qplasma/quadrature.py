@@ -95,6 +95,7 @@ class QuadratureSpec:
 
 
 DEFAULT_SPEC = QuadratureSpec()
+_SCAN_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)  # oracle_scan's tighter budget
 
 # y and |x| + |q| within which the plain integrands neither overflow nor underflow to 0
 _PLAIN_MIN, _PLAIN_MAX = 2.0 ** -100, 2.0 ** 100
@@ -284,22 +285,16 @@ def epsilon_from_quadrature(
     return _require_finite(1.0 + coupling * n_quad / den, "epsilon_from_quadrature")
 
 
-def oracle_scan(
-    n_points: int = 200,
-    seed: int = 0,
-    xp: float = 1.0,
-    spec: QuadratureSpec | None = None,
-) -> tuple[float, tuple[float, float, float]]:
+def oracle_scan(n_points: int = 200, seed: int = 0) -> tuple[float, tuple[float, float, float]]:
     """Compare the closed-form permittivity against the quadrature assembly
-    on random points with x in [-2, 2], y in [1e-3, 10], q in [0.05, 5].
+    on random points with x in [-2, 2], y in [1e-3, 10], q in [0.05, 5] and
+    xp = 1, at the tolerances abs 1e-13, rel 1e-11.
 
     Returns (max relative error, worst point).  Used by ``qplasma verify``
     and the acceptance suite.
     """
     if not isinstance(n_points, numbers.Integral) or n_points < 1:
         raise ValueError(f"n_points must be an integer >= 1, got {n_points!r}")
-    if spec is None:
-        spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_pt = (0.0, 0.0, 0.0)
@@ -307,8 +302,8 @@ def oracle_scan(
         x = float(rng.uniform(-2.0, 2.0))
         y = float(rng.uniform(1e-3, 10.0))
         q = float(rng.uniform(0.05, 5.0))
-        closed = epsilon_collisional_a(DimensionlessPointA(x, y, q, xp)).epsilon
-        quad = epsilon_from_quadrature(x, y, q, xp, spec)
+        closed = epsilon_collisional_a(DimensionlessPointA(x, y, q, 1.0)).epsilon
+        quad = epsilon_from_quadrature(x, y, q, 1.0, _SCAN_SPEC)
         rel = abs(closed - quad) / abs(quad)
         if rel > worst:
             worst, worst_pt = rel, (x, y, q)

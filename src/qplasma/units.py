@@ -1,10 +1,12 @@
 """Conversions between SI physical parameters and the two dimensionless
 conventions, plus the derived Fermi-gas quantities.
 
-Inputs are SI.  The plasma frequency is the Gaussian-units definition
-omega_p = sqrt(4 pi e_g^2 N / m), evaluated in SI as sqrt(e^2 N / (eps0 m))
-(same number; e_g^2 = e^2/(4 pi eps0)).  Note that the bare combination
-4 pi e^2 N / m is dimensionally omega_p^2 -- the square root is essential.
+The SI layer describes the electron gas the paper treats: hbar and the
+carrier mass are the CODATA values HBAR and M_E, not inputs.  The plasma
+frequency is the Gaussian-units definition omega_p = sqrt(4 pi e_g^2 N / m),
+evaluated in SI as sqrt(e^2 N / (eps0 m)) (same number;
+e_g^2 = e^2/(4 pi eps0)).  Note that the bare combination 4 pi e^2 N / m is
+dimensionally omega_p^2 -- the square root is essential.
 
 Convention A scales frequencies by k*v_F, convention B by k_F*v_F, so that
 x_B = x_A * q etc.  The B-coupling is stored as the square,
@@ -15,16 +17,23 @@ dimensionless.
 The degenerate-gas relation k_F = m v_F / hbar links the field values;
 construction checks it (and the optional density) to 1e-6 relative and
 refuses inconsistent inputs rather than silently preferring one.
+
+One density rule: every density goes through ``fermi_quantities`` and
+``plasma_frequency``.  A finite N <= 0 raises ValueError; nan, +-inf, an
+int beyond double range, and a density whose 3 pi^2 N, e^2 N or omega_p^2
+leaves the normal double range (so that a Fermi quantity or omega_p would
+be inf, 0 or short of digits) raise NonFiniteResult.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .dielectric import DimensionlessPointA, DimensionlessPointB
 from .errors import InconsistentParameters, NonFiniteResult, ZeroWavenumber
-from .kernels import _divisor, _floats, _square
+from .kernels import _divisor, _floats, _number, _square
 
 __all__ = [
     "HBAR",
@@ -47,7 +56,9 @@ M_E = 9.1093837139e-31  # kg
 E_CHARGE = 1.602176634e-19  # C
 EPS0 = 8.8541878188e-12  # F/m
 
+_HBAR_OVER_ME = HBAR / M_E  # m^2/s
 _REL_TOL = 1e-6
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -59,33 +70,50 @@ class FermiQuantities:
     EF: float
 
 
-def fermi_quantities(N: float, m: float = M_E, hbar: float = HBAR) -> FermiQuantities:
-    """Fermi-surface quantities of a fully degenerate gas of density N:
-    kF = (3 pi^2 N)^(1/3), vF = hbar kF / m, EF = m vF^2 / 2."""
+def _density(N: float, what: str) -> float:
+    """N as a float; nan, +-inf or an int beyond double range raises
+    NonFiniteResult, a finite N <= 0 ValueError."""
+    N = _number(N, what)
+    if not abs(N) < _INF:
+        raise NonFiniteResult(f"{what} needs a finite density, got {N!r}")
     if N <= 0.0:
         raise ValueError(f"density must be positive, got {N}")
-    kF = (3.0 * math.pi ** 2 * N) ** (1.0 / 3.0)
-    vF = hbar * kF / m
-    return FermiQuantities(kF=kF, vF=vF, EF=0.5 * m * vF * vF)
+    return N
 
 
-def plasma_frequency(N: float, m: float = M_E) -> float:
+def _normal(v: float, what: str) -> float:
+    """v, if it lies in the normal double range; NonFiniteResult otherwise."""
+    if not sys.float_info.min <= v < _INF:
+        raise NonFiniteResult(f"{what} = {v!r} leaves the normal double range")
+    return v
+
+
+def fermi_quantities(N: float) -> FermiQuantities:
+    """Fermi-surface quantities of a fully degenerate electron gas of
+    density N: kF = (3 pi^2 N)^(1/3), vF = hbar kF / m, EF = m vF^2 / 2.
+    Where 3 pi^2 N is normal, so are kF, vF and EF."""
+    kF = _normal(3.0 * math.pi ** 2 * _density(N, "fermi_quantities"), "3 pi^2 N") ** (1.0 / 3.0)
+    vF = HBAR * kF / M_E
+    return FermiQuantities(kF=kF, vF=vF, EF=0.5 * M_E * vF * vF)
+
+
+def plasma_frequency(N: float) -> float:
     """omega_p = sqrt(e^2 N / (eps0 m))  (Gaussian sqrt(4 pi e_g^2 N / m))."""
-    if N <= 0.0:
-        raise ValueError(f"density must be positive, got {N}")
-    return math.sqrt(E_CHARGE ** 2 * N / (EPS0 * m))
+    e2N = _normal(E_CHARGE ** 2 * _density(N, "plasma_frequency"), "e^2 N")
+    return math.sqrt(_normal(e2N / (EPS0 * M_E), "omega_p^2"))
 
 
 @dataclass(frozen=True)
 class PhysicalParams:
     """Dimensional inputs in SI: omega, nu (rad/s, 1/s), k, kF (1/m),
-    vF (m/s), omega_p (rad/s), optional density N (1/m^3) and the hbar/m
-    ratio (m^2/s, electron by default).
+    vF (m/s), omega_p (rad/s) and an optional density N (1/m^3).
 
     omega and nu may be zero; everything else must be positive.  kF must
     equal vF/(hbar/m) -- the dimensionless reduction assumes it -- and a
     supplied N must reproduce both kF and omega_p, all to 1e-6 relative.
-    Int fields are stored as floats (beyond double range: NonFiniteResult).
+    Int fields are stored as floats (beyond double range: NonFiniteResult);
+    a nan or infinite field, or a vF/(hbar/m) that overflows, raises
+    NonFiniteResult after the sign and consistency checks.
     """
 
     omega: float
@@ -95,20 +123,18 @@ class PhysicalParams:
     kF: float
     omega_p: float
     N: float | None = None
-    hbar_over_m: float = HBAR / M_E
 
     def __init__(self, omega: float, nu: float, k: float, vF: float, kF: float, omega_p: float,
-                 N: float | None = None, hbar_over_m: float = HBAR / M_E) -> None:
+                 N: float | None = None) -> None:
         # The generated frozen __init__ stores each field through
         # object.__setattr__; a store into the instance dict costs a fraction.
         d = self.__dict__
-        d["omega"], d["nu"], d["k"], d["vF"], d["kF"] = omega, nu, k, vF, kF
-        d["omega_p"], d["N"], d["hbar_over_m"] = omega_p, N, hbar_over_m
+        d["omega"], d["nu"], d["k"], d["vF"], d["kF"], d["omega_p"], d["N"] = omega, nu, k, vF, kF, omega_p, N
         self.__post_init__()
 
     def __post_init__(self) -> None:
         if int in (type(self.omega), type(self.nu), type(self.k), type(self.vF), type(self.kF), type(self.omega_p),
-                   type(self.N), type(self.hbar_over_m)):  # int arithmetic can overflow where floats round
+                   type(self.N)):  # int arithmetic can overflow where floats round
             _floats(self, "PhysicalParams")
         if self.omega < 0.0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
@@ -116,45 +142,35 @@ class PhysicalParams:
             raise ValueError(f"nu must be >= 0, got {self.nu}")
         if self.k <= 0.0:
             raise ZeroWavenumber(f"k must be positive, got {self.k}")
-        for name in ("vF", "kF", "omega_p", "hbar_over_m"):
+        for name in ("vF", "kF", "omega_p"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        kF_expected = self.vF / self.hbar_over_m
+        kF_expected = self.vF / _HBAR_OVER_ME
         if abs(self.kF - kF_expected) > _REL_TOL * kF_expected:
             raise InconsistentParameters(
                 f"kF={self.kF:g} inconsistent with vF/(hbar/m)={kF_expected:g}"
             )
         if self.N is not None:
-            if self.N <= 0.0:
-                raise ValueError(f"N must be positive, got {self.N}")
-            kF_n = (3.0 * math.pi ** 2 * self.N) ** (1.0 / 3.0)
+            kF_n = fermi_quantities(self.N).kF
             if abs(self.kF - kF_n) > _REL_TOL * kF_n:
                 raise InconsistentParameters(
                     f"kF={self.kF:g} inconsistent with (3 pi^2 N)^(1/3)={kF_n:g}"
                 )
-            m_eff = HBAR / self.hbar_over_m
-            wp_n = plasma_frequency(self.N, m_eff)
+            wp_n = plasma_frequency(self.N)
             if abs(self.omega_p - wp_n) > _REL_TOL * wp_n:
                 raise InconsistentParameters(
                     f"omega_p={self.omega_p:g} inconsistent with density value {wp_n:g}"
                 )
+        # every field is >= 0 or nan here, so one comparison each finds nan and inf
+        if not (self.omega < _INF and self.nu < _INF and self.k < _INF and self.kF < _INF
+                and self.omega_p < _INF and kF_expected < _INF):
+            raise NonFiniteResult(f"a field or vF/(hbar/m) is not finite: {self!r}")
 
     @classmethod
-    def from_density(
-        cls,
-        omega: float,
-        nu: float,
-        k: float,
-        N: float,
-        m: float = M_E,
-        hbar: float = HBAR,
-    ) -> "PhysicalParams":
+    def from_density(cls, omega: float, nu: float, k: float, N: float) -> "PhysicalParams":
         """Derive kF, vF and omega_p from the density."""
-        fq = fermi_quantities(N, m, hbar)
-        return cls(
-            omega=omega, nu=nu, k=k, vF=fq.vF, kF=fq.kF,
-            omega_p=plasma_frequency(N, m), N=N, hbar_over_m=hbar / m,
-        )
+        fq = fermi_quantities(N)
+        return cls(omega=omega, nu=nu, k=k, vF=fq.vF, kF=fq.kF, omega_p=plasma_frequency(N), N=N)
 
 
 def _finite(pt, scale: float, what: str):
@@ -185,9 +201,7 @@ def to_convention_b(p: PhysicalParams) -> DimensionlessPointB:
     ), s, "kF*vF")
 
 
-def from_convention_a(
-    pt: DimensionlessPointA, kF: float, vF: float, hbar_over_m: float = HBAR / M_E
-) -> PhysicalParams:
+def from_convention_a(pt: DimensionlessPointA, kF: float, vF: float) -> PhysicalParams:
     """Invert to_convention_a given the (kF, vF) anchors."""
     if kF <= 0.0 or vF <= 0.0:
         raise ValueError("kF and vF must be positive")
@@ -195,7 +209,4 @@ def from_convention_a(
     if k <= 0.0:
         raise ZeroWavenumber("q must be positive to reconstruct k")
     s = k * vF
-    return PhysicalParams(
-        omega=pt.x * s, nu=pt.y * s, k=k, vF=vF, kF=kF,
-        omega_p=pt.xp * s, hbar_over_m=hbar_over_m,
-    )
+    return PhysicalParams(omega=pt.x * s, nu=pt.y * s, k=k, vF=vF, kF=kF, omega_p=pt.xp * s)

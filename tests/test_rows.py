@@ -371,7 +371,7 @@ def test_mermin_rows_match_their_rows_one_by_one(seed):
     rng = random.Random(seed)
     for _ in range(400):
         x = rng.choice((0.0, -0.0, 0.5, rng.uniform(-2.0, 2.0)))
-        ys = rng.sample((0.0, -0.0, 0.01, 0.5, 3.0, math.inf, math.nan), rng.randint(1, 4))
+        ys = rng.sample((0.0, -0.0, 0.01, 0.5, 3.0, math.inf, math.nan, 10 ** 400, -10 ** 400), rng.randint(1, 4))
         xp = rng.choice((1.0, 0.0, 1e200))
         qs = _adversarial_qs(rng, list(branch_points_q(x)))
         rows = _mermin_rows(x, ys, qs, xp)

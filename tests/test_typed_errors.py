@@ -27,7 +27,15 @@ from qplasma.kernels import clog_ratio, g0_a, g0_b, g_a
 from qplasma.kohn import kohn_roots_dimless, kohn_wavenumbers_physical, singularity_broadening_scan
 from qplasma.quadrature import epsilon_from_quadrature, g0_quadrature
 from qplasma.sweep import SweepConfig, run_sweep
-from qplasma.units import HBAR, M_E, PhysicalParams, to_convention_a, to_convention_b
+from qplasma.units import (
+    HBAR,
+    M_E,
+    PhysicalParams,
+    fermi_quantities,
+    plasma_frequency,
+    to_convention_a,
+    to_convention_b,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -123,6 +131,16 @@ _INT_XP = 10 ** 200
     lambda: epsilon_lindhard(0.3, 1.0, _INT_XP),
     lambda: epsilon_classical_limit(0.3 + 0.1j, _INT_XP),
     lambda: epsilon_from_quadrature(0.3, 0.1, 1.0, _INT_XP),
+    lambda: fermi_quantities(math.nan),
+    lambda: fermi_quantities(math.inf),
+    lambda: fermi_quantities(-math.inf),
+    lambda: fermi_quantities(1e308),
+    lambda: fermi_quantities(5e-324),
+    lambda: plasma_frequency(5e-324),
+    lambda: plasma_frequency(1e-300),
+    lambda: PhysicalParams(1.0, 0.0, 1.0, 1.0, 1.0 / (HBAR / M_E), 1.0, N=math.nan),
+    lambda: PhysicalParams.from_density(1.0, 0.0, math.inf, 1e28),
+    lambda: PhysicalParams(1.0, 0.0, 1.0, 1e305, 1.0, 1.0),  # vF/(hbar/m) overflows, so no kF matches it
 ], ids=[
     "bgk", "mermin", "mermin-y0", "mermin-x0", "lindhard", "static-mermin",
     "static-collisional", "classical", "bgk-b-q2-overflow", "bgk-b-q2-underflow",
@@ -131,6 +149,9 @@ _INT_XP = 10 ** 200
     "units-a-x-overflow", "units-b-x-overflow", "units-a-nan-omega", "quadrature-nan-xp",
     "quadrature-inf-x", "quadrature-result-overflow", "units-a-scale-inf", "units-b-scale-inf",
     "bgk-int-xp", "mermin-int-xp", "mermin-x0-int-xp", "lindhard-int-xp", "classical-int-xp", "quadrature-int-xp",
+    "fermi-nan", "fermi-inf", "fermi-minus-inf", "fermi-kf-overflow", "fermi-3pi2n-subnormal", "plasma-e2n-underflow",
+    "plasma-e2n-subnormal", "units-nan-density", "units-from-density-inf-k",
+    "units-kf-expected-overflow",
 ])
 def test_squares_and_scales_that_leave_double_range_raise_non_finite(call):
     with pytest.raises(NonFiniteResult):
@@ -158,10 +179,12 @@ def test_squares_and_scales_that_leave_double_range_raise_non_finite(call):
     lambda: epsilon_from_quadrature(0.3, 0.1, 1, _HUGE_INT),
     lambda: g0_quadrature(0.3, _HUGE_INT),
     lambda: PhysicalParams(1, 0, 1, _HUGE_INT, _HUGE_INT, 1),
+    lambda: fermi_quantities(_HUGE_INT),
 ], ids=[
     "bgk-x", "bgk-q", "bgk-b-xp2", "mermin-y", "lindhard-x", "static-collisional-y", "static-mermin-w",
     "classical-z", "clog-ratio", "g0-a", "g-a-q", "g0-b-q", "kohn-roots", "kohn-physical-omega",
     "kohn-physical-kf", "scan-x", "quadrature-x", "quadrature-xp", "g0-quadrature-y", "units-vf",
+    "fermi",
 ])
 def test_int_beyond_double_range_raises_non_finite(call):
     with pytest.raises(NonFiniteResult, match="beyond double range"):
