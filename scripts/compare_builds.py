@@ -44,10 +44,12 @@ example each: an OverflowError or ZeroDivisionError of the old tree that the
 new tree raises as NonFiniteResult, and a call with a non-finite argument or
 result in the old tree that the new tree rejects with NonFiniteResult.
 Changed error-message texts are counted the same way.  Any other difference
-is printed and the exit status is 1.  The summary also lists both trees'
-per-module and total line counts of ``qplasma``: all lines, as ``wc -l``
-counts them, and code lines, without blank lines, comment lines and
-docstrings.
+is unexpected: the first 20 are printed, all of them are counted per
+function and (old outcome -> new outcome), an outcome being "value" or the
+class of the raised error, and the exit status is 1.  The summary also lists
+both trees' per-module and total line counts of ``qplasma``: all lines, as
+``wc -l`` counts them, and code lines, without blank lines, comment lines
+and docstrings.
 """
 
 from __future__ import annotations
@@ -313,6 +315,11 @@ def _non_finite(tokens: str) -> bool:
     return any(t.lstrip("-") in ("inf", "nan") for t in tokens.split())
 
 
+def _outcome_class(result: str) -> str:
+    """"value" for a returned value, else the class name of the raised error."""
+    return "value" if result.startswith("=") else result[2:].split(":", 1)[0]
+
+
 def outcome(fn, args) -> str:
     try:
         value = fn(*args)
@@ -379,7 +386,7 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
         if header.strip() != f"# {(src / 'qplasma').resolve()}":
             print(f"worker imported the wrong tree: {header.strip()} (wanted {src})")
             bad += 1
-    calls, expected, rejected, messages, examples = Counter(), Counter(), Counter(), Counter(), {}
+    calls, expected, rejected, messages, unexpected, examples = Counter(), Counter(), Counter(), Counter(), Counter(), {}
     for line_old, line_new in zip(old, new):
         name, args, res_old = line_old.rstrip("\n").split("\t", 2)
         *call_new, res_new = line_new.rstrip("\n").split("\t", 2)
@@ -403,6 +410,7 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
             examples.setdefault(key, (res_old[2:], res_new[2:]))
             continue
         bad += 1
+        unexpected[name, _outcome_class(res_old), _outcome_class(res_new)] += 1
         if bad <= 20:
             print(f"{verdict}: {name}({args})\n  old {res_old}\n  new {res_new}")
     for p in procs:
@@ -423,6 +431,10 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
         was, now = examples[key]
         print(f"  {key[0]}: {count} x non-finite {key[1]} now raises {EXPECTED_NEW}, e.g.\n"
               f"    old: {was}\n    new: {now}")
+    if unexpected:
+        print("unexpected differences per function, old outcome -> new outcome:")
+        for (name, was, now), count in sorted(unexpected.items()):
+            print(f"  {name}: {count} x {was} -> {now}")
     _print_line_counts(old_src, new_src)
     print(f"{bad} unexpected difference(s)" if bad else "no unexpected difference")
     return 1 if bad else 0

@@ -19,7 +19,7 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines
+# submodule -> the public names it exports (its __all__)
 _MODULES = {
     "dielectric": """DielectricResult DimensionlessPointA DimensionlessPointB Model branch_points_q
         epsilon_classical_limit epsilon_collisional_a epsilon_collisional_b epsilon_lindhard epsilon_mermin

@@ -128,7 +128,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.y < 0.0 or args.xp < 0.0:
         print("error: y and xp must be >= 0", file=sys.stderr)
         return 2
-    from .dielectric import MODELS
+    from .kernels import MODELS
 
     values = {}
     for name, row in MODELS.items():
@@ -167,7 +167,7 @@ def _fmt_root(value: complex) -> str:
 
 
 def _cmd_kohn(args: argparse.Namespace) -> int:
-    from .kohn import kohn_roots_dimless, kohn_wavenumbers_physical
+    from .kernels import _branch_label, _kohn_roots, kohn_wavenumbers_physical
 
     physical = args.omega is not None or args.kf is not None or args.vf is not None
     if physical:
@@ -190,18 +190,18 @@ def _cmd_kohn(args: argparse.Namespace) -> int:
     if args.x is None:
         print("error: give either --x or the physical triple --omega --kf --vf", file=sys.stderr)
         return 2
-    root_set = kohn_roots_dimless(args.x)
+    _, roots = _kohn_roots(args.x)  # the KohnRoot fields as plain tuples
     print(f"Kohn singularities at x = {args.x:g}  (q^2 +- 2q +- 2x = 0)")
     print(f"{'branch':<8} {'q':>28} {'flags':<32} {'residual':>10}")
-    for r in root_set.roots:
+    for q, _, branch, degenerate, physical, principal, residual in roots:
         flags = []
-        if r.degenerate:
+        if degenerate:
             flags.append("degenerate")
-        if not r.physical:
+        if not physical:
             flags.append("non-physical")
-        if not r.principal:
+        if not principal:
             flags.append("alt-root")
-        print(f"{r.branch_label:<8} {_fmt_root(r.q):>28} {','.join(flags) or '-':<32} {r.residual:>10.2e}")
+        print(f"{_branch_label(branch):<8} {_fmt_root(q):>28} {','.join(flags) or '-':<32} {residual:>10.2e}")
     return 0
 
 

@@ -31,24 +31,25 @@ and makes the omega -> 0 limit of the collisional model continuous.
 
 Conjugation symmetry eps(-x, y, q) = conj(eps(x, y, q)) holds for every
 model, so all of them are real at x = 0.  All routines are pure functions.
+
+Each formula is written once, in :mod:`qplasma.kernels`, as a per-row setup
+and a per-q node on plain values; this module holds the typed layer over
+them: the frozen points, the DielectricResult and its Model tag, and the
+scalar epsilon_* and sigma_longitudinal.  The row table ``MODELS``,
+``_mermin_rows`` and ``branch_points_q`` are defined in kernels and
+re-bound here.
 """
 
 from __future__ import annotations
 
 import enum
-from cmath import isfinite
 from dataclasses import dataclass
-from functools import partial
 
-from .errors import (
-    DegenerateQ,
-    DenominatorVanishes,
-    DivisionByZeroFrequency,
-    NonFiniteResult,
-    QplasmaError,
-    StaticDenominatorVanishes,
+from .errors import DegenerateQ, DivisionByZeroFrequency
+from .kernels import (  # MODELS, _mermin_rows and branch_points_q are re-bound here
+    _Q0_KERNEL, _Q0_POINT, MODELS, _bgk_denominator, _bgk_setup, _divisor, _floats, _lindhard_setup, _mermin_rows,
+    _mermin_setup, _nonnegative, _number, _numerator, _require_finite, _sigma, _square, branch_points_q, clog_ratio,
 )
-from .kernels import _as_upper_half, _divisor, _floats, _number, _numerator, _require_finite, _square, clog_ratio, g0_a
 
 __all__ = [
     "Model",
@@ -66,17 +67,6 @@ __all__ = [
     "branch_points_q",
     "MODELS",
 ]
-
-_DENOMINATOR_FLOOR = 1e-30
-# DegenerateQ texts of a q = 0 node: the points reject it, Lindhard's g_a does
-_Q0_POINT = "q = 0: use epsilon_classical_limit"
-_Q0_KERNEL = "g_a needs q != 0"
-
-
-def _nonnegative(name: str, v: float) -> None:
-    if v < 0.0:
-        raise ValueError(f"{name} must be >= 0, got {v}")
-
 
 class Model(enum.Enum):
     """Which closed form produced a DielectricResult."""
@@ -170,186 +160,10 @@ class DielectricResult:
         d["epsilon"], d["sigma"], d["model"] = epsilon, sigma, model
 
 
-def _bgk_denominator(z: complex) -> complex:
-    """1 - g0(z), the BGK denominator; raises DenominatorVanishes near 0."""
-    den = 1.0 - g0_a(z)
-    if abs(den) < _DENOMINATOR_FLOOR:
-        raise DenominatorVanishes(f"|1 - g0({z!r})| < {_DENOMINATOR_FLOOR}")
-    return den
-
-
 def _collisional_ratio(z: complex, q: float) -> complex:
     """N(z,q) / (1 - g0(z)), the kernel ratio shared by eps and sigma."""
     den = _bgk_denominator(z)
     return _numerator(z, q) / den
-
-
-def _sigma(x: float, y: float) -> complex:
-    """The factor that turns the kernel ratio into the dimensionless
-    conductivity: -(3i/2) x y (sigma_l/sigma_0) for y > 0, and the
-    collisionless normalisation -(3i/2) x at y = 0."""
-    return -1.5j * (x if y == 0.0 else x * y)
-
-
-def _static_numerator(q: float) -> complex:
-    """N0(q) = 1 - g(0+,q) + g(0-,q); real (the -i*pi parts cancel exactly)."""
-    n0 = _numerator(0.0j, q)
-    if abs(n0) < _DENOMINATOR_FLOOR:
-        raise StaticDenominatorVanishes(f"static combination vanished at q={q}")
-    return n0
-
-
-# Each model is a setup and a node.  setup(x, y, xp) checks y and xp (a
-# ValueError), computes what is constant along a row of q at fixed x, y, xp,
-# raises the errors that precede all q-dependent work, and returns
-# node(q) -> (eps, sigma), which does the rest in the scalar formula's order.
-# The scalar epsilon_* call both for one q; _rows calls setup once per row
-# and node per q.  A square of xp that overflows is deferred (_coupling): the
-# formulas square xp after N, so N's errors win.
-
-
-def _coupling(xp: float) -> float | None:
-    """1.5 xp^2, or None if it overflows: a node then computes it where the
-    scalar formula does, which raises the same error."""
-    try:
-        return 1.5 * xp ** 2
-    except OverflowError:
-        return None
-
-
-def _bgk_setup(x: float, y: float, xp: float):
-    _nonnegative("y", y)
-    _nonnegative("xp", xp)
-    z = complex(x, y)
-    den, c, s = _bgk_denominator(z), _coupling(xp), _sigma(x, y)
-
-    def node(q: float) -> tuple[complex, complex]:
-        ratio = _numerator(z, q) / den
-        cc = c if c is not None else 1.5 * _square(xp, "xp")
-        eps, sigma = 1.0 + cc * ratio, s * ratio
-        if isfinite(eps) and isfinite(sigma):
-            return eps, sigma
-        return _require_finite(eps, "epsilon_collisional_a"), _require_finite(sigma, "sigma")
-
-    return node
-
-
-def _lindhard_form(z: complex, xp: float, s: complex | None, what: str):
-    """The node eps = 1 + (3/2) xp^2 N(z, q), with sigma = s N unless s is None."""
-    c = _coupling(xp)
-
-    def node(q: float) -> tuple[complex, complex | None]:
-        n = _numerator(z, q)
-        cc = c if c is not None else 1.5 * _square(xp, "xp")
-        eps = 1.0 + cc * n
-        if not isfinite(eps):
-            _require_finite(eps, what)
-        return eps, None if s is None else s * n
-
-    return node
-
-
-def _lindhard_setup(x: float, y: float, xp: float):
-    """y is ignored; z = x is checked as g_a checks it, after q = 0."""
-    _nonnegative("xp", xp)
-    x, xp = _number(x, "epsilon_lindhard"), _number(xp, "epsilon_lindhard")
-    return _lindhard_form(_as_upper_half(complex(x, 0.0), "g_a"), xp, _sigma(x, 0.0), "epsilon_lindhard")
-
-
-def _mermin_setup(x: float, y: float, xp: float):
-    """x = 0 is the static route, independent of y, which squares xp in its
-    setup, before N0; y = 0 is the Lindhard form; otherwise the full form.
-    The last two check z as g_a does."""
-    _nonnegative("y", y)
-    _nonnegative("xp", xp)
-    if x == 0.0:
-        c = 1.5 * _square(xp, "xp")
-
-        def static(q: float) -> tuple[complex, None]:
-            eps = 1.0 + c * _static_numerator(q)
-            if not isfinite(eps):
-                _require_finite(eps, "epsilon_mermin")
-            return eps, None
-
-        return static
-    z = _as_upper_half(complex(x, y), "g_a")
-    if y == 0.0:
-        return _lindhard_form(z, xp, None, "epsilon_mermin")
-    iy, c = 1j * y, _coupling(xp)
-
-    def node(q: float) -> tuple[complex, None]:
-        n = _numerator(z, q)
-        n0 = _static_numerator(q)
-        den = x + iy * n / n0
-        if abs(den) < _DENOMINATOR_FLOOR:
-            raise DenominatorVanishes(f"Mermin denominator vanished at {DimensionlessPointA(x, y, q, xp)!r}")
-        cc = c if c is not None else 1.5 * _square(xp, "xp")
-        eps = 1.0 + cc * (z * n) / den
-        if not isfinite(eps):
-            _require_finite(eps, "epsilon_mermin")
-        return eps, None
-
-    return node
-
-
-def _rows(setup, q0: str, x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
-    """eps over qs at fixed x and xp, one row per y of ys, each node as the
-    scalar path gives it: its value, or the QplasmaError it raises --
-    DegenerateQ(q0) at q = 0, else an error of the setup, else the node's
-    own.  The setup's ValueError (y or xp < 0) is raised."""
-    rows: list[list[complex | QplasmaError]] = []
-    for y in ys:
-        try:
-            node = setup(*(_number(v, "a MODELS row") for v in (x, y, xp)))
-        except QplasmaError as exc:
-            rows.append([DegenerateQ(q0) if q == 0.0 else exc for q in qs])
-            continue
-        out: list[complex | QplasmaError] = []
-        for q in qs:
-            if q == 0.0:
-                out.append(DegenerateQ(q0))
-                continue
-            try:
-                out.append(node(q)[0])
-            except QplasmaError as exc:
-                out.append(exc)
-            except OverflowError:  # an int q beyond double range, which a point rejects the same way
-                out.append(NonFiniteResult("an argument to a MODELS row is beyond double range"))
-        rows.append(out)
-    return rows
-
-
-def _mermin_rows(x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
-    """_rows of the Mermin model.  Its x = 0 static route is the same for
-    every y that converts and is not negative, so that row is evaluated once
-    and copied to each further such y; any other y gets its own _rows row
-    (or ValueError)."""
-    if x != 0.0:
-        return _rows(_mermin_setup, _Q0_POINT, x, ys, qs, xp)
-    rows: list[list[complex | QplasmaError]] = []
-    static = None
-    for y in ys:
-        try:
-            own = _number(y, "a MODELS row") < 0.0
-        except NonFiniteResult:
-            own = True
-        if own:
-            rows += _rows(_mermin_setup, _Q0_POINT, x, (y,), qs, xp)
-            continue
-        if static is None:
-            static = _rows(_mermin_setup, _Q0_POINT, x, (y,), qs, xp)[0]
-        rows.append(static.copy())
-    return rows
-
-
-# Model name -> rows(x, ys, qs, xp), for the sweep, the broadening scan and the CLI:
-# one row per y of ys, each node the eps of the scalar epsilon_* at (x, y, q, xp)
-# or the QplasmaError raised there; y or xp < 0 raises ValueError.
-MODELS = {
-    "bgk": partial(_rows, _bgk_setup, _Q0_POINT),
-    "mermin": _mermin_rows,
-    "lindhard": partial(_rows, _lindhard_setup, _Q0_KERNEL),
-}
 
 
 def epsilon_collisional_a(p: DimensionlessPointA) -> DielectricResult:
@@ -462,10 +276,3 @@ def sigma_longitudinal(p: DimensionlessPointA) -> complex:
     if p.x == 0.0:
         raise DivisionByZeroFrequency("sigma_0-normalised conductivity needs omega != 0")
     return _require_finite(_sigma(p.x, p.y) * _collisional_ratio(p.z, p.q), "sigma_longitudinal")
-
-
-def branch_points_q(x: float) -> tuple[float, ...]:
-    """Wavenumbers q where the y = 0 kernels hit their log branch points at
-    fixed x (shifted argument x +- q/2 = +-1): +-2(1-x), +-2(1+x)."""
-    x = float(x)
-    return (2.0 * (1.0 - x), 2.0 * (1.0 + x), -2.0 * (1.0 - x), -2.0 * (1.0 + x))

@@ -39,14 +39,33 @@ All functions are scalar, pure and binary64.  Each public kernel checks its
 argument once (non-finite: NonFiniteResult; Im < 0: NonUpperHalfPlane) and
 evaluates L by the unchecked _L (branch point: PoleAtBranchPoint).  L and g0_a
 stay finite; g_a checks its result, as z + s q/2 and (a^2 - 1)/(2q) can overflow.
+
+This module also holds what the light CLI commands run, on plain values:
+
+* the input guards every module shares (_number, _square, _divisor);
+* the model rows: each model's setup and per-q node, which the scalar
+  epsilon_* of qplasma.dielectric wrap in their typed results, the row
+  evaluator _rows, the model table MODELS (name -> rows function) and
+  branch_points_q;
+* the Kohn-root arithmetic, _kohn_roots, whose tuples qplasma.kohn wraps in
+  KohnRoot, and kohn_wavenumbers_physical.
+
+It imports no dataclasses, enum or qplasma.dielectric: ``qplasma compare``
+and ``qplasma kohn`` load only cli, errors and this module, and so pay
+neither for importing dataclasses (which imports inspect) nor for
+decorating frozen dataclasses that they would never show.
 """
 
 from __future__ import annotations
 
-from cmath import isfinite, log
-from math import isfinite as _finite, log as _ln, pi
+from cmath import isfinite, log, sqrt
+from functools import partial
+from math import inf, isfinite as _finite, log as _ln, pi
 
-from .errors import DegenerateQ, NonFiniteResult, NonUpperHalfPlane, PoleAtBranchPoint
+from .errors import (
+    DegenerateQ, DenominatorVanishes, NonFiniteResult, NonUpperHalfPlane, PoleAtBranchPoint, QplasmaError,
+    StaticDenominatorVanishes,
+)
 
 __all__ = ["clog_ratio", "g0_a", "g_a", "g0_b", "g_b"]
 
@@ -219,3 +238,288 @@ def g_b(z: complex, q: float, sign: int) -> complex:
     """
     z_a, q_a = _b_to_a(z, q, "g_b")
     return g_a(z_a, q_a, sign)
+
+
+# ---------------------------------------------------------------- model rows
+#
+# The rows of the three models (BGK, Lindhard, Mermin; see qplasma.dielectric
+# for their formulas).  Each model is a setup and a node.  setup(x, y, xp)
+# checks y and xp (a ValueError), computes what is constant along a row of q
+# at fixed x, y, xp, raises the errors that precede all q-dependent work, and
+# returns node(q) -> (eps, sigma), which does the rest in the scalar formula's
+# order.  The scalar epsilon_* of qplasma.dielectric call both for one q;
+# _rows calls setup once per row and node per q.  A square of xp that
+# overflows is deferred (_coupling): the formulas square xp after N, so N's
+# errors win.
+
+_DENOMINATOR_FLOOR = 1e-30
+# DegenerateQ texts of a q = 0 node: the points reject it, Lindhard's g_a does
+_Q0_POINT = "q = 0: use epsilon_classical_limit"
+_Q0_KERNEL = "g_a needs q != 0"
+_ROW = "a MODELS row"
+
+
+def _nonnegative(name: str, v: float) -> None:
+    if v < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {v}")
+
+
+def _bgk_denominator(z: complex) -> complex:
+    """1 - g0(z), the BGK denominator; raises DenominatorVanishes near 0."""
+    den = 1.0 - g0_a(z)
+    if abs(den) < _DENOMINATOR_FLOOR:
+        raise DenominatorVanishes(f"|1 - g0({z!r})| < {_DENOMINATOR_FLOOR}")
+    return den
+
+
+def _sigma(x: float, y: float) -> complex:
+    """The factor that turns the kernel ratio into the dimensionless
+    conductivity: -(3i/2) x y (sigma_l/sigma_0) for y > 0, and the
+    collisionless normalisation -(3i/2) x at y = 0."""
+    return -1.5j * (x if y == 0.0 else x * y)
+
+
+def _static_numerator(q: float) -> complex:
+    """N0(q) = 1 - g(0+,q) + g(0-,q); real (the -i*pi parts cancel exactly)."""
+    n0 = _numerator(0.0j, q)
+    if abs(n0) < _DENOMINATOR_FLOOR:
+        raise StaticDenominatorVanishes(f"static combination vanished at q={q}")
+    return n0
+
+
+def _coupling(xp: float) -> float | None:
+    """1.5 xp^2, or None if it overflows: a node then computes it where the
+    scalar formula does, which raises the same error."""
+    try:
+        return 1.5 * xp ** 2
+    except OverflowError:
+        return None
+
+
+def _bgk_setup(x: float, y: float, xp: float):
+    _nonnegative("y", y)
+    _nonnegative("xp", xp)
+    z = complex(x, y)
+    den, c, s = _bgk_denominator(z), _coupling(xp), _sigma(x, y)
+
+    def node(q: float) -> tuple[complex, complex]:
+        ratio = _numerator(z, q) / den
+        cc = c if c is not None else 1.5 * _square(xp, "xp")
+        eps, sigma = 1.0 + cc * ratio, s * ratio
+        if isfinite(eps) and isfinite(sigma):
+            return eps, sigma
+        return _require_finite(eps, "epsilon_collisional_a"), _require_finite(sigma, "sigma")
+
+    return node
+
+
+def _lindhard_form(z: complex, xp: float, s: complex | None, what: str):
+    """The node eps = 1 + (3/2) xp^2 N(z, q), with sigma = s N unless s is None."""
+    c = _coupling(xp)
+
+    def node(q: float) -> tuple[complex, complex | None]:
+        n = _numerator(z, q)
+        cc = c if c is not None else 1.5 * _square(xp, "xp")
+        eps = 1.0 + cc * n
+        if not isfinite(eps):
+            _require_finite(eps, what)
+        return eps, None if s is None else s * n
+
+    return node
+
+
+def _lindhard_setup(x: float, y: float, xp: float):
+    """y is ignored; z = x is checked as g_a checks it, after q = 0."""
+    _nonnegative("xp", xp)
+    x, xp = _number(x, "epsilon_lindhard"), _number(xp, "epsilon_lindhard")
+    return _lindhard_form(_as_upper_half(complex(x, 0.0), "g_a"), xp, _sigma(x, 0.0), "epsilon_lindhard")
+
+
+def _mermin_setup(x: float, y: float, xp: float):
+    """x = 0 is the static route, independent of y, which squares xp in its
+    setup, before N0; y = 0 is the Lindhard form; otherwise the full form.
+    The last two check z as g_a does."""
+    _nonnegative("y", y)
+    _nonnegative("xp", xp)
+    if x == 0.0:
+        c = 1.5 * _square(xp, "xp")
+
+        def static(q: float) -> tuple[complex, None]:
+            eps = 1.0 + c * _static_numerator(q)
+            if not isfinite(eps):
+                _require_finite(eps, "epsilon_mermin")
+            return eps, None
+
+        return static
+    z = _as_upper_half(complex(x, y), "g_a")
+    if y == 0.0:
+        return _lindhard_form(z, xp, None, "epsilon_mermin")
+    iy, c = 1j * y, _coupling(xp)
+
+    def node(q: float) -> tuple[complex, None]:
+        n = _numerator(z, q)
+        n0 = _static_numerator(q)
+        den = x + iy * n / n0
+        if abs(den) < _DENOMINATOR_FLOOR:
+            # the repr of the DimensionlessPointA at this node, which stores an int q as a float
+            raise DenominatorVanishes(f"Mermin denominator vanished at DimensionlessPointA(x={x!r}, y={y!r}, "
+                                      f"q={float(q) if type(q) is int else q!r}, xp={xp!r})")
+        cc = c if c is not None else 1.5 * _square(xp, "xp")
+        eps = 1.0 + cc * (z * n) / den
+        if not isfinite(eps):
+            _require_finite(eps, "epsilon_mermin")
+        return eps, None
+
+    return node
+
+
+def _rows(setup, q0: str, x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
+    """eps over qs at fixed x and xp, one row per y of ys, each node as the
+    scalar path gives it: its value, or the QplasmaError it raises --
+    DegenerateQ(q0) at q = 0, else an error of the setup, else the node's
+    own.  y < 0 or xp < 0 raises the setup's ValueError, checked on the value
+    as given, as a point checks it, before x, y and xp are converted."""
+    rows: list[list[complex | QplasmaError]] = []
+    for y in ys:
+        _nonnegative("y", y)
+        _nonnegative("xp", xp)
+        try:
+            node = setup(_number(x, _ROW), _number(y, _ROW), _number(xp, _ROW))
+        except QplasmaError as exc:
+            rows.append([DegenerateQ(q0) if q == 0.0 else exc for q in qs])
+            continue
+        out: list[complex | QplasmaError] = []
+        for q in qs:
+            if q == 0.0:
+                out.append(DegenerateQ(q0))
+                continue
+            try:
+                out.append(node(q)[0])
+            except QplasmaError as exc:
+                out.append(exc)
+            except OverflowError:  # an int q beyond double range, which a point rejects the same way
+                out.append(NonFiniteResult(f"an argument to {_ROW} is beyond double range"))
+        rows.append(out)
+    return rows
+
+
+def _mermin_rows(x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
+    """_rows of the Mermin model.  Its x = 0 static route is the same for
+    every y that converts and is not negative, so that row is evaluated once
+    and copied to each further such y; any other y gets its own _rows row
+    (or ValueError)."""
+    if x != 0.0:
+        return _rows(_mermin_setup, _Q0_POINT, x, ys, qs, xp)
+    rows: list[list[complex | QplasmaError]] = []
+    static = None
+    for y in ys:
+        try:
+            own = _number(y, _ROW) < 0.0
+        except NonFiniteResult:
+            own = True
+        if own:
+            rows += _rows(_mermin_setup, _Q0_POINT, x, (y,), qs, xp)
+            continue
+        if static is None:
+            static = _rows(_mermin_setup, _Q0_POINT, x, (y,), qs, xp)[0]
+        rows.append(static.copy())
+    return rows
+
+
+def _lindhard_rows(x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
+    """_rows of the Lindhard model, which takes no y: the row at y = 0, copied
+    to each y of ys, which is neither checked nor converted."""
+    rows: list[list[complex | QplasmaError]] = []
+    for _ in ys:
+        if not rows:
+            row = _rows(_lindhard_setup, _Q0_KERNEL, x, (0.0,), qs, xp)[0]
+        rows.append(row.copy())
+    return rows
+
+
+# Model name -> rows(x, ys, qs, xp), for the sweep, the broadening scan and the CLI:
+# one row per y of ys, each node the eps of the scalar epsilon_* at (x, y, q, xp)
+# or the QplasmaError raised there; y or xp < 0 raises ValueError.
+MODELS = {
+    "bgk": partial(_rows, _bgk_setup, _Q0_POINT),
+    "mermin": _mermin_rows,
+    "lindhard": _lindhard_rows,
+}
+
+
+def branch_points_q(x: float) -> tuple[float, ...]:
+    """Wavenumbers q where the y = 0 kernels hit their log branch points at
+    fixed x (shifted argument x +- q/2 = +-1): +-2(1-x), +-2(1+x)."""
+    x = float(x)
+    return (2.0 * (1.0 - x), 2.0 * (1.0 + x), -2.0 * (1.0 - x), -2.0 * (1.0 + x))
+
+
+# ---------------------------------------------------------------- Kohn roots
+#
+# The arithmetic of qplasma.kohn (see its docstring for the four loci and the
+# root selection), on plain tuples.  A root is the tuple of KohnRoot's fields:
+# (q, q_alt, branch, degenerate, physical, principal, residual).
+
+
+def _kohn_roots(x: float) -> tuple[float, tuple[tuple, tuple, tuple, tuple]]:
+    """(x as a float, the four Kohn roots at x) for kohn_roots_dimless; a
+    non-finite x, or |x| so large that 1 +- 2x overflows, raises
+    NonFiniteResult."""
+    x = _number(x, "kohn_roots_dimless")
+    if not _finite(x):
+        raise NonFiniteResult(f"kohn_roots_dimless needs a finite x, got {x!r}")
+    sp = sqrt(complex(1.0 + 2.0 * x, 0.0))
+    sm = sqrt(complex(1.0 - 2.0 * x, 0.0))
+    if not (isfinite(sp) and isfinite(sm)):
+        raise NonFiniteResult(f"the Kohn roots at x={x!r} overflow")
+
+    # Each branch (s1, s2): its selected root, the other root and the residual
+    # q*q + 2*s1*q + 2*s2*x, with the sign pair written as the constants +-2.0.
+    q1, a1 = 1.0 + sp, 1.0 - sp
+    q2, a2, principal2 = 1.0 + sm, 1.0 - sm, True
+    q3, a3 = -1.0 - sp, -1.0 + sp
+    q4, a4 = -1.0 - sm, -1.0 + sm
+    if x == 0.0:
+        # The (-,+) principal root duplicates the (-,-) one; surface the
+        # degenerate q = 0 root of that equation instead.
+        q2, a2, principal2 = a2, q2, False
+    # For |x| below ~1e-16, 1 +- 2x rounds to 1: the roots coincide in pairs, all degenerate.
+    values = (q1, q2, q3, q4)
+    return x, (
+        (q1, a1, (-1, -1), q1 == 0.0 or values.count(q1) > 1, q1.imag == 0.0 and q1.real > 0.0, True,
+         abs(q1 * q1 + -2.0 * q1 + -2.0 * x)),
+        (q2, a2, (-1, +1), q2 == 0.0 or values.count(q2) > 1, q2.imag == 0.0 and q2.real > 0.0, principal2,
+         abs(q2 * q2 + -2.0 * q2 + 2.0 * x)),
+        (q3, a3, (+1, -1), q3 == 0.0 or values.count(q3) > 1, q3.imag == 0.0 and q3.real > 0.0, True,
+         abs(q3 * q3 + 2.0 * q3 + -2.0 * x)),
+        (q4, a4, (+1, +1), q4 == 0.0 or values.count(q4) > 1, q4.imag == 0.0 and q4.real > 0.0, True,
+         abs(q4 * q4 + 2.0 * q4 + 2.0 * x)),
+    )
+
+
+def _branch_label(branch: tuple[int, int]) -> str:
+    """A root's sign pair (s1, s2) as printed, e.g. "(-,+)"."""
+    s1, s2 = branch
+    return f"({'+' if s1 > 0 else '-'},{'+' if s2 > 0 else '-'})"
+
+
+def kohn_wavenumbers_physical(omega: float, kF: float, vF: float) -> tuple[complex, complex, complex, complex]:
+    """Dimensional singular wavenumbers (1/length):
+
+        k_{1,2} = k_F + sqrt(k_F^2 +- 2 k_F omega / v_F)
+        k_{3,4} = -k_F - sqrt(k_F^2 +- 2 k_F omega / v_F)
+
+    These are k_F times the principal roots of kohn_roots_dimless at
+    x = omega/(k_F v_F); at x = 0, where the (-,+) entry reports the
+    degenerate root 0, its principal root 2 is used, giving 2k_F, 2k_F,
+    -2k_F, -2k_F.  Negative discriminants give complex values; a
+    wavenumber that overflows raises NonFiniteResult.
+    """
+    if not (0.0 < kF < inf and 0.0 < vF < inf):
+        raise ValueError("kF and vF must be positive and finite")
+    omega, kF, vF = (_number(v, "kohn_wavenumbers_physical") for v in (omega, kF, vF))
+    _, roots = _kohn_roots(omega / _divisor(kF * vF, "kF*vF"))
+    ks = tuple(kF * (q if principal else q_alt) for q, q_alt, _, _, _, principal, _ in roots)
+    if not all(isfinite(k) for k in ks):
+        raise NonFiniteResult(f"kF * q overflows: {ks!r}")
+    return ks

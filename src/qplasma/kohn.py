@@ -22,17 +22,23 @@ the root multiset {2, 0, -2, -2}.
 
 Negative discriminants (|x| > 1/2 on one locus) give complex roots, which
 are returned as data flagged non-physical, never as errors.
+
+The arithmetic lives in :mod:`qplasma.kernels` on plain tuples, which
+``qplasma kohn`` prints without building a dataclass;
+``kohn_roots_dimless`` wraps them in the frozen KohnRoot and KohnRootSet, and
+``kohn_wavenumbers_physical`` is defined there and re-bound here.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass
 
 from .errors import NonFiniteResult, WindowContainsPole
-from .kernels import _divisor, _number
+from .kernels import (  # kohn_wavenumbers_physical is re-bound here
+    MODELS, _branch_label, _kohn_roots, _number, branch_points_q, kohn_wavenumbers_physical,
+)
 
 __all__ = [
     "KohnRoot",
@@ -70,8 +76,7 @@ class KohnRoot:
 
     @property
     def branch_label(self) -> str:
-        s1, s2 = self.branch
-        return f"({'+' if s1 > 0 else '-'},{'+' if s2 > 0 else '-'})"
+        return _branch_label(self.branch)
 
 
 @dataclass(frozen=True)
@@ -93,58 +98,8 @@ def kohn_roots_dimless(x: float) -> KohnRootSet:
     """All four Kohn singularities of eps(q) at fixed x = omega/(k_F v_F);
     a non-finite x, or |x| so large that 1 +- 2x overflows, raises
     NonFiniteResult."""
-    x = _number(x, "kohn_roots_dimless")
-    if not math.isfinite(x):
-        raise NonFiniteResult(f"kohn_roots_dimless needs a finite x, got {x!r}")
-    sp = cmath.sqrt(complex(1.0 + 2.0 * x, 0.0))
-    sm = cmath.sqrt(complex(1.0 - 2.0 * x, 0.0))
-    if not (cmath.isfinite(sp) and cmath.isfinite(sm)):
-        raise NonFiniteResult(f"the Kohn roots at x={x!r} overflow")
-
-    # Each branch (s1, s2): its selected root, the other root and the residual
-    # q*q + 2*s1*q + 2*s2*x, with the sign pair written as the constants +-2.0.
-    q1, a1 = 1.0 + sp, 1.0 - sp
-    q2, a2, principal2 = 1.0 + sm, 1.0 - sm, True
-    q3, a3 = -1.0 - sp, -1.0 + sp
-    q4, a4 = -1.0 - sm, -1.0 + sm
-    if x == 0.0:
-        # The (-,+) principal root duplicates the (-,-) one; surface the
-        # degenerate q = 0 root of that equation instead.
-        q2, a2, principal2 = a2, q2, False
-    # For |x| below ~1e-16, 1 +- 2x rounds to 1: the roots coincide in pairs, all degenerate.
-    values = (q1, q2, q3, q4)
-    return KohnRootSet(x, (
-        KohnRoot(q1, a1, (-1, -1), q1 == 0.0 or values.count(q1) > 1, q1.imag == 0.0 and q1.real > 0.0, True,
-                 abs(q1 * q1 + -2.0 * q1 + -2.0 * x)),
-        KohnRoot(q2, a2, (-1, +1), q2 == 0.0 or values.count(q2) > 1, q2.imag == 0.0 and q2.real > 0.0, principal2,
-                 abs(q2 * q2 + -2.0 * q2 + 2.0 * x)),
-        KohnRoot(q3, a3, (+1, -1), q3 == 0.0 or values.count(q3) > 1, q3.imag == 0.0 and q3.real > 0.0, True,
-                 abs(q3 * q3 + 2.0 * q3 + -2.0 * x)),
-        KohnRoot(q4, a4, (+1, +1), q4 == 0.0 or values.count(q4) > 1, q4.imag == 0.0 and q4.real > 0.0, True,
-                 abs(q4 * q4 + 2.0 * q4 + 2.0 * x)),
-    ))
-
-
-def kohn_wavenumbers_physical(omega: float, kF: float, vF: float) -> tuple[complex, complex, complex, complex]:
-    """Dimensional singular wavenumbers (1/length):
-
-        k_{1,2} = k_F + sqrt(k_F^2 +- 2 k_F omega / v_F)
-        k_{3,4} = -k_F - sqrt(k_F^2 +- 2 k_F omega / v_F)
-
-    These are k_F times the principal roots of kohn_roots_dimless at
-    x = omega/(k_F v_F); at x = 0, where the (-,+) entry reports the
-    degenerate root 0, its principal root 2 is used, giving 2k_F, 2k_F,
-    -2k_F, -2k_F.  Negative discriminants give complex values; a
-    wavenumber that overflows raises NonFiniteResult.
-    """
-    if not (0.0 < kF < math.inf and 0.0 < vF < math.inf):
-        raise ValueError("kF and vF must be positive and finite")
-    omega, kF, vF = (_number(v, "kohn_wavenumbers_physical") for v in (omega, kF, vF))
-    roots = kohn_roots_dimless(omega / _divisor(kF * vF, "kF*vF")).roots
-    ks = tuple(kF * (r.q if r.principal else r.q_alt) for r in roots)
-    if not all(cmath.isfinite(k) for k in ks):
-        raise NonFiniteResult(f"kF * q overflows: {ks!r}")
-    return ks
+    x, (r1, r2, r3, r4) = _kohn_roots(x)
+    return KohnRootSet(x, (KohnRoot(*r1), KohnRoot(*r2), KohnRoot(*r3), KohnRoot(*r4)))
 
 
 @dataclass(frozen=True)
@@ -181,7 +136,6 @@ def singularity_broadening_scan(
     ValueError before anything is evaluated; a maximum slope that overflows
     raises NonFiniteResult, as does an int argument beyond double range.
     """
-    from .dielectric import MODELS, branch_points_q
     from .sweep import _linspace, _pole_nodes
 
     if on_pole not in ("skip", "raise"):

@@ -2,13 +2,14 @@
 
 A sweep fixes the model, x, xp and a list of collision frequencies y, and
 evaluates the permittivity over a uniform q grid, serially, one y-row at a
-time.  ``MODELS``, which :mod:`qplasma.dielectric` defines and this module
+time.  ``MODELS``, which :mod:`qplasma.kernels` defines and this module
 re-binds, is a table of row functions, one per model: a row hoists
 what is constant at its fixed z = x + iy (the checked z, the BGK
 denominator 1 - g0(z), 1.5 xp^2) and then evaluates each q node in the
 scalar ``epsilon_*`` order, so every value and every error is the one the
-scalar function gives at that node.  The Mermin x = 0 row, the same for
-every y, is evaluated once per sweep; N0(q) is still computed in each row.
+scalar function gives at that node.  The Mermin x = 0 row and the Lindhard
+row, each the same for every y, are evaluated once per sweep; N0(q) is
+still computed in each row.
 Output is deterministic: the CSV is written with 17 significant digits, LF
 line endings and a fixed column order (q, then one re/im pair per y).
 
@@ -31,9 +32,8 @@ from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
 
-from .dielectric import MODELS, branch_points_q
 from .errors import ConfigError, QplasmaError
-from .kernels import _number
+from .kernels import MODELS, _number, branch_points_q
 from .svg import line_plot
 
 __all__ = ["SweepConfig", "SweepResult", "run_sweep", "load_config_file", "parse_q_range"]

@@ -65,9 +65,9 @@ def test_bgk_snapshot():
 
 
 def test_bgk_denominator_guard(monkeypatch):
-    import qplasma.dielectric as d
+    import qplasma.kernels as k
 
-    monkeypatch.setattr(d, "g0_a", lambda z: 1.0 + 0j)
+    monkeypatch.setattr(k, "g0_a", lambda z: 1.0 + 0j)  # where the BGK denominator looks it up
     with pytest.raises(DenominatorVanishes):
         epsilon_collisional_a(A(0.3, 0.1, 1.0, 1.0))
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qplasma.cli import main
 from qplasma.errors import NonFiniteResult, WindowContainsPole
 from qplasma.kohn import (
     kohn_roots_dimless,
@@ -267,3 +268,95 @@ def test_roots_at_edge_x_are_pinned(x, expected):
     assert [r.branch for r in roots.roots] == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     assert [(repr(r.q), repr(r.q_alt), r.degenerate, r.physical, r.principal, r.residual.hex())
             for r in roots.roots] == expected
+
+
+# `qplasma kohn` stdout, byte for byte, as the tree before the CLI read plain root
+# tuples printed it: --x at the edge x of _EDGE_ROOTS, and one physical triple
+_KOHN_STDOUT = [
+    (['--x', '0.0'], (
+        'Kohn singularities at x = 0  (q^2 +- 2q +- 2x = 0)\n'
+        'branch                              q flags                              residual\n'
+        '(-,-)                               2 -                                  0.00e+00\n'
+        '(-,+)                               0 degenerate,non-physical,alt-root   0.00e+00\n'
+        '(+,-)                              -2 degenerate,non-physical            0.00e+00\n'
+        '(+,+)                              -2 degenerate,non-physical            0.00e+00\n'
+    )),
+    (['--x', '-0.0'], (
+        'Kohn singularities at x = -0  (q^2 +- 2q +- 2x = 0)\n'
+        'branch                              q flags                              residual\n'
+        '(-,-)                               2 -                                  0.00e+00\n'
+        '(-,+)                               0 degenerate,non-physical,alt-root   0.00e+00\n'
+        '(+,-)                              -2 degenerate,non-physical            0.00e+00\n'
+        '(+,+)                              -2 degenerate,non-physical            0.00e+00\n'
+    )),
+    (['--x', '5e-324'], (
+        'Kohn singularities at x = 4.94066e-324  (q^2 +- 2q +- 2x = 0)\n'
+        'branch                              q flags                              residual\n'
+        '(-,-)                               2 degenerate                        9.88e-324\n'
+        '(-,+)                               2 degenerate                        9.88e-324\n'
+        '(+,-)                              -2 degenerate,non-physical           9.88e-324\n'
+        '(+,+)                              -2 degenerate,non-physical           9.88e-324\n'
+    )),
+    (['--x', '1e-17'], (
+        'Kohn singularities at x = 1e-17  (q^2 +- 2q +- 2x = 0)\n'
+        'branch                              q flags                              residual\n'
+        '(-,-)                               2 degenerate                         2.00e-17\n'
+        '(-,+)                               2 degenerate                         2.00e-17\n'
+        '(+,-)                              -2 degenerate,non-physical            2.00e-17\n'
+        '(+,+)                              -2 degenerate,non-physical            2.00e-17\n'
+    )),
+    (['--x', '0.5'], (
+        'Kohn singularities at x = 0.5  (q^2 +- 2q +- 2x = 0)\n'
+        'branch                              q flags                              residual\n'
+        '(-,-)                   2.41421356237 -                                  0.00e+00\n'
+        '(-,+)                               1 -                                  0.00e+00\n'
+        '(+,-)                  -2.41421356237 non-physical                       0.00e+00\n'
+        '(+,+)                              -1 non-physical                       0.00e+00\n'
+    )),
+    (['--x', '-0.5'], (
+        'Kohn singularities at x = -0.5  (q^2 +- 2q +- 2x = 0)\n'
+        'branch                              q flags                              residual\n'
+        '(-,-)                               1 -                                  0.00e+00\n'
+        '(-,+)                   2.41421356237 -                                  0.00e+00\n'
+        '(+,-)                              -1 non-physical                       0.00e+00\n'
+        '(+,+)                  -2.41421356237 non-physical                       0.00e+00\n'
+    )),
+    (['--x', '2.0'], (
+        'Kohn singularities at x = 2  (q^2 +- 2q +- 2x = 0)\n'
+        'branch                              q flags                              residual\n'
+        '(-,-)                    3.2360679775 -                                  0.00e+00\n'
+        '(-,+)                1+1.73205080757j non-physical                       4.44e-16\n'
+        '(+,-)                   -3.2360679775 non-physical                       0.00e+00\n'
+        '(+,+)               -1-1.73205080757j non-physical                       4.44e-16\n'
+    )),
+    (['--x', '-2.0'], (
+        'Kohn singularities at x = -2  (q^2 +- 2q +- 2x = 0)\n'
+        'branch                              q flags                              residual\n'
+        '(-,-)                1+1.73205080757j non-physical                       4.44e-16\n'
+        '(-,+)                    3.2360679775 -                                  0.00e+00\n'
+        '(+,-)               -1-1.73205080757j non-physical                       4.44e-16\n'
+        '(+,+)                   -3.2360679775 non-physical                       0.00e+00\n'
+    )),
+    (['--x', '1e300'], (
+        'Kohn singularities at x = 1e+300  (q^2 +- 2q +- 2x = 0)\n'
+        'branch                              q flags                              residual\n'
+        '(-,-)              1.41421356237e+150 -                                 2.97e+284\n'
+        '(-,+)           1+1.41421356237e+150j non-physical                      2.97e+284\n'
+        '(+,-)             -1.41421356237e+150 non-physical                      2.97e+284\n'
+        '(+,+)          -1-1.41421356237e+150j non-physical                      2.97e+284\n'
+    )),
+    (['--omega', '1e14', '--kf', '1e10', '--vf', '1e6'], (
+        'x = omega/(kF vF) = 0.01\n'
+        'k1 = 20099504938.4 1/m  (k1/kF = 2.00995049384)\n'
+        'k2 = 19899494936.6 1/m  (k2/kF = 1.98994949366)\n'
+        'k3 = -20099504938.4 1/m  (k3/kF = -2.00995049384)\n'
+        'k4 = -19899494936.6 1/m  (k4/kF = -1.98994949366)\n'
+    )),
+]
+
+
+@pytest.mark.parametrize("argv, text", _KOHN_STDOUT, ids=[" ".join(argv) for argv, _ in _KOHN_STDOUT])
+def test_kohn_command_stdout_is_pinned(argv, text, capsys):
+    assert main(["kohn", *argv]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (text, "")

@@ -18,7 +18,7 @@ from qplasma.dielectric import (
     epsilon_lindhard,
     epsilon_mermin,
 )
-from qplasma.errors import NonFiniteResult, QplasmaError, WindowContainsPole
+from qplasma.errors import DenominatorVanishes, NonFiniteResult, QplasmaError, WindowContainsPole
 from qplasma.kernels import _numerator, g_a
 from qplasma.kohn import singularity_broadening_scan
 from qplasma.sweep import (
@@ -122,11 +122,32 @@ def test_mermin_error_precedence_per_route():
     ("bgk", 0.1, -1.0, "xp must be >= 0, got -1.0"),
     ("mermin", 0.0, -1.0, "xp must be >= 0, got -1.0"),
     ("lindhard", 0.0, -1.0, "xp must be >= 0, got -1.0"),
+    # an int beyond double range: its sign is checked before it is converted
+    pytest.param("bgk", -10 ** 400, 1.0, f"y must be >= 0, got {-10 ** 400}", id="bgk-huge-int-y"),
+    pytest.param("mermin", -10 ** 400, 1.0, f"y must be >= 0, got {-10 ** 400}", id="mermin-huge-int-y"),
+    pytest.param("bgk", 0.1, -10 ** 400, f"xp must be >= 0, got {-10 ** 400}", id="bgk-huge-int-xp"),
+    pytest.param("lindhard", 0.0, -10 ** 400, f"xp must be >= 0, got {-10 ** 400}", id="lindhard-huge-int-xp"),
 ])
 def test_negative_y_or_xp_raises_out_of_the_row(model, y, xp, text):
     with pytest.raises(ValueError, match=f"^{text}$"):
         MODELS[model](0.3, (y,), [0.0, 1.0], xp)
     _check(model, 0.3, y, [0.0, 1.0], xp)
+
+
+@pytest.mark.parametrize("y", [10 ** 400, -10 ** 400, -1.0, math.nan], ids=["huge-int", "-huge-int", "-1", "nan"])
+def test_lindhard_rows_ignore_y(y):
+    # the scalar epsilon_lindhard takes no y, so its row neither checks nor converts it
+    assert _row("lindhard", 0.3, y, [1.0, 1.5], 1.0) == [_scalar("lindhard", 0.3, y, q, 1.0) for q in (1.0, 1.5)]
+
+
+@pytest.mark.parametrize("q, xp", [(1, 1), (1.0, 1.0), (-1, 2.0), (0.5, 1)])
+def test_mermin_denominator_text_is_the_points_repr(q, xp):
+    # |x + i y N/N0| ~ 1e-40: the row writes the text from plain values
+    x = y = 1e-40
+    (node,) = MODELS["mermin"](x, (y,), [q], xp)[0]
+    assert isinstance(node, DenominatorVanishes)
+    assert str(node) == f"Mermin denominator vanished at {DimensionlessPointA(x, y, float(q), xp)!r}"
+    assert _row("mermin", x, y, [q], xp) == [_scalar("mermin", x, y, q, xp)]
 
 
 @pytest.mark.parametrize("model, x, y", [
@@ -374,6 +395,10 @@ def test_mermin_rows_match_their_rows_one_by_one(seed):
         ys = rng.sample((0.0, -0.0, 0.01, 0.5, 3.0, math.inf, math.nan, 10 ** 400, -10 ** 400), rng.randint(1, 4))
         xp = rng.choice((1.0, 0.0, 1e200))
         qs = _adversarial_qs(rng, list(branch_points_q(x)))
+        if any(y < 0 for y in ys):  # a negative y's ValueError leaves the whole call, as it leaves its own row
+            with pytest.raises(ValueError, match="^y must be >= 0, got -"):
+                _mermin_rows(x, ys, qs, xp)
+            continue
         rows = _mermin_rows(x, ys, qs, xp)
         assert [[_outcome(v) for v in row] for row in rows] == [_row("mermin", x, y, qs, xp) for y in ys]
 
@@ -381,3 +406,5 @@ def test_mermin_rows_match_their_rows_one_by_one(seed):
 def test_copied_mermin_static_rows_still_check_y():
     with pytest.raises(ValueError, match="^y must be >= 0, got -0.1$"):
         _mermin_rows(0.0, (0.1, -0.1), [1.0, 2.0], 1.0)
+    with pytest.raises(ValueError, match=f"^y must be >= 0, got {-10 ** 400}$"):
+        _mermin_rows(0.0, (0.1, -10 ** 400), [1.0, 2.0], 1.0)
