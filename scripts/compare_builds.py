@@ -46,7 +46,13 @@ result in the old tree that the new tree rejects with NonFiniteResult.
 Changed error-message texts are counted the same way.  Any other difference
 is unexpected: the first 20 are printed, all of them are counted per
 function and (old outcome -> new outcome), an outcome being "value" or the
-class of the raised error, and the exit status is 1.  The summary also lists
+class of the raised error, and the exit status is 1.  For the unexpected
+value -> value differences, the summary also gives per function and per
+token of the printed result (its whitespace-separated fields, counted from
+0) how many calls changed that token and the largest change: of a finite
+float, the largest |new - old| and |new - old|/|old|; a zero that only
+changed sign, and any other token, as a count.  So a change that is meant
+to move values within a bound quotes the bound it met.  The summary also lists
 both trees' per-module and total line counts of ``qplasma``: all lines, as
 ``wc -l`` counts them, and code lines, without blank lines, comment lines
 and docstrings.
@@ -320,6 +326,54 @@ def _outcome_class(result: str) -> str:
     return "value" if result.startswith("=") else result[2:].split(":", 1)[0]
 
 
+def _float(token: str) -> float | None:
+    """The float of a float.hex token, or None for any other token."""
+    return float.fromhex(token) if token.lstrip("-").startswith("0x") or token.lstrip("-") in ("inf", "nan") else None
+
+
+_SHORT = 8  # a result of at most this many tokens has its changes listed token by token
+
+
+class ValueChanges:
+    """The token-by-token changes of one function's value -> value differences."""
+
+    def __init__(self) -> None:
+        self.calls = self.reshaped = 0
+        # token index (None: any token of a result longer than _SHORT) ->
+        # [changed, largest |new - old|, largest |new - old|/|old|, only a zero's sign, other]
+        self.tokens: dict[int | None, list] = {}
+
+    def add(self, res_old: str, res_new: str) -> None:
+        self.calls += 1
+        old, new = res_old[2:].split(), res_new[2:].split()
+        if len(old) != len(new):
+            self.reshaped += 1
+            return
+        for i, (a, b) in enumerate(zip(old, new)):
+            if a == b:
+                continue
+            token = self.tokens.setdefault(i if len(old) <= _SHORT else None, [0, 0.0, 0.0, 0, 0])
+            token[0] += 1
+            u, v = _float(a), _float(b)
+            if u is None or v is None or not (math.isfinite(u) and math.isfinite(v)):
+                token[4] += 1
+            elif u == v:  # +0.0 and -0.0
+                token[3] += 1
+            else:
+                token[1] = max(token[1], abs(v - u))
+                token[2] = max(token[2], abs(v - u) / abs(u) if u else math.inf)
+
+    def lines(self) -> list[str]:
+        out = [f"    {self.reshaped} x a result with another number of tokens"] if self.reshaped else []
+        by_token = sorted(self.tokens.items(), key=lambda t: (t[0] is None, t[0] or 0))
+        for i, (changed, change, relative, zeros, other) in by_token:
+            parts = [f"largest change {change:.3g}, relative {relative:.3g}"] if changed > zeros + other else []
+            parts += [f"{n} x {kind}" for n, kind in ((zeros, "only a zero's sign"), (other, "other")) if n]
+            where = f"token {i}" if i is not None else f"tokens of results longer than {_SHORT}"
+            out.append(f"    {where}: {changed} x, " + ", ".join(parts))
+        return out
+
+
 def outcome(fn, args) -> str:
     try:
         value = fn(*args)
@@ -387,6 +441,7 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
             print(f"worker imported the wrong tree: {header.strip()} (wanted {src})")
             bad += 1
     calls, expected, rejected, messages, unexpected, examples = Counter(), Counter(), Counter(), Counter(), Counter(), {}
+    values: dict[str, ValueChanges] = {}
     for line_old, line_new in zip(old, new):
         name, args, res_old = line_old.rstrip("\n").split("\t", 2)
         *call_new, res_new = line_new.rstrip("\n").split("\t", 2)
@@ -411,6 +466,8 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
             continue
         bad += 1
         unexpected[name, _outcome_class(res_old), _outcome_class(res_new)] += 1
+        if verdict == "unexpected difference" and res_old.startswith("=") and res_new.startswith("="):
+            values.setdefault(name, ValueChanges()).add(res_old, res_new)
         if bad <= 20:
             print(f"{verdict}: {name}({args})\n  old {res_old}\n  new {res_new}")
     for p in procs:
@@ -435,6 +492,10 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
         print("unexpected differences per function, old outcome -> new outcome:")
         for (name, was, now), count in sorted(unexpected.items()):
             print(f"  {name}: {count} x {was} -> {now}")
+    if values:
+        print("value -> value changes per function and token of the result:")
+        for name, changes in sorted(values.items()):
+            print(f"  {name}: {changes.calls} call(s)", *changes.lines(), sep="\n")
     _print_line_counts(old_src, new_src)
     print(f"{bad} unexpected difference(s)" if bad else "no unexpected difference")
     return 1 if bad else 0

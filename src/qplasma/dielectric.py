@@ -30,7 +30,10 @@ dielectric function real, makes the Mermin model conjugation-symmetric,
 and makes the omega -> 0 limit of the collisional model continuous.
 
 Conjugation symmetry eps(-x, y, q) = conj(eps(x, y, q)) holds for every
-model, so all of them are real at x = 0.  All routines are pure functions.
+model, so all of them are real at x = 0, and there they return Im eps = 0
+exactly: at x = 0 (y >= 0) the two shifted kernels are mirror images,
+g(iy,-q) = -conj(g(iy,+q)), and N is computed from g(iy,+q) alone as
+1 - 2 Re g(iy,+q).  All routines are pure functions.
 
 Each formula is written once, in :mod:`qplasma.kernels`, as a per-row setup
 and a per-q node on plain values; this module holds the typed layer over
@@ -197,7 +200,8 @@ def epsilon_lindhard(x: float, q: float, xp: float) -> DielectricResult:
     _nonnegative("xp", xp)
     if q == 0.0:
         raise DegenerateQ(_Q0_KERNEL)
-    return DielectricResult(*_lindhard_setup(x, 0.0, xp)(_number(q, "epsilon_lindhard")), Model.Lindhard)
+    q = _number(q, "epsilon_lindhard")  # every argument is converted before x is checked, as a point's are
+    return DielectricResult(*_lindhard_setup(x, 0.0, xp)(q), Model.Lindhard)
 
 
 def epsilon_mermin(p: DimensionlessPointA) -> DielectricResult:
@@ -239,8 +243,9 @@ def epsilon_static_collisional(y: float, w: float, xp: float) -> DielectricResul
               * [1 - ((iy+w)^2-1)/(4w) ln((iy+w+1)/(iy+w-1))
                    + ((iy-w)^2-1)/(4w) ln((iy-w+1)/(iy-w-1))].
 
-    Evaluated as epsilon_collisional_a at x = 0, q = 2w, hence real for all
-    y >= 0; at y = 0 it coincides with the static Mermin value.
+    Evaluated as epsilon_collisional_a at x = 0, q = 2w, hence real (Im eps
+    is exactly 0) for all y >= 0; at y = 0 it coincides with the static
+    Mermin value.
     """
     p = DimensionlessPointA(0.0, _number(y, "epsilon_static_collisional"), _static_q(w), xp)
     return DielectricResult(epsilon_collisional_a(p).epsilon, None, Model.StaticCollisional)

@@ -103,6 +103,18 @@ def ref_bgk_b(x, y, q, xp2):
     return 1 + mp.mpf(1.5) * mp.mpf(xp2) / q ** 2 * (1 - gb(1) + gb(-1)) / (1 - g0)
 
 
+@_at_reference_precision
+def ref_numerator(x, y, q):
+    """N(z, q) = 1 - g(z, +q) + g(z, -q), the numerator every model shares."""
+    return _n(_z(x, y), mp.mpf(q))
+
+
+def abs_err(got: complex, ref) -> float:
+    """|got - ref| as a float, evaluated at the reference precision."""
+    with mp.workdps(MP_DIGITS):
+        return float(abs(mp.mpc(got) - ref))
+
+
 def rel_err(got: complex, ref) -> float:
     """|got - ref| / |ref| as a float, evaluated at the reference precision."""
     with mp.workdps(MP_DIGITS):

@@ -2,12 +2,16 @@
 limits, conductivity duality, and the symmetry invariants."""
 
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
 from conftest import branch_distance, random_points
+from reference import abs_err, ref_numerator
 
 from qplasma.dielectric import (
+    MODELS,
     DimensionlessPointA,
     DimensionlessPointB,
     Model,
@@ -26,6 +30,7 @@ from qplasma.errors import (
     DivisionByZeroFrequency,
     PoleAtBranchPoint,
 )
+from qplasma.kernels import _numerator, g_a
 
 A = DimensionlessPointA
 B = DimensionlessPointB
@@ -333,11 +338,45 @@ def test_evenness_in_q(model):
         assert abs(a - b) <= 1e-12 * abs(a)
 
 
+def _x0_draws(seed, n):
+    """(x, y, q, xp) at x = +-0: y = 0 or log-uniform in [1e-6, 1e3], q in
+    +-[0.05, 5] at least 1e-3 from the branch points +-2."""
+    rng = random.Random(seed)
+    while n:
+        y = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-6.0, 3.0)
+        q = rng.choice((1.0, -1.0)) * rng.uniform(0.05, 5.0)
+        if abs(abs(q) - 2.0) > 1e-3:
+            n -= 1
+            yield rng.choice((0.0, -0.0)), y, q, rng.uniform(0.0, 10.0)
+
+
 def test_real_at_x0():
-    for y in (0.0, 0.01, 0.5):
-        for q in (0.7, 1.9, 3.1):
-            v = epsilon_collisional_a(A(0.0, y, q, 1.0)).epsilon
-            assert abs(v.imag) < 1e-12
+    # exactly: at x = 0 N takes the -q shift as the mirror of the +q one
+    for x, y, q, xp in _x0_draws(43, 1500):
+        w = abs(q) / 2.0
+        values = [
+            epsilon_collisional_a(A(x, y, q, xp)).epsilon,
+            epsilon_collisional_b(B(x, y, q, xp)).epsilon,
+            epsilon_mermin(A(x, y, q, xp)).epsilon,
+            epsilon_lindhard(x, q, xp).epsilon,
+            epsilon_static_collisional(y, w, xp).epsilon,
+            epsilon_static_mermin(w, xp).epsilon,
+            *(rows(x, (y,), [q], xp)[0][0] for rows in MODELS.values()),
+        ]
+        assert [v.imag for v in values] == [0.0] * len(values), (x, y, q, xp, values)
+
+
+def test_numerator_at_x0_is_within_its_bound():
+    # |N - N_ref| <= 16 eps (1 + 2|g(z,+q)|), eps = 2**-52, for y <= 10
+    checked = 0
+    for x, y, q, _ in _x0_draws(44, 1500):
+        if y > 10.0:
+            continue
+        z = complex(x, y)
+        bound = 16.0 * sys.float_info.epsilon * (1.0 + 2.0 * abs(g_a(z, q, +1)))
+        assert abs_err(_numerator(z, q), ref_numerator(x, y, q)) <= bound, (z, q)
+        checked += 1
+    assert checked > 1000, checked
 
 
 def test_coupling_linearity_exact():

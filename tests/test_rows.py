@@ -5,6 +5,7 @@ class and text; y < 0 or xp < 0 raises the scalar's ValueError out of the row.""
 import importlib.util
 import math
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -74,8 +75,17 @@ def _row_draws(seed, n):
 
 @pytest.mark.parametrize("seed", [21, 22])
 def test_seeded_adversarial_rows_match_the_scalar_path(seed):
+    rng = random.Random(seed)
     for model, x, y, qs, xp in _row_draws(seed, 1500):
         _check(model, x, y, qs, xp)
+        # again with x, y, xp or one q an int beyond double range
+        huge, k = rng.choice((10 ** 400, -10 ** 400)), rng.randrange(len(qs) + 3)
+        if k < 3:
+            args = [x, y, xp]
+            args[k] = huge
+            _check(model, args[0], args[1], qs, args[2])
+        else:
+            _check(model, x, y, qs[:k - 3] + [huge] + qs[k - 2:], xp)
 
 
 _SIGNED = (0.0, -0.0)
@@ -283,7 +293,11 @@ def _g_sum(z, q):
 
 
 def test_numerator_is_the_sum_of_the_shifted_kernels():
+    # bit for bit, except at z = +-0 + iy, y > 0, where N is 1 - 2 Re g(iy,+q)
+    # (g(iy,-q) = -conj(g(iy,+q))): Im N is +0.0 and Re N within one
+    # eps*(1 + 2|g+|) of the two-shift sum, eps = 2**-52, or the same error
     rng = random.Random(34)
+    mirrored = 0
     reals = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 5e-324, 1e-170, 1e154, -1e200, 1.7976931348623157e308)
     for _ in range(20000):
         x = rng.choice(reals) if rng.random() < 0.4 else rng.uniform(-4.0, 4.0)
@@ -293,7 +307,19 @@ def test_numerator_is_the_sum_of_the_shifted_kernels():
                         *branch_points_q(0.0), rng.uniform(-5.0, 5.0), rng.choice(reals)))
         if q == 0.0:  # outside _numerator's domain, as g_a raises DegenerateQ
             continue
-        assert _outcome_or_error(_numerator, z, q) == _outcome_or_error(_g_sum, z, q), (z, q)
+        try:
+            g_sum = _g_sum(z, q)
+        except QplasmaError as exc:
+            assert _outcome_or_error(_numerator, z, q) == _outcome(exc), (z, q)
+            continue
+        n = _numerator(z, q)
+        if x == 0.0 and y > 0.0:
+            assert _outcome(n)[1] == "0x0.0p+0", (z, q)
+            assert abs(n.real - g_sum.real) <= sys.float_info.epsilon * (1.0 + 2.0 * abs(g_a(z, q, +1))), (z, q)
+            mirrored += 1
+        else:
+            assert _outcome(n) == _outcome(g_sum), (z, q)
+    assert mirrored > 300, mirrored
 
 
 def _real_axis_draw(rng):
