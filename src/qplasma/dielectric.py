@@ -38,9 +38,9 @@ g(iy,-q) = -conj(g(iy,+q)), and N is computed from g(iy,+q) alone as
 Each formula is written once, in :mod:`qplasma.kernels`, as a per-row setup
 and a per-q node on plain values; this module holds the typed layer over
 them: the frozen points, the DielectricResult and its Model tag, and the
-scalar epsilon_* and sigma_longitudinal.  The row table ``MODELS``,
-``_mermin_rows`` and ``branch_points_q`` are defined in kernels and
-re-bound here.
+scalar epsilon_* and sigma_longitudinal.  The row table ``MODELS``, whose
+entries all run the one row evaluator ``kernels._rows``, and
+``branch_points_q`` are defined in kernels and re-bound here.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ import enum
 from dataclasses import dataclass
 
 from .errors import DegenerateQ, DivisionByZeroFrequency
-from .kernels import (  # MODELS, _mermin_rows and branch_points_q are re-bound here
-    _Q0_KERNEL, _Q0_POINT, MODELS, _bgk_denominator, _bgk_setup, _divisor, _floats, _lindhard_setup, _mermin_rows,
-    _mermin_setup, _nonnegative, _number, _numerator, _require_finite, _sigma, _square, branch_points_q, clog_ratio,
+from .kernels import (  # MODELS and branch_points_q are re-bound here
+    _Q0_KERNEL, _Q0_POINT, MODELS, _bgk_denominator, _bgk_setup, _divisor, _floats, _lindhard_setup, _mermin_setup,
+    _nonnegative, _number, _numerator, _require_finite, _sigma, _square, branch_points_q, clog_ratio,
 )
 
 __all__ = [
@@ -200,7 +200,8 @@ def epsilon_lindhard(x: float, q: float, xp: float) -> DielectricResult:
     _nonnegative("xp", xp)
     if q == 0.0:
         raise DegenerateQ(_Q0_KERNEL)
-    q = _number(q, "epsilon_lindhard")  # every argument is converted before x is checked, as a point's are
+    # every argument is converted before x is checked, as a point's are
+    x, q, xp = _number(x, "epsilon_lindhard"), _number(q, "epsilon_lindhard"), _number(xp, "epsilon_lindhard")
     return DielectricResult(*_lindhard_setup(x, 0.0, xp)(q), Model.Lindhard)
 
 

@@ -45,11 +45,13 @@ stay finite; g_a checks its result, as z + s q/2 and (a^2 - 1)/(2q) can overflow
 
 This module also holds what the light CLI commands run, on plain values:
 
-* the input guards every module shares (_number, _square, _divisor);
+* the input guards every module shares (_number, _square, _divisor,
+  _normal);
 * the model rows: each model's setup and per-q node, which the scalar
-  epsilon_* of qplasma.dielectric wrap in their typed results, the row
-  evaluator _rows, the model table MODELS (name -> rows function) and
-  branch_points_q;
+  epsilon_* of qplasma.dielectric wrap in their typed results, the one row
+  evaluator _rows (which evaluates a row that does not depend on y once
+  per call), the model table MODELS (name -> rows function, each over
+  _rows) and branch_points_q;
 * the Kohn-root arithmetic, _kohn_roots, whose tuples qplasma.kohn wraps in
   KohnRoot, and kohn_wavenumbers_physical.
 
@@ -64,6 +66,7 @@ from __future__ import annotations
 from cmath import isfinite, log, sqrt
 from functools import partial
 from math import inf, isfinite as _finite, log as _ln, pi
+from sys import float_info
 
 from .errors import (
     DegenerateQ, DenominatorVanishes, NonFiniteResult, NonUpperHalfPlane, PoleAtBranchPoint, QplasmaError,
@@ -114,6 +117,13 @@ def _divisor(v: complex, what: str) -> complex:
     """A divisor built from a caller's values; 0 (an underflow or exact cancellation) raises NonFiniteResult."""
     if v == 0.0:
         raise NonFiniteResult(f"{what} is 0, so the quotient is undefined")
+    return v
+
+
+def _normal(v: float, what: str) -> float:
+    """v, if it lies in the normal double range; NonFiniteResult otherwise."""
+    if not float_info.min <= v < inf:
+        raise NonFiniteResult(f"{what} = {v!r} leaves the normal double range")
     return v
 
 
@@ -265,11 +275,12 @@ def g_b(z: complex, q: float, sign: int) -> complex:
 #
 # The rows of the three models (BGK, Lindhard, Mermin; see qplasma.dielectric
 # for their formulas).  Each model is a setup and a node.  setup(x, y, xp)
-# checks y and xp (a ValueError), computes what is constant along a row of q
-# at fixed x, y, xp, raises the errors that precede all q-dependent work, and
-# returns node(q) -> (eps, sigma), which does the rest in the scalar formula's
-# order.  The scalar epsilon_* of qplasma.dielectric call both for one q;
-# _rows calls setup once per row and node per q.  A square of xp that
+# takes converted values whose signs its caller has checked (y, xp >= 0),
+# computes what is constant along a row of q at fixed x, y, xp, raises the
+# errors that precede all q-dependent work, and returns node(q) -> (eps,
+# sigma), which does the rest in the scalar formula's order.  The scalar
+# epsilon_* of qplasma.dielectric call both for one q; _rows, the one row
+# evaluator, calls setup once per row and node per q.  A square of xp that
 # overflows is deferred (_coupling): the formulas square xp after N, so N's
 # errors win.
 
@@ -320,8 +331,6 @@ def _coupling(xp: float) -> float | None:
 
 
 def _bgk_setup(x: float, y: float, xp: float):
-    _nonnegative("y", y)
-    _nonnegative("xp", xp)
     z = complex(x, y)
     den, c, s = _bgk_denominator(z), _coupling(xp), _sigma(x, y)
 
@@ -353,8 +362,6 @@ def _lindhard_form(z: complex, xp: float, s: complex | None, what: str):
 
 def _lindhard_setup(x: float, y: float, xp: float):
     """y is ignored; z = x is checked as g_a checks it, after q = 0."""
-    _nonnegative("xp", xp)
-    x, xp = _number(x, _LINDHARD), _number(xp, _LINDHARD)
     return _lindhard_form(_as_upper_half(complex(x, 0.0), "g_a"), xp, _sigma(x, 0.0), _LINDHARD)
 
 
@@ -362,8 +369,6 @@ def _mermin_setup(x: float, y: float, xp: float):
     """x = 0 is the static route, independent of y, which squares xp in its
     setup, before N0; y = 0 is the Lindhard form; otherwise the full form.
     The last two check z as g_a does."""
-    _nonnegative("y", y)
-    _nonnegative("xp", xp)
     if x == 0.0:
         c = 1.5 * _square(xp, "xp")
 
@@ -396,24 +401,38 @@ def _mermin_setup(x: float, y: float, xp: float):
     return node
 
 
-def _rows(setup, q0: str, what: str, x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
+def _raise(exc: QplasmaError, q) -> None:
+    """The node of a row whose conversion or setup raised exc.  The scalar
+    converts q first, so for an int q beyond double range float's
+    OverflowError comes first, which _rows reports as that int's error."""
+    float(q)
+    raise exc.with_traceback(None)
+
+
+def _rows(setup, q0: str, what: str, static: bool, x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
     """eps over qs at fixed x and xp, one row per y of ys, each node as the
     scalar path gives it: its value, or the QplasmaError it raises --
     DegenerateQ(q0) at q = 0, else NonFiniteResult for an int argument
     beyond double range (named as the scalar ``what`` names it, which
     converts every argument first), else an error of the setup, else the
-    node's own.  y < 0 or xp < 0 raises the setup's ValueError, checked on
-    the value as given, as a point checks it, before x, y and xp are
-    converted."""
+    node's own.  y < 0 or xp < 0 raises ValueError, checked on the value as
+    given, as a point checks it, before x, y and xp are converted.  A static
+    row, which does not depend on y, is evaluated for the first y whose
+    arguments convert and copied to each later y that converts."""
     rows: list[list[complex | QplasmaError]] = []
+    shared = None
     for y in ys:
         _nonnegative("y", y)
         _nonnegative("xp", xp)
+        args = None
         try:
-            node = setup(_number(x, what), _number(y, what), _number(xp, what))
+            args = _number(x, what), _number(y, what), _number(xp, what)
+            if shared is not None:
+                rows.append(shared.copy())
+                continue
+            node = setup(*args)
         except QplasmaError as exc:
-            rows.append([DegenerateQ(q0) if q == 0.0 else _setup_error(q, what, exc) for q in qs])
-            continue
+            node = partial(_raise, exc)
         out: list[complex | QplasmaError] = []
         for q in qs:
             if q == 0.0:
@@ -426,60 +445,20 @@ def _rows(setup, q0: str, what: str, x: float, ys, qs, xp: float) -> list[list[c
             except OverflowError:  # an int q beyond double range, which the scalar rejects the same way
                 out.append(_beyond(what))
         rows.append(out)
-    return rows
-
-
-def _setup_error(q, what: str, exc: QplasmaError) -> QplasmaError:
-    """A node's error in a row whose setup raised exc: the scalar converts q
-    before the setup runs, so an int q beyond double range raises that instead."""
-    try:
-        float(q)
-    except OverflowError:
-        return _beyond(what)
-    return exc
-
-
-def _mermin_rows(x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
-    """_rows of the Mermin model.  Its x = 0 static route is the same for
-    every y that converts and is not negative, so that row is evaluated once
-    and copied to each further such y; any other y gets its own _rows row
-    (or ValueError)."""
-    if x != 0.0:
-        return _rows(_mermin_setup, _Q0_POINT, _POINT, x, ys, qs, xp)
-    rows: list[list[complex | QplasmaError]] = []
-    static = None
-    for y in ys:
-        try:
-            own = _number(y, _POINT) < 0.0
-        except NonFiniteResult:
-            own = True
-        if own:
-            rows += _rows(_mermin_setup, _Q0_POINT, _POINT, x, (y,), qs, xp)
-            continue
-        if static is None:
-            static = _rows(_mermin_setup, _Q0_POINT, _POINT, x, (y,), qs, xp)[0]
-        rows.append(static.copy())
-    return rows
-
-
-def _lindhard_rows(x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
-    """_rows of the Lindhard model, which takes no y: the row at y = 0, copied
-    to each y of ys, which is neither checked nor converted."""
-    rows: list[list[complex | QplasmaError]] = []
-    for _ in ys:
-        if not rows:
-            row = _rows(_lindhard_setup, _Q0_KERNEL, _LINDHARD, x, (0.0,), qs, xp)[0]
-        rows.append(row.copy())
+        if static and args is not None:
+            shared = out
     return rows
 
 
 # Model name -> rows(x, ys, qs, xp), for the sweep, the broadening scan and the CLI:
 # one row per y of ys, each node the eps of the scalar epsilon_* at (x, y, q, xp)
-# or the QplasmaError raised there; y or xp < 0 raises ValueError.
+# or the QplasmaError raised there; y or xp < 0 raises ValueError.  The Mermin
+# row at x = 0 is static; so is every Lindhard row, which is passed y = 0.0 for
+# each y, as epsilon_lindhard takes no y to check or convert.
 MODELS = {
-    "bgk": partial(_rows, _bgk_setup, _Q0_POINT, _POINT),
-    "mermin": _mermin_rows,
-    "lindhard": _lindhard_rows,
+    "bgk": partial(_rows, _bgk_setup, _Q0_POINT, _POINT, False),
+    "mermin": lambda x, ys, qs, xp: _rows(_mermin_setup, _Q0_POINT, _POINT, x == 0.0, x, ys, qs, xp),
+    "lindhard": lambda x, ys, qs, xp: _rows(_lindhard_setup, _Q0_KERNEL, _LINDHARD, True, x, (0.0 for _ in ys), qs, xp),
 }
 
 
@@ -548,13 +527,14 @@ def kohn_wavenumbers_physical(omega: float, kF: float, vF: float) -> tuple[compl
     These are k_F times the principal roots of kohn_roots_dimless at
     x = omega/(k_F v_F); at x = 0, where the (-,+) entry reports the
     degenerate root 0, its principal root 2 is used, giving 2k_F, 2k_F,
-    -2k_F, -2k_F.  Negative discriminants give complex values; a
-    wavenumber that overflows raises NonFiniteResult.
+    -2k_F, -2k_F.  Negative discriminants give complex values; a scale
+    k_F*v_F that is not a normal double (x would be rounded to 0 or lose
+    digits) and a wavenumber that overflows raise NonFiniteResult.
     """
     if not (0.0 < kF < inf and 0.0 < vF < inf):
         raise ValueError("kF and vF must be positive and finite")
     omega, kF, vF = (_number(v, "kohn_wavenumbers_physical") for v in (omega, kF, vF))
-    _, roots = _kohn_roots(omega / _divisor(kF * vF, "kF*vF"))
+    _, roots = _kohn_roots(omega / _normal(kF * vF, "kF*vF"))
     ks = tuple(kF * (q if principal else q_alt) for q, q_alt, _, _, _, principal, _ in roots)
     if not all(isfinite(k) for k in ks):
         raise NonFiniteResult(f"kF * q overflows: {ks!r}")

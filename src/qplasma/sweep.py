@@ -7,9 +7,10 @@ re-binds, is a table of row functions, one per model: a row hoists
 what is constant at its fixed z = x + iy (the checked z, the BGK
 denominator 1 - g0(z), 1.5 xp^2) and then evaluates each q node in the
 scalar ``epsilon_*`` order, so every value and every error is the one the
-scalar function gives at that node.  The Mermin x = 0 row and the Lindhard
-row, each the same for every y, are evaluated once per sweep; N0(q) is
-still computed in each row.
+scalar function gives at that node.  Every entry runs the one row
+evaluator ``kernels._rows``, which evaluates a row that is the same for
+every y (the Mermin x = 0 row, the Lindhard row) once per call and copies
+it; N0(q) is still computed in each other Mermin row.
 Output is deterministic: the CSV is written with 17 significant digits, LF
 line endings and a fixed column order (q, then one re/im pair per y).
 

@@ -28,12 +28,11 @@ be inf, 0 or short of digits) raise NonFiniteResult.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .dielectric import DimensionlessPointA, DimensionlessPointB
 from .errors import InconsistentParameters, NonFiniteResult, ZeroWavenumber
-from .kernels import _divisor, _floats, _number, _square
+from .kernels import _floats, _normal, _number, _square
 
 __all__ = [
     "HBAR",
@@ -79,13 +78,6 @@ def _density(N: float, what: str) -> float:
     if N <= 0.0:
         raise ValueError(f"density must be positive, got {N}")
     return N
-
-
-def _normal(v: float, what: str) -> float:
-    """v, if it lies in the normal double range; NonFiniteResult otherwise."""
-    if not sys.float_info.min <= v < _INF:
-        raise NonFiniteResult(f"{what} = {v!r} leaves the normal double range")
-    return v
 
 
 def fermi_quantities(N: float) -> FermiQuantities:
@@ -173,32 +165,30 @@ class PhysicalParams:
         return cls(omega=omega, nu=nu, k=k, vF=fq.vF, kF=fq.kF, omega_p=plasma_frequency(N), N=N)
 
 
-def _finite(pt, scale: float, what: str):
-    """pt, if every field and the scale it was divided by are finite;
-    NonFiniteResult otherwise (an infinite scale rounds the fields to 0)."""
+def _finite(pt):
+    """pt, if every field is finite; NonFiniteResult otherwise."""
     if not all(map(math.isfinite, vars(pt).values())):
         raise NonFiniteResult(f"a dimensionless field overflowed or is undefined: {pt!r}")
-    if not math.isfinite(scale):
-        raise NonFiniteResult(f"{what} overflowed, so {pt!r} has no correct digit")
     return pt
 
 
 def to_convention_a(p: PhysicalParams) -> DimensionlessPointA:
     """Per-k scaling: x = omega/(k vF), y = nu/(k vF), q = k/kF,
-    xp = omega_p/(k vF); a field or a scale k*vF that is not finite raises
-    NonFiniteResult."""
-    s = _divisor(p.k * p.vF, "k*vF")
-    return _finite(DimensionlessPointA(x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp=p.omega_p / s), s, "k*vF")
+    xp = omega_p/(k vF); a scale k*vF that is not a normal double (inf
+    would round every field to 0, 0 leave it undefined, a subnormal cost it
+    digits) or a field that is not finite raises NonFiniteResult."""
+    s = _normal(p.k * p.vF, "k*vF")
+    return _finite(DimensionlessPointA(x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp=p.omega_p / s))
 
 
 def to_convention_b(p: PhysicalParams) -> DimensionlessPointB:
     """Per-k_F scaling: x = omega/(kF vF), y = nu/(kF vF), q = k/kF,
-    xp2 = (omega_p/(kF vF))^2; a field or a scale kF*vF that is not finite
-    raises NonFiniteResult."""
-    s = _divisor(p.kF * p.vF, "kF*vF")
+    xp2 = (omega_p/(kF vF))^2; a scale kF*vF that is not a normal double or
+    a field that is not finite raises NonFiniteResult."""
+    s = _normal(p.kF * p.vF, "kF*vF")
     return _finite(DimensionlessPointB(
         x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp2=_square(p.omega_p / s, "omega_p/(kF vF)")
-    ), s, "kF*vF")
+    ))
 
 
 def from_convention_a(pt: DimensionlessPointA, kF: float, vF: float) -> PhysicalParams:

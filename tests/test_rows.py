@@ -13,12 +13,12 @@ import pytest
 
 from qplasma.dielectric import (
     DimensionlessPointA,
-    _mermin_rows,
     branch_points_q,
     epsilon_collisional_a,
     epsilon_lindhard,
     epsilon_mermin,
 )
+from qplasma import kernels
 from qplasma.errors import DenominatorVanishes, NonFiniteResult, QplasmaError, WindowContainsPole
 from qplasma.kernels import _numerator, g_a
 from qplasma.kohn import singularity_broadening_scan
@@ -148,6 +148,21 @@ def test_negative_y_or_xp_raises_out_of_the_row(model, y, xp, text):
 def test_lindhard_rows_ignore_y(y):
     # the scalar epsilon_lindhard takes no y, so its row neither checks nor converts it
     assert _row("lindhard", 0.3, y, [1.0, 1.5], 1.0) == [_scalar("lindhard", 0.3, y, q, 1.0) for q in (1.0, 1.5)]
+
+
+@pytest.mark.parametrize("model, x, ys, counted", [
+    ("mermin", 0.0, (0.0, 0.01, 0.02), "_static_numerator"),
+    ("lindhard", 0.3, (0.0, -0.0), "_numerator"),
+])
+def test_y_independent_rows_are_evaluated_once(monkeypatch, model, x, ys, counted):
+    # the Mermin x = 0 row and the Lindhard row are the same for every y: one node evaluation per q
+    calls = []
+    evaluate = getattr(kernels, counted)
+    monkeypatch.setattr(kernels, counted, lambda *args: calls.append(args) or evaluate(*args))
+    qs = [0.25 * k for k in range(1, 12)]
+    rows = MODELS[model](x, ys, qs, 1.0)
+    assert len(calls) == len(qs)
+    assert [[_outcome(v) for v in row] for row in rows] == [_row(model, x, y, qs, 1.0) for y in ys]
 
 
 @pytest.mark.parametrize("q, xp", [(1, 1), (1.0, 1.0), (-1, 2.0), (0.5, 1)])
@@ -423,14 +438,14 @@ def test_mermin_rows_match_their_rows_one_by_one(seed):
         qs = _adversarial_qs(rng, list(branch_points_q(x)))
         if any(y < 0 for y in ys):  # a negative y's ValueError leaves the whole call, as it leaves its own row
             with pytest.raises(ValueError, match="^y must be >= 0, got -"):
-                _mermin_rows(x, ys, qs, xp)
+                MODELS["mermin"](x, ys, qs, xp)
             continue
-        rows = _mermin_rows(x, ys, qs, xp)
+        rows = MODELS["mermin"](x, ys, qs, xp)
         assert [[_outcome(v) for v in row] for row in rows] == [_row("mermin", x, y, qs, xp) for y in ys]
 
 
 def test_copied_mermin_static_rows_still_check_y():
     with pytest.raises(ValueError, match="^y must be >= 0, got -0.1$"):
-        _mermin_rows(0.0, (0.1, -0.1), [1.0, 2.0], 1.0)
+        MODELS["mermin"](0.0, (0.1, -0.1), [1.0, 2.0], 1.0)
     with pytest.raises(ValueError, match=f"^y must be >= 0, got {-10 ** 400}$"):
-        _mermin_rows(0.0, (0.1, -10 ** 400), [1.0, 2.0], 1.0)
+        MODELS["mermin"](0.0, (0.1, -10 ** 400), [1.0, 2.0], 1.0)

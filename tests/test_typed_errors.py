@@ -141,6 +141,10 @@ _INT_XP = 10 ** 200
     lambda: PhysicalParams(1.0, 0.0, 1.0, 1.0, 1.0 / (HBAR / M_E), 1.0, N=math.nan),
     lambda: PhysicalParams.from_density(1.0, 0.0, math.inf, 1e28),
     lambda: PhysicalParams(1.0, 0.0, 1.0, 1e305, 1.0, 1.0),  # vF/(hbar/m) overflows, so no kF matches it
+    # kF*vF overflows: x = omega/(kF vF) came out 0 and the roots 2kF, 2kF, -2kF, -2kF, though x is 0.5
+    lambda: kohn_wavenumbers_physical(1e308, 1e154, 2e154),
+    # k*vF = 1e-320 is subnormal: x came out 1.0000111e20, 1.1e-5 off
+    lambda: to_convention_a(PhysicalParams(1e-300, 0.0, 1e-160, 1e-160, 1e-160 / (HBAR / M_E), 1e-300)),
 ], ids=[
     "bgk", "mermin", "mermin-y0", "mermin-x0", "lindhard", "static-mermin",
     "static-collisional", "classical", "bgk-b-q2-overflow", "bgk-b-q2-underflow",
@@ -151,7 +155,7 @@ _INT_XP = 10 ** 200
     "bgk-int-xp", "mermin-int-xp", "mermin-x0-int-xp", "lindhard-int-xp", "classical-int-xp", "quadrature-int-xp",
     "fermi-nan", "fermi-inf", "fermi-minus-inf", "fermi-kf-overflow", "fermi-3pi2n-subnormal", "plasma-e2n-underflow",
     "plasma-e2n-subnormal", "units-nan-density", "units-from-density-inf-k",
-    "units-kf-expected-overflow",
+    "units-kf-expected-overflow", "kohn-physical-scale-inf", "units-a-scale-subnormal",
 ])
 def test_squares_and_scales_that_leave_double_range_raise_non_finite(call):
     with pytest.raises(NonFiniteResult):
@@ -229,10 +233,12 @@ def test_cli_compare_huge_coupling_is_an_evaluation_error(capsys):
 
 
 def test_cli_kohn_underflowing_scale_is_an_evaluation_error(capsys):
-    assert main(["kohn", "--omega", "1", "--kf", "1e-200", "--vf", "1e-200"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("evaluation error: NonFiniteResult:")
+    # and an overflowing one, which printed x = 0 and its roots
+    for omega, kf, vf in (("1", "1e-200", "1e-200"), ("1e308", "1e154", "2e154")):
+        assert main(["kohn", "--omega", omega, "--kf", kf, "--vf", vf]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("evaluation error: NonFiniteResult:")
 
 
 def test_cli_sweep_huge_coupling_skips_every_point(tmp_path, capsys):
