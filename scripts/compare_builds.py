@@ -201,6 +201,8 @@ def _args(name: str, rng: random.Random) -> tuple:
         return x, _nonneg(rng), _nonneg(rng)
     if name in ("to_convention_a", "to_convention_b"):
         return abs(x), _nonneg(rng), _nonneg(rng), _nonneg(rng), _nonneg(rng)
+    if name == "from_convention_a":
+        return x, _nonneg(rng), _q(rng, x), _nonneg(rng), _nonneg(rng), _nonneg(rng)
     if name in ("fermi_quantities", "plasma_frequency"):
         return (x,)
     if name == "from_density":
@@ -250,6 +252,8 @@ def call_table():
                 x, xp, ys, (q_min, q_max), n, on_pole), 1),
         "to_convention_a": (lambda *a: u.to_convention_a(_physical(u, *a)), 10),
         "to_convention_b": (lambda *a: u.to_convention_b(_physical(u, *a)), 10),
+        "from_convention_a": (
+            lambda x, y, q, xp, kF, vF: _si_fields(u.from_convention_a(pa(x, y, q, xp), kF, vF)), 10),
         "fermi_quantities": (u.fermi_quantities, 10),
         "plasma_frequency": (u.plasma_frequency, 10),
         "from_density": (lambda *a: _si_fields(u.PhysicalParams.from_density(*a)), 10),

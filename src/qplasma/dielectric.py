@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateQ, DivisionByZeroFrequency
 from .kernels import (  # MODELS and branch_points_q are re-bound here
-    _Q0_KERNEL, _Q0_POINT, MODELS, _bgk_denominator, _bgk_setup, _divisor, _floats, _lindhard_setup, _mermin_setup,
+    _Q0_POINT, MODELS, _bgk_denominator, _bgk_setup, _divisor, _floats, _lindhard_setup, _mermin_setup,
     _nonnegative, _number, _numerator, _require_finite, _sigma, _square, branch_points_q, clog_ratio,
 )
 
@@ -82,6 +82,21 @@ class Model(enum.Enum):
     ClassicalLimit = "classical-limit"
 
 
+def _check_point(p, coupling: str, c: float) -> None:
+    """Check a point p whose coupling field ``coupling`` holds c: y, then c,
+    must be >= 0 on the values as given, then q != 0; int fields are then
+    stored as floats.  The signs are compared here, not by _nonnegative, as a
+    point is built for every scalar evaluation."""
+    if p.y < 0.0:
+        raise ValueError(f"y must be >= 0, got {p.y}")
+    if c < 0.0:
+        raise ValueError(f"{coupling} must be >= 0, got {c}")
+    if p.q == 0.0:
+        raise DegenerateQ(_Q0_POINT)
+    if int in (type(p.x), type(p.y), type(p.q), type(c)):
+        _floats(p, type(p).__name__)
+
+
 @dataclass(frozen=True)
 class DimensionlessPointA:
     """Per-k dimensionless point: x = omega/(k vF), y = nu/(k vF),
@@ -97,14 +112,7 @@ class DimensionlessPointA:
     # evaluation, which cancelled the faster construction.
 
     def __post_init__(self) -> None:
-        if self.y < 0.0:
-            raise ValueError(f"y must be >= 0, got {self.y}")
-        if self.xp < 0.0:
-            raise ValueError(f"xp must be >= 0, got {self.xp}")
-        if self.q == 0.0:
-            raise DegenerateQ(_Q0_POINT)
-        if int in (type(self.x), type(self.y), type(self.q), type(self.xp)):
-            _floats(self, "DimensionlessPointA")
+        _check_point(self, "xp", self.xp)
 
     @property
     def z(self) -> complex:
@@ -129,14 +137,7 @@ class DimensionlessPointB:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.y < 0.0:
-            raise ValueError(f"y must be >= 0, got {self.y}")
-        if self.xp2 < 0.0:
-            raise ValueError(f"xp2 must be >= 0, got {self.xp2}")
-        if self.q == 0.0:
-            raise DegenerateQ(_Q0_POINT)
-        if int in (type(self.x), type(self.y), type(self.q), type(self.xp2)):
-            _floats(self, "DimensionlessPointB")
+        _check_point(self, "xp2", self.xp2)
 
     @property
     def z(self) -> complex:
@@ -199,7 +200,7 @@ def epsilon_lindhard(x: float, q: float, xp: float) -> DielectricResult:
     Mermin models: eps = 1 + (3/2) xp^2 (1 - g(x,+q) + g(x,-q))."""
     _nonnegative("xp", xp)
     if q == 0.0:
-        raise DegenerateQ(_Q0_KERNEL)
+        raise DegenerateQ(_Q0_POINT)
     # every argument is converted before x is checked, as a point's are
     x, q, xp = _number(x, "epsilon_lindhard"), _number(q, "epsilon_lindhard"), _number(xp, "epsilon_lindhard")
     return DielectricResult(*_lindhard_setup(x, 0.0, xp)(q), Model.Lindhard)

@@ -285,9 +285,9 @@ def g_b(z: complex, q: float, sign: int) -> complex:
 # errors win.
 
 _DENOMINATOR_FLOOR = 1e-30
-# DegenerateQ texts of a q = 0 node: the points reject it, Lindhard's g_a does
+# The DegenerateQ text of a q = 0 node, for every model: its q -> 0 limit is
+# epsilon_classical_limit (for Lindhard, at y = 0)
 _Q0_POINT = "q = 0: use epsilon_classical_limit"
-_Q0_KERNEL = "g_a needs q != 0"
 # Who converts a scalar call's arguments, as named in its beyond-double-range text
 _POINT = "DimensionlessPointA"
 _LINDHARD = "epsilon_lindhard"
@@ -389,9 +389,7 @@ def _mermin_setup(x: float, y: float, xp: float):
         n0 = _static_numerator(q)
         den = x + iy * n / n0
         if abs(den) < _DENOMINATOR_FLOOR:
-            # the repr of the DimensionlessPointA at this node, which stores an int q as a float
-            raise DenominatorVanishes(f"Mermin denominator vanished at DimensionlessPointA(x={x!r}, y={y!r}, "
-                                      f"q={float(q) if type(q) is int else q!r}, xp={xp!r})")
+            raise DenominatorVanishes(f"Mermin denominator vanished at x={x!r}, y={y!r}, q={float(q)!r}, xp={xp!r}")
         cc = c if c is not None else 1.5 * _square(xp, "xp")
         eps = 1.0 + cc * (z * n) / den
         if not isfinite(eps):
@@ -409,10 +407,10 @@ def _raise(exc: QplasmaError, q) -> None:
     raise exc.with_traceback(None)
 
 
-def _rows(setup, q0: str, what: str, static: bool, x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
+def _rows(setup, what: str, static: bool, x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
     """eps over qs at fixed x and xp, one row per y of ys, each node as the
     scalar path gives it: its value, or the QplasmaError it raises --
-    DegenerateQ(q0) at q = 0, else NonFiniteResult for an int argument
+    DegenerateQ(_Q0_POINT) at q = 0, else NonFiniteResult for an int argument
     beyond double range (named as the scalar ``what`` names it, which
     converts every argument first), else an error of the setup, else the
     node's own.  y < 0 or xp < 0 raises ValueError, checked on the value as
@@ -436,7 +434,7 @@ def _rows(setup, q0: str, what: str, static: bool, x: float, ys, qs, xp: float) 
         out: list[complex | QplasmaError] = []
         for q in qs:
             if q == 0.0:
-                out.append(DegenerateQ(q0))
+                out.append(DegenerateQ(_Q0_POINT))
                 continue
             try:
                 out.append(node(q)[0])
@@ -456,16 +454,17 @@ def _rows(setup, q0: str, what: str, static: bool, x: float, ys, qs, xp: float) 
 # row at x = 0 is static; so is every Lindhard row, which is passed y = 0.0 for
 # each y, as epsilon_lindhard takes no y to check or convert.
 MODELS = {
-    "bgk": partial(_rows, _bgk_setup, _Q0_POINT, _POINT, False),
-    "mermin": lambda x, ys, qs, xp: _rows(_mermin_setup, _Q0_POINT, _POINT, x == 0.0, x, ys, qs, xp),
-    "lindhard": lambda x, ys, qs, xp: _rows(_lindhard_setup, _Q0_KERNEL, _LINDHARD, True, x, (0.0 for _ in ys), qs, xp),
+    "bgk": partial(_rows, _bgk_setup, _POINT, False),
+    "mermin": lambda x, ys, qs, xp: _rows(_mermin_setup, _POINT, x == 0.0, x, ys, qs, xp),
+    "lindhard": lambda x, ys, qs, xp: _rows(_lindhard_setup, _LINDHARD, True, x, (0.0 for _ in ys), qs, xp),
 }
 
 
 def branch_points_q(x: float) -> tuple[float, ...]:
     """Wavenumbers q where the y = 0 kernels hit their log branch points at
-    fixed x (shifted argument x +- q/2 = +-1): +-2(1-x), +-2(1+x)."""
-    x = float(x)
+    fixed x (shifted argument x +- q/2 = +-1): +-2(1-x), +-2(1+x).  An int x
+    beyond double range raises NonFiniteResult."""
+    x = _number(x, "branch_points_q")
     return (2.0 * (1.0 - x), 2.0 * (1.0 + x), -2.0 * (1.0 - x), -2.0 * (1.0 + x))
 
 

@@ -65,12 +65,6 @@ def line_plot(
     x0, dx, pw = MARGIN_L, x_hi - x_lo, WIDTH - MARGIN_L - MARGIN_R
     y0, dy, ph = HEIGHT - MARGIN_B, y_hi - y_lo, HEIGHT - MARGIN_T - MARGIN_B
 
-    def sx(x: float) -> float:
-        return x0 + (x - x_lo) / dx * pw
-
-    def sy(y: float) -> float:
-        return y0 - (y - y_lo) / dy * ph
-
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -83,7 +77,7 @@ def line_plot(
         f'height="{HEIGHT - MARGIN_T - MARGIN_B}" fill="none" stroke="black" stroke-width="1"/>'
     )
     for t in _ticks(x_lo, x_hi):
-        px = sx(t)
+        px = x0 + (t - x_lo) / dx * pw
         out.append(
             f'<line x1="{px:.2f}" y1="{HEIGHT - MARGIN_B}" x2="{px:.2f}" y2="{HEIGHT - MARGIN_B + 5}" stroke="black"/>'
         )
@@ -92,7 +86,7 @@ def line_plot(
             f'font-size="11" text-anchor="middle">{t:g}</text>'
         )
     for t in _ticks(y_lo, y_hi):
-        py = sy(t)
+        py = y0 - (t - y_lo) / dy * ph
         out.append(f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
         out.append(
             f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" font-family="sans-serif" '
@@ -111,7 +105,7 @@ def line_plot(
         color = _PALETTE[i % len(_PALETTE)]
         runs = [pts] if None not in pts else [list(g) for gap, g in groupby(pts, lambda p: p is None) if not gap]
         for run in runs:
-            if len(run) > 1:  # sx and sy written out, one comprehension per polyline
+            if len(run) > 1:  # one comprehension per polyline
                 points = " ".join(["%.2f,%.2f" % (x0 + (x - x_lo) / dx * pw, y0 - (y - y_lo) / dy * ph) for x, y in run])
                 out.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         lx = WIDTH - MARGIN_R - 120

@@ -26,7 +26,6 @@ interpolated.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os.path
 from dataclasses import dataclass
@@ -248,25 +247,15 @@ def run_sweep(cfg: SweepConfig, write: bool = True) -> SweepResult:
     )
     for iy in bad:
         rows[iy] = [None if isinstance(v, QplasmaError) else v for v in rows[iy]]
-    result = SweepResult(
-        config=cfg,
-        q_values=tuple(qs),
-        eps=tuple(zip(*rows)),
-        skipped=skipped,
-        nudged=tuple(nudged),
-    )
-    if not write:
-        return result
-
     base = _output_base(cfg.output)
-    Path(base).parent.mkdir(parents=True, exist_ok=True)
-    csv_path = svg_path = None
-    if cfg.fmt in ("csv", "both"):
-        csv_path = Path(base + ".csv")
-        with open(csv_path, "w", newline="") as fh:
-            fh.write(result.csv_text())
-    if cfg.fmt in ("svg", "both"):
-        svg_path = Path(base + ".svg")
-        with open(svg_path, "w", newline="") as fh:
-            fh.write(result.svg_text())
-    return dataclasses.replace(result, csv_path=csv_path, svg_path=svg_path)
+    csv_path = Path(base + ".csv") if write and cfg.fmt in ("csv", "both") else None
+    svg_path = Path(base + ".svg") if write and cfg.fmt in ("svg", "both") else None
+    result = SweepResult(config=cfg, q_values=tuple(qs), eps=tuple(zip(*rows)), skipped=skipped,
+                         nudged=tuple(nudged), csv_path=csv_path, svg_path=svg_path)
+    if write:
+        Path(base).parent.mkdir(parents=True, exist_ok=True)
+        for path, text in ((csv_path, result.csv_text), (svg_path, result.svg_text)):
+            if path is not None:
+                with open(path, "w", newline="") as fh:
+                    fh.write(text())
+    return result

@@ -192,9 +192,11 @@ def to_convention_b(p: PhysicalParams) -> DimensionlessPointB:
 
 
 def from_convention_a(pt: DimensionlessPointA, kF: float, vF: float) -> PhysicalParams:
-    """Invert to_convention_a given the (kF, vF) anchors."""
+    """Invert to_convention_a given the (kF, vF) anchors; an int anchor
+    beyond double range raises NonFiniteResult."""
     if kF <= 0.0 or vF <= 0.0:
         raise ValueError("kF and vF must be positive")
+    kF, vF = _number(kF, "from_convention_a"), _number(vF, "from_convention_a")
     k = pt.q * kF
     if k <= 0.0:
         raise ZeroWavenumber("q must be positive to reconstruct k")

@@ -151,6 +151,11 @@ def test_g_a_degenerate_q():
         g_a(0.3 + 0.1j, 0.0, +1)
 
 
+def test_g_a_rejects_a_sign_other_than_plus_or_minus_one():
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got 2$"):
+        g_a(0.3 + 0.1j, 1.0, 2)
+
+
 def test_g_a_branch_point_raises():
     # z - q/2 = -1 at z=0 (real axis), q=2
     with pytest.raises(PoleAtBranchPoint):

@@ -153,6 +153,11 @@ def test_broadening_scan_raise_mode():
         singularity_broadening_scan(0.0, 1.0, [0.0], (1.8, 2.2), on_pole="raise")
 
 
+def test_broadening_scan_rejects_an_unknown_on_pole_mode():
+    with pytest.raises(ValueError, match="^on_pole must be 'skip' or 'raise', got 'bogus'$"):
+        singularity_broadening_scan(0.0, 1.0, [0.0], (1.8, 2.2), on_pole="bogus")
+
+
 def test_broadening_scan_y0_dominates():
     rows = singularity_broadening_scan(0.0, 1.0, [0.0, 0.005, 0.01], (1.8, 2.2))
     slopes = [r.max_abs_deps_dq for r in rows]

@@ -100,16 +100,15 @@ def test_signed_zero_rows_and_branch_points(model):
                 _check(model, x, y, qs, xp)
 
 
-@pytest.mark.parametrize("model", ["bgk", "mermin"])
-def test_q0_node_names_the_classical_limit(model):
-    assert _row(model, 0.3, 0.1, [0.0, 1.0], 1.0)[0] == ("DegenerateQ", "q = 0: use epsilon_classical_limit")
+@pytest.mark.parametrize("model, x, y", [
+    ("bgk", 0.3, 0.1), ("mermin", 0.3, 0.1), ("lindhard", 0.3, 0.0),
+], ids=["bgk", "mermin", "lindhard"])
+def test_q0_node_names_the_classical_limit(model, x, y):
+    assert _row(model, x, y, [0.0, 1.0], 1.0)[0] == ("DegenerateQ", "q = 0: use epsilon_classical_limit")
+    assert _row(model, x, y, [-0.0], 1.0) == [_scalar(model, x, y, -0.0, 1.0)]
     # a row whose z is not finite still reports q = 0 first
-    assert [c for c, _ in _row(model, 0.3, math.nan, [0.0, 1.0], 1.0)] == ["DegenerateQ", "NonFiniteResult"]
-
-
-def test_lindhard_q0_node_names_the_kernel():
-    assert _row("lindhard", 0.3, 0.0, [0.0], 1.0) == [("DegenerateQ", "g_a needs q != 0")]
-    assert [c for c, _ in _row("lindhard", math.inf, 0.0, [-0.0, 1.0], 1.0)] == ["DegenerateQ", "NonFiniteResult"]
+    bad = (x, math.nan) if model != "lindhard" else (math.inf, y)
+    assert [c for c, _ in _row(model, *bad, [0.0, 1.0], 1.0)] == ["DegenerateQ", "NonFiniteResult"]
 
 
 def test_mermin_error_precedence_per_route():
@@ -166,12 +165,13 @@ def test_y_independent_rows_are_evaluated_once(monkeypatch, model, x, ys, counte
 
 
 @pytest.mark.parametrize("q, xp", [(1, 1), (1.0, 1.0), (-1, 2.0), (0.5, 1)])
-def test_mermin_denominator_text_is_the_points_repr(q, xp):
-    # |x + i y N/N0| ~ 1e-40: the row writes the text from plain values
+def test_mermin_denominator_text_names_the_point(q, xp):
+    # |x + i y N/N0| ~ 1e-40: the row writes the text from plain values,
+    # with an int q printed as the float the scalar's point stores
     x = y = 1e-40
     (node,) = MODELS["mermin"](x, (y,), [q], xp)[0]
     assert isinstance(node, DenominatorVanishes)
-    assert str(node) == f"Mermin denominator vanished at {DimensionlessPointA(x, y, float(q), xp)!r}"
+    assert str(node) == f"Mermin denominator vanished at x={x!r}, y={y!r}, q={float(q)!r}, xp={float(xp)!r}"
     assert _row("mermin", x, y, [q], xp) == [_scalar("mermin", x, y, q, xp)]
 
 

@@ -122,6 +122,13 @@ def test_sweep_config_validation(tmp_path):
                 dict(q_max=inf), dict(q_min=-inf), dict(q_min=nan)):
         with pytest.raises(ConfigError):
             _cfg(tmp_path, **bad)
+    for bad, text in ((dict(q_min=2.5, q_max=1.5), "q range needs q_min < q_max"),
+                      (dict(q_min=1.5, q_max=1.5), "q range needs q_min < q_max"),
+                      (dict(y=()), "at least one y value is required"),
+                      (dict(y=(0.01, -0.01)), "y values must be >= 0"),
+                      (dict(xp=-1.0), "xp must be >= 0")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
+            _cfg(tmp_path, **bad)
     # two y values printed as the same column label (re_eps_y0.1)
     for ys in ((0.1, 0.1000001), (0.01, 0.01)):
         with pytest.raises(ConfigError, match="distinct column labels"):
@@ -131,12 +138,17 @@ def test_parse_q_range():
     assert parse_q_range("1.5:2.5:501") == (1.5, 2.5, 501)
     with pytest.raises(ConfigError):
         parse_q_range("1:2")
+    with pytest.raises(ConfigError, match=r"^bad q range '1:2:x': invalid literal for int\(\)"):
+        parse_q_range("1:2:x")
 
 
 def test_load_config_file(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("# comment\nmodel = bgk\nx=0\n\ny = 0,0.01  # inline\n")
     assert load_config_file(path) == {"model": "bgk", "x": "0", "y": "0,0.01"}
+    path.write_text("model = bgk\nx 0\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: expected key=value, got 'x 0'$"):
+        load_config_file(path)
 
 
 def test_shipped_configs_parse():
@@ -235,6 +247,13 @@ def test_cli_sweep_bad_flag(tmp_path):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_cli_sweep_unparsable_y_is_a_config_error(tmp_path, capsys):
+    assert main(["sweep", "--model", "bgk", "--x", "0", "--y", "0,abc", "--q", "1.5:2.5:11", "--xp", "1",
+                 "--output", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == "config error: could not convert string to float: 'abc'\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("flag, value, error", [
     ("--model", "nope", "model must be one of ('bgk', 'mermin', 'lindhard'), got 'nope'"),
     ("--format", "pdf", "format must be one of ('csv', 'svg', 'both'), got 'pdf'"),
@@ -322,6 +341,15 @@ def test_cli_compare_rejects_zero_q(capsys):
     assert main(["compare", "--x", "0.5", "--y", "0.1", "--q", "0", "--xp", "1"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--y", "--xp"])
+def test_cli_compare_rejects_negative_y_or_xp(capsys, flag):
+    argv = {"--x": "0.5", "--y": "0.1", "--q": "1", "--xp": "1", flag: "-1"}
+    assert main(["compare", *[tok for pair in argv.items() for tok in pair]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: y and xp must be >= 0\n"
+
+
 def test_cli_compare_propagates_evaluation_error(capsys):
     # x=0, q=2, y=0 sits exactly on the branch point
     rc = main(["compare", "--x", "0", "--y", "0", "--q", "2", "--xp", "1"])
@@ -359,6 +387,27 @@ def test_cli_kohn_physical(capsys):
         assert "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--omega", "1e14"], "error: physical mode needs --omega, --kf and --vf"),
+    (["--omega", "1e14", "--kf", "-1", "--vf", "1e6"], "error: --kf and --vf must be positive"),
+    (["--omega", "1e14", "--kf", "1e10", "--vf", "0"], "error: --kf and --vf must be positive"),
+])
+def test_cli_kohn_physical_usage_errors(capsys, argv, error):
+    assert main(["kohn", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == error + "\n"
+
+
+def test_cli_kohn_physical_mode_notes_an_ignored_x(capsys):
+    argv = ["--omega", "1.8e14", "--kf", "1.2e10", "--vf", "1.5e6"]
+    assert main(["kohn", *argv, "--x", "0.3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: --x ignored in physical mode\n"
+    assert main(["kohn", *argv]) == 0
+    assert capsys.readouterr().out == captured.out
+
+
 def test_cli_verify(capsys):
     rc = main(["verify", "--points", "10", "--seed", "3"])
     assert rc == 0
@@ -370,6 +419,13 @@ def test_cli_verify(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--tol" in captured.err
+
+
+def test_cli_verify_rejects_no_points(capsys):
+    assert main(["verify", "--points", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --points must be >= 1\n"
 
 
 def test_cli_verify_rejects_negative_seed(capsys):

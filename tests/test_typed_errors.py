@@ -3,6 +3,7 @@ arguments, returns finite values or raises a QplasmaError (or a documented
 ValueError), never a bare OverflowError or ZeroDivisionError."""
 
 import importlib.util
+import inspect
 import math
 import random
 from pathlib import Path
@@ -14,6 +15,7 @@ from qplasma.dielectric import (
     MODELS,
     DimensionlessPointA,
     DimensionlessPointB,
+    branch_points_q,
     epsilon_classical_limit,
     epsilon_collisional_a,
     epsilon_collisional_b,
@@ -32,6 +34,7 @@ from qplasma.units import (
     M_E,
     PhysicalParams,
     fermi_quantities,
+    from_convention_a,
     plasma_frequency,
     to_convention_a,
     to_convention_b,
@@ -91,6 +94,21 @@ def test_adversarial_draw_raises_only_typed_errors(seed):
         if not all(math.isfinite(v) for v in numbers):
             bad.append((name, args, repr(value)))
     assert bad == [], bad[:10]
+
+
+# public functions that call_table() leaves out, with the reason
+_NOT_DRAWN = {
+    "branch_points_q": "returns infinite or nan poles for a non-finite x, as the pole tests and the sweep use it",
+}
+
+
+def test_adversarial_draw_reaches_every_public_function():
+    import qplasma
+
+    cb = _compare_builds()
+    functions = {name for name in qplasma.__all__ if inspect.isfunction(getattr(qplasma, name))}
+    drawn = set(cb.call_table()) | {"run_sweep"}  # run_sweep: every sweep_table() entry
+    assert functions - drawn == set(_NOT_DRAWN)
 
 
 _HUGE_XP = 1e200
@@ -184,15 +202,24 @@ def test_squares_and_scales_that_leave_double_range_raise_non_finite(call):
     lambda: g0_quadrature(0.3, _HUGE_INT),
     lambda: PhysicalParams(1, 0, 1, _HUGE_INT, _HUGE_INT, 1),
     lambda: fermi_quantities(_HUGE_INT),
+    lambda: branch_points_q(_HUGE_INT),
+    lambda: from_convention_a(DimensionlessPointA(0.3, 0.1, 1.0, 1.0), _HUGE_INT, 1e6),
+    lambda: from_convention_a(DimensionlessPointA(0.3, 0.1, 1.0, 1.0), 1e10, _HUGE_INT),
 ], ids=[
     "bgk-x", "bgk-q", "bgk-b-xp2", "mermin-y", "lindhard-x", "static-collisional-y", "static-mermin-w",
     "classical-z", "clog-ratio", "g0-a", "g-a-q", "g0-b-q", "kohn-roots", "kohn-physical-omega",
     "kohn-physical-kf", "scan-x", "quadrature-x", "quadrature-xp", "g0-quadrature-y", "units-vf",
-    "fermi",
+    "fermi", "branch-points-x", "from-a-kf", "from-a-vf",
 ])
 def test_int_beyond_double_range_raises_non_finite(call):
     with pytest.raises(NonFiniteResult, match="beyond double range"):
         call()
+
+
+@pytest.mark.parametrize("kF, vF", [(-_HUGE_INT, 1e6), (1e10, -_HUGE_INT)])
+def test_from_convention_a_checks_the_sign_of_a_huge_anchor_first(kF, vF):
+    with pytest.raises(ValueError, match="^kF and vF must be positive$"):
+        from_convention_a(DimensionlessPointA(0.3, 0.1, 1.0, 1.0), kF, vF)
 
 
 @pytest.mark.parametrize("model", list(MODELS))

@@ -1,5 +1,6 @@
 """SI <-> dimensionless conversions and derived Fermi-gas quantities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -122,7 +123,7 @@ def test_epsilon_agrees_through_both_conventions():
 
 def test_inconsistent_density_rejected():
     fq = fermi_quantities(N_CU)
-    with pytest.raises(InconsistentParameters):
+    with pytest.raises(InconsistentParameters, match="^omega_p=.* inconsistent with density value "):
         PhysicalParams(
             omega=1e15, nu=1e13, k=5e9, vF=fq.vF, kF=fq.kF,
             omega_p=1.5 * plasma_frequency(N_CU), N=N_CU,
@@ -141,3 +142,22 @@ def test_inconsistent_kf_vf_rejected():
 def test_zero_wavenumber_rejected():
     with pytest.raises(ZeroWavenumber):
         _params(k=0.0)
+
+
+@pytest.mark.parametrize("field, text", [("omega", "omega must be >= 0, got -1.0"), ("nu", "nu must be >= 0, got -1.0")])
+def test_negative_frequency_rejected(field, text):
+    fq = fermi_quantities(N_CU)
+    fields = dict(omega=1e15, nu=1e13, k=5e9, vF=fq.vF, kF=fq.kF, omega_p=plasma_frequency(N_CU))
+    fields[field] = -1.0
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        PhysicalParams(**fields)
+
+
+def test_from_convention_a_rejects_bad_anchors_and_negative_q():
+    p = _params()
+    a = to_convention_a(p)
+    for kF, vF in ((0.0, p.vF), (-p.kF, p.vF), (p.kF, 0.0)):
+        with pytest.raises(ValueError, match="^kF and vF must be positive$"):
+            from_convention_a(a, kF, vF)
+    with pytest.raises(ZeroWavenumber, match="^q must be positive to reconstruct k$"):
+        from_convention_a(dataclasses.replace(a, q=-a.q), p.kF, p.vF)
