@@ -48,14 +48,18 @@ is unexpected: the first 20 are printed, all of them are counted per
 function and (old outcome -> new outcome), an outcome being "value" or the
 class of the raised error, and the exit status is 1.  For the unexpected
 value -> value differences, the summary also gives per function and per
-token of the printed result (its whitespace-separated fields, counted from
-0) how many calls changed that token and the largest change: of a finite
-float, the largest |new - old| and |new - old|/|old|; a zero that only
-changed sign, and any other token, as a count.  So a change that is meant
-to move values within a bound quotes the bound it met.  The summary also lists
-both trees' per-module and total line counts of ``qplasma``: all lines, as
-``wc -l`` counts them, and code lines, without blank lines, comment lines
-and docstrings.
+token of the printed result (its fields, counted from 0: a quoted text,
+such as a row node's error, is one token, any other field is whitespace-
+separated) how many calls changed that token and the largest change: of a
+finite float, the largest |new - old| and |new - old|/|old|; a zero that
+only changed sign, a float that is or turns inf or nan, a changed text and
+any other token, each as a count.  A function none of whose floats changed
+is marked "no float changed".  So a change that is meant to move values
+within a bound quotes the bound it met, and one that is meant to change
+only texts shows that it did.  The summary also lists both trees'
+per-module and total line counts of ``qplasma``: all lines, as ``wc -l``
+counts them, and code lines, without blank lines, comment lines and
+docstrings.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ SPECIAL = (
 EXPECTED_OLD = ("OverflowError", "ZeroDivisionError")
 EXPECTED_NEW = "NonFiniteResult"
 _NUMBER = re.compile(r"[-+]?(?:\d[\d.]*(?:e[-+]?\d+)?|inf|nan)")
+_TOKEN = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"|\S+")  # a repr'd str, quotes and all, or a field
 
 
 def _real(rng: random.Random) -> float:
@@ -321,8 +326,13 @@ def _token(v) -> str:
     return v.hex() if isinstance(v, float) else repr(v)
 
 
-def _non_finite(tokens: str) -> bool:
-    return any(t.lstrip("-") in ("inf", "nan") for t in tokens.split())
+def _tokens(text: str) -> list[str]:
+    """The fields of a printed result or argument list; a quoted text is one."""
+    return _TOKEN.findall(text)
+
+
+def _non_finite(text: str) -> bool:
+    return any(t.lstrip("-") in ("inf", "nan") for t in _tokens(text))
 
 
 def _outcome_class(result: str) -> str:
@@ -341,25 +351,29 @@ _SHORT = 8  # a result of at most this many tokens has its changes listed token 
 class ValueChanges:
     """The token-by-token changes of one function's value -> value differences."""
 
+    KINDS = ("only a zero's sign", "non-finite", "text", "other")
+
     def __init__(self) -> None:
         self.calls = self.reshaped = 0
         # token index (None: any token of a result longer than _SHORT) ->
-        # [changed, largest |new - old|, largest |new - old|/|old|, only a zero's sign, other]
+        # [changed, largest |new - old|, largest |new - old|/|old|, then a count per KINDS]
         self.tokens: dict[int | None, list] = {}
 
     def add(self, res_old: str, res_new: str) -> None:
         self.calls += 1
-        old, new = res_old[2:].split(), res_new[2:].split()
+        old, new = _tokens(res_old[2:]), _tokens(res_new[2:])
         if len(old) != len(new):
             self.reshaped += 1
             return
         for i, (a, b) in enumerate(zip(old, new)):
             if a == b:
                 continue
-            token = self.tokens.setdefault(i if len(old) <= _SHORT else None, [0, 0.0, 0.0, 0, 0])
+            token = self.tokens.setdefault(i if len(old) <= _SHORT else None, [0, 0.0, 0.0, 0, 0, 0, 0])
             token[0] += 1
             u, v = _float(a), _float(b)
-            if u is None or v is None or not (math.isfinite(u) and math.isfinite(v)):
+            if u is None or v is None:
+                token[5 if a[0] in "'\"" or b[0] in "'\"" else 6] += 1
+            elif not (math.isfinite(u) and math.isfinite(v)):
                 token[4] += 1
             elif u == v:  # +0.0 and -0.0
                 token[3] += 1
@@ -369,10 +383,12 @@ class ValueChanges:
 
     def lines(self) -> list[str]:
         out = [f"    {self.reshaped} x a result with another number of tokens"] if self.reshaped else []
+        if not self.reshaped and all(counts[0] == counts[5] for counts in self.tokens.values()):
+            out.append("    no float changed")
         by_token = sorted(self.tokens.items(), key=lambda t: (t[0] is None, t[0] or 0))
-        for i, (changed, change, relative, zeros, other) in by_token:
-            parts = [f"largest change {change:.3g}, relative {relative:.3g}"] if changed > zeros + other else []
-            parts += [f"{n} x {kind}" for n, kind in ((zeros, "only a zero's sign"), (other, "other")) if n]
+        for i, (changed, change, relative, *kinds) in by_token:
+            parts = [f"largest change {change:.3g}, relative {relative:.3g}"] if changed > sum(kinds) else []
+            parts += [f"{n} x {kind}" for n, kind in zip(kinds, self.KINDS) if n]
             where = f"token {i}" if i is not None else f"tokens of results longer than {_SHORT}"
             out.append(f"    {where}: {changed} x, " + ", ".join(parts))
         return out

@@ -35,12 +35,13 @@ exactly: at x = 0 (y >= 0) the two shifted kernels are mirror images,
 g(iy,-q) = -conj(g(iy,+q)), and N is computed from g(iy,+q) alone as
 1 - 2 Re g(iy,+q).  All routines are pure functions.
 
-Each formula is written once, in :mod:`qplasma.kernels`, as a per-row setup
-and a per-q node on plain values; this module holds the typed layer over
-them: the frozen points, the DielectricResult and its Model tag, and the
-scalar epsilon_* and sigma_longitudinal.  The row table ``MODELS``, whose
-entries all run the one row evaluator ``kernels._rows``, and
-``branch_points_q`` are defined in kernels and re-bound here.
+Each formula is written once, in :mod:`qplasma.kernels`, as a row function
+over q on plain values; this module holds the typed layer over them: the
+frozen points, the DielectricResult and its Model tag, and the scalar
+epsilon_* and sigma_longitudinal, which run a row of one node.  The row
+table ``MODELS``, whose entries all run the one row evaluator
+``kernels._rows``, and ``branch_points_q`` are defined in kernels and
+re-bound here.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from dataclasses import dataclass
 
 from .errors import DegenerateQ, DivisionByZeroFrequency
 from .kernels import (  # MODELS and branch_points_q are re-bound here
-    _Q0_POINT, MODELS, _bgk_denominator, _bgk_setup, _divisor, _floats, _lindhard_setup, _mermin_setup,
-    _nonnegative, _number, _numerator, _require_finite, _sigma, _square, branch_points_q, clog_ratio,
+    _POINT, _Q0_POINT, MODELS, _bgk_denominator, _bgk_row, _divisor, _floats, _lindhard_row, _mermin_row,
+    _nonnegative, _number, _numerator, _one, _require_finite, _sigma, _square, branch_points_q, clog_ratio,
 )
 
 __all__ = [
@@ -80,6 +81,11 @@ class Model(enum.Enum):
     StaticMermin = "static-mermin"
     StaticCollisional = "static-collisional"
     ClassicalLimit = "classical-limit"
+
+
+# The tags of the per-point models, read once: each Model.<name> lookup goes
+# through the enum metaclass, which costs as much as a small function call
+_BGK_TAG, _LINDHARD_TAG, _MERMIN_TAG = Model.CollisionalBGK, Model.Lindhard, Model.Mermin
 
 
 def _check_point(p, coupling: str, c: float) -> None:
@@ -167,7 +173,7 @@ class DielectricResult:
 def _collisional_ratio(z: complex, q: float) -> complex:
     """N(z,q) / (1 - g0(z)), the kernel ratio shared by eps and sigma."""
     den = _bgk_denominator(z)
-    return _numerator(z, q) / den
+    return _one(_numerator(z, (q,), _POINT)) / den
 
 
 def epsilon_collisional_a(p: DimensionlessPointA) -> DielectricResult:
@@ -176,7 +182,8 @@ def epsilon_collisional_a(p: DimensionlessPointA) -> DielectricResult:
     eps = 1 + (3/2) xp^2 N(z,q)/(1 - g0(z)); sigma is filled through the
     eps = 1 + 4*pi*i*sigma/omega duality recast dimensionlessly.
     """
-    return DielectricResult(*_bgk_setup(p.x, p.y, p.xp)(p.q), Model.CollisionalBGK)
+    eps, sigma = _bgk_row(p.x, p.y, p.xp, (p.q,))
+    return DielectricResult(_one(eps), sigma[0], _BGK_TAG)
 
 
 def epsilon_collisional_b(p: DimensionlessPointB) -> DielectricResult:
@@ -188,11 +195,11 @@ def epsilon_collisional_b(p: DimensionlessPointB) -> DielectricResult:
     odd in q at y = 0 and even in q for y > 0.
     """
     q = abs(p.q)
-    ratio = _collisional_ratio(p.z / q, q)
+    ratio = _collisional_ratio(complex(p.x, p.y) / q, q)
     q2 = _divisor(_square(p.q, "q"), "q**2")
     eps = _require_finite(1.0 + 1.5 * p.xp2 / q2 * ratio, "epsilon_collisional_b")
     sigma = _require_finite(_sigma(p.x / p.q, p.y / p.q) * ratio, "sigma")
-    return DielectricResult(eps, sigma, Model.CollisionalBGK)
+    return DielectricResult(eps, sigma, _BGK_TAG)
 
 
 def epsilon_lindhard(x: float, q: float, xp: float) -> DielectricResult:
@@ -203,7 +210,8 @@ def epsilon_lindhard(x: float, q: float, xp: float) -> DielectricResult:
         raise DegenerateQ(_Q0_POINT)
     # every argument is converted before x is checked, as a point's are
     x, q, xp = _number(x, "epsilon_lindhard"), _number(q, "epsilon_lindhard"), _number(xp, "epsilon_lindhard")
-    return DielectricResult(*_lindhard_setup(x, 0.0, xp)(q), Model.Lindhard)
+    eps, sigma = _lindhard_row(x, 0.0, xp, (q,))
+    return DielectricResult(_one(eps), sigma[0], _LINDHARD_TAG)
 
 
 def epsilon_mermin(p: DimensionlessPointA) -> DielectricResult:
@@ -214,7 +222,7 @@ def epsilon_mermin(p: DimensionlessPointA) -> DielectricResult:
 
         eps = 1 + (3/2) xp^2 z N(z,q) / (x + i y N(z,q)/N0(q)).
     """
-    return DielectricResult(*_mermin_setup(p.x, p.y, p.xp)(p.q), Model.Mermin)
+    return DielectricResult(_one(_mermin_row(p.x, p.y, p.xp, (p.q,), [])[0]), None, _MERMIN_TAG)
 
 
 def _static_q(w: float) -> float:
@@ -282,4 +290,4 @@ def sigma_longitudinal(p: DimensionlessPointA) -> complex:
     """
     if p.x == 0.0:
         raise DivisionByZeroFrequency("sigma_0-normalised conductivity needs omega != 0")
-    return _require_finite(_sigma(p.x, p.y) * _collisional_ratio(p.z, p.q), "sigma_longitudinal")
+    return _require_finite(_sigma(p.x, p.y) * _collisional_ratio(complex(p.x, p.y), p.q), "sigma_longitudinal")

@@ -13,9 +13,10 @@ analytically, never by substituting a small imaginary part:
     L(r) = ln|1 + r| - ln|1 - r|  (- i*pi for r inside (-1, 1)),   r real.
 
 That formula is written in two places, both in this module: in _L, the
-reference every public kernel evaluates, and inline in _numerator, the
-models' per-node fast path for N = 1 - g(z,+q) + g(z,-q).  At a branch
-point r = +-1 it is math.log(0.0), whose ValueError _L raises as
+reference every public kernel evaluates, and inline in _numerator, the row
+kernel of N = 1 - g(z,+q) + g(z,-q), which evaluates N over a whole row of q
+in one loop for every model, the scalar ones as a row of one node.  At a
+branch point r = +-1 it is math.log(0.0), whose ValueError _L raises as
 PoleAtBranchPoint.  At x = 0 (omega = 0, where the static rows and
 Mermin's N0 sit) the two shifts are mirror images, g(iy,-q) =
 -conj(g(iy,+q)) for y >= 0, so _numerator evaluates the +q shift alone and
@@ -47,11 +48,11 @@ This module also holds what the light CLI commands run, on plain values:
 
 * the input guards every module shares (_number, _square, _divisor,
   _normal);
-* the model rows: each model's setup and per-q node, which the scalar
-  epsilon_* of qplasma.dielectric wrap in their typed results, the one row
-  evaluator _rows (which evaluates a row that does not depend on y once
-  per call), the model table MODELS (name -> rows function, each over
-  _rows) and branch_points_q;
+* the model rows: the row kernel _numerator and each model's row function
+  over it, which the scalar epsilon_* of qplasma.dielectric run on one node
+  and wrap in their typed results, the one row evaluator _rows (which
+  evaluates a row that does not depend on y once per call), the model table
+  MODELS (name -> rows function, each over _rows) and branch_points_q;
 * the Kohn-root arithmetic, _kohn_roots, whose tuples qplasma.kohn wraps in
   KohnRoot, and kohn_wavenumbers_physical.
 
@@ -79,9 +80,13 @@ _VALID_SIGNS = (1, -1)
 _MINUS_PI = -pi  # Im L(r) for a real r inside (-1, 1)
 
 
+def _non_finite(value: complex, what: str) -> NonFiniteResult:
+    return NonFiniteResult(f"{what} overflowed or is undefined: {value!r}")
+
+
 def _require_finite(value: complex, what: str) -> complex:
     if not isfinite(value):
-        raise NonFiniteResult(f"{what} overflowed or is undefined: {value!r}")
+        raise _non_finite(value, what)
     return value
 
 
@@ -187,61 +192,6 @@ def g_a(z: complex, q: float, sign: int) -> complex:
     return _require_finite((a * a - 1.0) / (2.0 * q) * _L(a), "g_a")
 
 
-def _numerator(z: complex, q: float) -> complex:
-    """N(z, q) = 1 - g(z,+q) + g(z,-q), for a checked z and q != 0.
-
-    On the real axis (z.imag == 0.0) N is evaluated in floats, bit for bit
-    equal to g_a.  With r = x +- q/2 and c = (r*r - 1)/(2q), each g is
-    c*(ln|1 + r| - ln|1 - r|), the real part of _L(r); a shift inside
-    (-1, 1) adds c*(-pi) to Im g, one outside a zero whose sign cancels out
-    of 1 - g+ + g-.  (c*(-pi) underflows to 0 only where 2q overflows, which
-    leaves r = 0 as the one shift inside, and there Im g is the same signed
-    zero.)  A shift on a branch point (the ValueError of math.log(0.0)), a
-    non-finite term and q = 0 take g_a itself, so N raises what g_a raises
-    (DegenerateQ for q = 0, which only the real axis checks).
-
-    For Im z > 0 both shifts keep Im a = Im z > 0, and g_a's body is inline:
-    each g is checked before the next is computed.
-
-    At x = +-0 only the +q shift is evaluated; the -q shift is its mirror.
-    On the real axis r- = -r+, so g- = -g+ with the same c*(-pi): N is the
-    same bits as from both shifts.  At z = iy, g(iy,-q) = -conj(g(iy,+q)),
-    so N = (1 - Re g+) - Re g+ with Im N = +0.0: real, as the exact N is.
-    Re N then differs from the two-shift sum by less than the rounding that
-    sum carries, u*(1 + 2|c|(|ln(a+1)| + |ln(a-1)|)) with u = 2**-52 and
-    a = iy + q/2, c = (a*a - 1)/(2q) (measured on seeded draws, not proven)."""
-    h, q2 = q / 2.0, 2.0 * q
-    if z.imag == 0.0:
-        if q:
-            x = z.real
-            try:
-                r = x + h
-                c = (r * r - 1.0) / q2
-                gp, tp = c * (_ln(abs(1.0 + r)) - _ln(abs(1.0 - r))), 0.0 if abs(r) > 1.0 else c * _MINUS_PI
-                if x == 0.0:  # the -q shift's logs are these two swapped, its c the same square
-                    gm, tm = -gp, tp
-                else:
-                    r = x - h
-                    c = (r * r - 1.0) / q2
-                    gm, tm = c * (_ln(abs(1.0 + r)) - _ln(abs(1.0 - r))), 0.0 if abs(r) > 1.0 else c * _MINUS_PI
-                if _finite(gp + gm + tp + tm):  # else some term is nan or inf (or the sum overflows)
-                    return complex((1.0 - gp) + gm, (0.0 - tp) + tm)
-            except ValueError:  # math.log(0.0): a shift on a branch point
-                pass
-        return 1.0 - g_a(z, q, 1) + g_a(z, q, -1)
-    a = z + h
-    gp = (a * a - 1.0) / q2 * (log(a + 1.0) - log(a - 1.0))
-    if not isfinite(gp):
-        _require_finite(gp, "g_a")
-    if z.real == 0.0:  # g(iy,-q) = -conj(g(iy,+q)): N = 1 - 2 Re g(iy,+q), exactly real
-        return complex((1.0 - gp.real) - gp.real, 0.0)
-    a = z - h
-    gm = (a * a - 1.0) / q2 * (log(a + 1.0) - log(a - 1.0))
-    if not isfinite(gm):
-        _require_finite(gm, "g_a")
-    return 1.0 - gp + gm
-
-
 def _b_to_a(z: complex, q: float, what: str) -> tuple[complex, float]:
     """Map a convention-B (z, q) onto convention A: (z/|q|, |q|)."""
     q = abs(_number(q, what))
@@ -274,15 +224,18 @@ def g_b(z: complex, q: float, sign: int) -> complex:
 # ---------------------------------------------------------------- model rows
 #
 # The rows of the three models (BGK, Lindhard, Mermin; see qplasma.dielectric
-# for their formulas).  Each model is a setup and a node.  setup(x, y, xp)
-# takes converted values whose signs its caller has checked (y, xp >= 0),
-# computes what is constant along a row of q at fixed x, y, xp, raises the
-# errors that precede all q-dependent work, and returns node(q) -> (eps,
-# sigma), which does the rest in the scalar formula's order.  The scalar
-# epsilon_* of qplasma.dielectric call both for one q; _rows, the one row
-# evaluator, calls setup once per row and node per q.  A square of xp that
-# overflows is deferred (_coupling): the formulas square xp after N, so N's
-# errors win.
+# for their formulas).  Each model is one row function, row(x, y, xp, qs) ->
+# (eps row, sigma row or None), which takes converted values whose signs its
+# caller has checked (y, xp >= 0).  It first computes what is constant along
+# the row and raises the errors that precede all q-dependent work; then it
+# takes N over qs from the row kernel _numerator and applies the model's
+# formula node by node, in the scalar formula's order, with no Python call
+# per node on the finite path.  A node's error is held in the row, never
+# raised, so a QplasmaError out of a row function is its setup's.  The scalar
+# epsilon_* of qplasma.dielectric run a row of one node and raise its error
+# (_one); _rows, the one row evaluator, runs one row per y.  A square of xp
+# that overflows is held, not raised (_coupling): the formulas square xp
+# after N, so N's errors win.
 
 _DENOMINATOR_FLOOR = 1e-30
 # The DegenerateQ text of a q = 0 node, for every model: its q -> 0 limit is
@@ -291,6 +244,86 @@ _Q0_POINT = "q = 0: use epsilon_classical_limit"
 # Who converts a scalar call's arguments, as named in its beyond-double-range text
 _POINT = "DimensionlessPointA"
 _LINDHARD = "epsilon_lindhard"
+
+
+def _numerator(z: complex, qs, what: str) -> list[complex | QplasmaError]:
+    """N(z, q) = 1 - g(z,+q) + g(z,-q) at each q of qs, for a checked z, in
+    one loop: per node its value, or the QplasmaError the scalar path raises
+    there -- DegenerateQ(_Q0_POINT) at q = 0, NonFiniteResult for an int q
+    beyond double range (named as ``what``, the converter of the scalar's
+    arguments, names it), else the error of g_a.
+
+    On the real axis (z.imag == 0.0) N is evaluated in floats, bit for bit
+    equal to g_a.  With r = x +- q/2 and c = (r*r - 1)/(2q), each g is
+    c*(ln|1 + r| - ln|1 - r|), the real part of _L(r); a shift inside
+    (-1, 1) adds c*(-pi) to Im g, one outside a zero whose sign cancels out
+    of 1 - g+ + g-.  (c*(-pi) underflows to 0 only where 2q overflows, which
+    leaves r = 0 as the one shift inside, and there Im g is the same signed
+    zero.)  A shift on a branch point (the ValueError of math.log(0.0)) and
+    a non-finite term take g_a itself, 1 - g_a(z,q,+1) + g_a(z,q,-1), so the
+    node holds what g_a raises.
+
+    For Im z > 0 both shifts keep Im a = Im z > 0, and g_a's body is inline:
+    each g is checked before the next is computed.
+
+    At x = +-0 only the +q shift is evaluated; the -q shift is its mirror.
+    On the real axis r- = -r+, so g- = -g+ with the same c*(-pi): N is the
+    same bits as from both shifts.  At z = iy, g(iy,-q) = -conj(g(iy,+q)),
+    so N = (1 - Re g+) - Re g+ with Im N = +0.0: real, as the exact N is.
+    Re N then differs from the two-shift sum by less than the rounding that
+    sum carries, u*(1 + 2|c|(|ln(a+1)| + |ln(a-1)|)) with u = 2**-52 and
+    a = iy + q/2, c = (a*a - 1)/(2q) (measured on seeded draws, not proven)."""
+    out: list[complex | QplasmaError] = []
+    x, real, mirror = z.real, z.imag == 0.0, z.real == 0.0
+    for q in qs:
+        if q == 0.0:
+            out.append(DegenerateQ(_Q0_POINT))
+            continue
+        try:
+            h, q2 = q / 2.0, 2.0 * q
+        except OverflowError:  # an int q beyond double range, which the scalar's converter rejects
+            out.append(_beyond(what))
+            continue
+        if real:
+            try:
+                r = x + h
+                c = (r * r - 1.0) / q2
+                gp, tp = c * (_ln(abs(1.0 + r)) - _ln(abs(1.0 - r))), 0.0 if abs(r) > 1.0 else c * _MINUS_PI
+                if mirror:  # the -q shift's logs are these two swapped, its c the same square
+                    gm, tm = -gp, tp
+                else:
+                    r = x - h
+                    c = (r * r - 1.0) / q2
+                    gm, tm = c * (_ln(abs(1.0 + r)) - _ln(abs(1.0 - r))), 0.0 if abs(r) > 1.0 else c * _MINUS_PI
+                if _finite(gp + gm + tp + tm):  # else some term is nan or inf (or the sum overflows)
+                    out.append(complex((1.0 - gp) + gm, (0.0 - tp) + tm))
+                    continue
+            except ValueError:  # math.log(0.0): a shift on a branch point
+                pass
+            try:
+                out.append(1.0 - g_a(z, q, 1) + g_a(z, q, -1))
+            except QplasmaError as exc:
+                out.append(exc)
+            continue
+        a = z + h
+        gp = (a * a - 1.0) / q2 * (log(a + 1.0) - log(a - 1.0))
+        if not isfinite(gp):
+            out.append(_non_finite(gp, "g_a"))
+        elif mirror:  # g(iy,-q) = -conj(g(iy,+q)): N = 1 - 2 Re g(iy,+q), exactly real
+            out.append(complex((1.0 - gp.real) - gp.real, 0.0))
+        else:
+            a = z - h
+            gm = (a * a - 1.0) / q2 * (log(a + 1.0) - log(a - 1.0))
+            out.append(1.0 - gp + gm if isfinite(gm) else _non_finite(gm, "g_a"))
+    return out
+
+
+def _one(row: list):
+    """The value of a one-node row, or raise the node's error: the scalar path."""
+    (v,) = row
+    if type(v) is not complex:
+        raise v
+    return v
 
 
 def _nonnegative(name: str, v: float) -> None:
@@ -313,101 +346,128 @@ def _sigma(x: float, y: float) -> complex:
     return -1.5j * (x if y == 0.0 else x * y)
 
 
-def _static_numerator(q: float) -> complex:
-    """N0(q) = 1 - g(0+,q) + g(0-,q); real (the -i*pi parts cancel exactly)."""
-    n0 = _numerator(0.0j, q)
-    if abs(n0) < _DENOMINATOR_FLOOR:
-        raise StaticDenominatorVanishes(f"static combination vanished at q={q}")
-    return n0
+def _static_vanished(q) -> StaticDenominatorVanishes:
+    return StaticDenominatorVanishes(f"static combination vanished at q={q}")
 
 
-def _coupling(xp: float) -> float | None:
-    """1.5 xp^2, or None if it overflows: a node then computes it where the
-    scalar formula does, which raises the same error."""
+def _coupling(xp: float) -> float | NonFiniteResult:
+    """1.5 xp^2, a float, or, if it overflows, the error a node holds where
+    the scalar formula squares xp (after N's errors)."""
     try:
         return 1.5 * xp ** 2
     except OverflowError:
-        return None
+        try:
+            _square(xp, "xp")  # raises, as xp ** 2 overflows
+        except NonFiniteResult as exc:
+            return exc
 
 
-def _bgk_setup(x: float, y: float, xp: float):
+def _bgk_row(x: float, y: float, xp: float, qs) -> tuple[list, list]:
     z = complex(x, y)
     den, c, s = _bgk_denominator(z), _coupling(xp), _sigma(x, y)
+    eps_row, sigma_row, ok = [], [], type(c) is float
+    for n in _numerator(z, qs, _POINT):
+        if type(n) is not complex or not ok:  # N's error, else the coupling's
+            eps = sigma = n if type(n) is not complex else c
+        else:
+            ratio = n / den
+            eps, sigma = 1.0 + c * ratio, s * ratio
+            if not isfinite(eps):
+                eps = sigma = _non_finite(eps, "epsilon_collisional_a")
+            elif not isfinite(sigma):
+                eps = sigma = _non_finite(sigma, "sigma")
+        eps_row.append(eps)
+        sigma_row.append(sigma)
+    return eps_row, sigma_row
 
-    def node(q: float) -> tuple[complex, complex]:
-        ratio = _numerator(z, q) / den
-        cc = c if c is not None else 1.5 * _square(xp, "xp")
-        eps, sigma = 1.0 + cc * ratio, s * ratio
-        if isfinite(eps) and isfinite(sigma):
-            return eps, sigma
-        return _require_finite(eps, "epsilon_collisional_a"), _require_finite(sigma, "sigma")
 
-    return node
-
-
-def _lindhard_form(z: complex, xp: float, s: complex | None, what: str):
-    """The node eps = 1 + (3/2) xp^2 N(z, q), with sigma = s N unless s is None."""
+def _lindhard_form(z: complex, xp: float, s: complex | None, what: str, conv: str, qs) -> tuple[list, list]:
+    """eps = 1 + (3/2) xp^2 N(z, q) over qs, with sigma = s N unless s is
+    None.  ``what`` names the model in a non-finite eps's text, ``conv`` the
+    converter of the scalar's arguments in an int q's text."""
     c = _coupling(xp)
+    eps_row, sigma_row, ok = [], [], type(c) is float
+    for n in _numerator(z, qs, conv):
+        if type(n) is not complex or not ok:  # N's error, else the coupling's
+            eps = sigma = n if type(n) is not complex else c
+        else:
+            eps = 1.0 + c * n
+            if isfinite(eps):
+                sigma = None if s is None else s * n
+            else:
+                eps = sigma = _non_finite(eps, what)
+        eps_row.append(eps)
+        sigma_row.append(sigma)
+    return eps_row, sigma_row
 
-    def node(q: float) -> tuple[complex, complex | None]:
-        n = _numerator(z, q)
-        cc = c if c is not None else 1.5 * _square(xp, "xp")
-        eps = 1.0 + cc * n
-        if not isfinite(eps):
-            _require_finite(eps, what)
-        return eps, None if s is None else s * n
 
-    return node
-
-
-def _lindhard_setup(x: float, y: float, xp: float):
+def _lindhard_row(x: float, y: float, xp: float, qs) -> tuple[list, list]:
     """y is ignored; z = x is checked as g_a checks it, after q = 0."""
-    return _lindhard_form(_as_upper_half(complex(x, 0.0), "g_a"), xp, _sigma(x, 0.0), _LINDHARD)
+    return _lindhard_form(_as_upper_half(complex(x, 0.0), "g_a"), xp, _sigma(x, 0.0), _LINDHARD, _LINDHARD, qs)
 
 
-def _mermin_setup(x: float, y: float, xp: float):
-    """x = 0 is the static route, independent of y, which squares xp in its
-    setup, before N0; y = 0 is the Lindhard form; otherwise the full form.
-    The last two check z as g_a does."""
+def _mermin_row(x: float, y: float, xp: float, qs, n0s: list) -> tuple[list, list | None]:
+    """x = 0 is the static route, independent of y, which squares xp before
+    N0; y = 0 is the Lindhard form; otherwise the full form.  The last two
+    check z as g_a does.  The full form fills n0s, if empty, with the N0(q)
+    row of qs and reads it from there, so that the rows of one call share
+    one N0 row; at each node N's error comes first, then N0's."""
     if x == 0.0:
         c = 1.5 * _square(xp, "xp")
-
-        def static(q: float) -> tuple[complex, None]:
-            eps = 1.0 + c * _static_numerator(q)
-            if not isfinite(eps):
-                _require_finite(eps, "epsilon_mermin")
-            return eps, None
-
-        return static
+        out = _numerator(0.0j, qs, _POINT)
+        for i, (q, n0) in enumerate(zip(qs, out)):
+            if type(n0) is not complex:
+                continue
+            if abs(n0) < _DENOMINATOR_FLOOR:
+                out[i] = _static_vanished(q)
+            else:
+                eps = 1.0 + c * n0
+                out[i] = eps if isfinite(eps) else _non_finite(eps, "epsilon_mermin")
+        return out, None
     z = _as_upper_half(complex(x, y), "g_a")
     if y == 0.0:
-        return _lindhard_form(z, xp, None, "epsilon_mermin")
+        return _lindhard_form(z, xp, None, "epsilon_mermin", _POINT, qs)
     iy, c = 1j * y, _coupling(xp)
-
-    def node(q: float) -> tuple[complex, None]:
-        n = _numerator(z, q)
-        n0 = _static_numerator(q)
-        den = x + iy * n / n0
-        if abs(den) < _DENOMINATOR_FLOOR:
-            raise DenominatorVanishes(f"Mermin denominator vanished at x={x!r}, y={y!r}, q={float(q)!r}, xp={xp!r}")
-        cc = c if c is not None else 1.5 * _square(xp, "xp")
-        eps = 1.0 + cc * (z * n) / den
-        if not isfinite(eps):
-            _require_finite(eps, "epsilon_mermin")
-        return eps, None
-
-    return node
-
-
-def _raise(exc: QplasmaError, q) -> None:
-    """The node of a row whose conversion or setup raised exc.  The scalar
-    converts q first, so for an int q beyond double range float's
-    OverflowError comes first, which _rows reports as that int's error."""
-    float(q)
-    raise exc.with_traceback(None)
+    ok = type(c) is float
+    if not n0s:
+        n0s.extend(_numerator(0.0j, qs, _POINT))
+    out = []
+    for q, n, n0 in zip(qs, _numerator(z, qs, _POINT), n0s):
+        if type(n) is not complex or type(n0) is not complex:  # N's error, else N0's
+            out.append(n if type(n) is not complex else n0)
+        elif abs(n0) < _DENOMINATOR_FLOOR:
+            out.append(_static_vanished(q))
+        else:
+            den = x + iy * n / n0
+            if abs(den) < _DENOMINATOR_FLOOR:
+                out.append(DenominatorVanishes(
+                    f"Mermin denominator vanished at x={x!r}, y={y!r}, q={float(q)!r}, xp={xp!r}"))
+            elif not ok:
+                out.append(c)
+            else:
+                eps = 1.0 + c * (z * n) / den
+                out.append(eps if isfinite(eps) else _non_finite(eps, "epsilon_mermin"))
+    return out, None
 
 
-def _rows(setup, what: str, static: bool, x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
+def _failed_row(exc: QplasmaError, qs, what: str) -> list[QplasmaError]:
+    """The row of a row whose conversion or setup raised exc.  At each node
+    the scalar checks q = 0 and converts q first, so those errors come first."""
+    out: list[QplasmaError] = []
+    for q in qs:
+        if q == 0.0:
+            out.append(DegenerateQ(_Q0_POINT))
+            continue
+        try:
+            float(q)
+        except OverflowError:
+            out.append(_beyond(what))
+            continue
+        out.append(exc)
+    return out
+
+
+def _rows(row, what: str, static: bool, x: float, ys, qs, xp: float) -> list[list[complex | QplasmaError]]:
     """eps over qs at fixed x and xp, one row per y of ys, each node as the
     scalar path gives it: its value, or the QplasmaError it raises --
     DegenerateQ(_Q0_POINT) at q = 0, else NonFiniteResult for an int argument
@@ -428,20 +488,9 @@ def _rows(setup, what: str, static: bool, x: float, ys, qs, xp: float) -> list[l
             if shared is not None:
                 rows.append(shared.copy())
                 continue
-            node = setup(*args)
-        except QplasmaError as exc:
-            node = partial(_raise, exc)
-        out: list[complex | QplasmaError] = []
-        for q in qs:
-            if q == 0.0:
-                out.append(DegenerateQ(_Q0_POINT))
-                continue
-            try:
-                out.append(node(q)[0])
-            except QplasmaError as exc:
-                out.append(exc)
-            except OverflowError:  # an int q beyond double range, which the scalar rejects the same way
-                out.append(_beyond(what))
+            out = row(*args, qs)[0]
+        except QplasmaError as exc:  # the row's conversion or setup raised it
+            out = _failed_row(exc, qs, what)
         rows.append(out)
         if static and args is not None:
             shared = out
@@ -451,12 +500,13 @@ def _rows(setup, what: str, static: bool, x: float, ys, qs, xp: float) -> list[l
 # Model name -> rows(x, ys, qs, xp), for the sweep, the broadening scan and the CLI:
 # one row per y of ys, each node the eps of the scalar epsilon_* at (x, y, q, xp)
 # or the QplasmaError raised there; y or xp < 0 raises ValueError.  The Mermin
-# row at x = 0 is static; so is every Lindhard row, which is passed y = 0.0 for
-# each y, as epsilon_lindhard takes no y to check or convert.
+# row at x = 0 is static, and its other rows share one N0(q) row; every Lindhard
+# row is static too, and is passed y = 0.0 for each y, as epsilon_lindhard takes
+# no y to check or convert.
 MODELS = {
-    "bgk": partial(_rows, _bgk_setup, _POINT, False),
-    "mermin": lambda x, ys, qs, xp: _rows(_mermin_setup, _POINT, x == 0.0, x, ys, qs, xp),
-    "lindhard": lambda x, ys, qs, xp: _rows(_lindhard_setup, _LINDHARD, True, x, (0.0 for _ in ys), qs, xp),
+    "bgk": partial(_rows, _bgk_row, _POINT, False),
+    "mermin": lambda x, ys, qs, xp: _rows(partial(_mermin_row, n0s=[]), _POINT, x == 0.0, x, ys, qs, xp),
+    "lindhard": lambda x, ys, qs, xp: _rows(_lindhard_row, _LINDHARD, True, x, (0.0 for _ in ys), qs, xp),
 }
 
 

@@ -1,8 +1,9 @@
 """Minimal deterministic SVG line plots (fixed 800x450 viewBox, linear axes).
 
 No plotting dependency: sweeps must produce byte-identical output for a
-given input, which hand-rolled formatting guarantees.  Series may contain
-None entries (skipped points); polylines break at the gaps.
+given input, which hand-rolled formatting guarantees.  The series share one
+x column; a y column may contain None entries (skipped points), where its
+polyline breaks.
 """
 
 from __future__ import annotations
@@ -41,19 +42,38 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
+def _runs(ys) -> list[tuple[int, int]]:
+    """The index ranges [lo, hi) of ys between its None entries."""
+    if None not in ys:
+        return [(0, len(ys))]
+    runs, lo = [], 0
+    for gap, group in groupby(ys, lambda y: y is None):
+        hi = lo + len(list(group))
+        if not gap:
+            runs.append((lo, hi))
+        lo = hi
+    return runs
+
+
 def line_plot(
-    series: list[tuple[str, list[tuple[float, float] | None]]],
+    xs: list[float],
+    series: list[tuple[str, list[float | None]]],
     title: str,
     xlabel: str,
     ylabel: str,
 ) -> str:
-    """Render labelled polylines to an SVG 1.1 document string."""
-    xs = [p[0] for _, pts in series for p in pts if p is not None]
-    ys = [p[1] for _, pts in series for p in pts if p is not None]
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    """Render labelled polylines over the shared x column xs, one y column
+    per series (None where a point is skipped), to an SVG 1.1 document string."""
+    runs = [_runs(ys) for _, ys in series]
+    x_all, y_all = [], []  # the points drawn, series by series, in the order the extents are taken
+    for (_, ys), series_runs in zip(series, runs):
+        for lo, hi in series_runs:
+            x_all += xs[lo:hi]
+            y_all += ys[lo:hi]
+    if not x_all:
+        x_all, y_all = [0.0, 1.0], [0.0, 1.0]
+    x_lo, x_hi = min(x_all), max(x_all)
+    y_lo, y_hi = min(y_all), max(y_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -101,12 +121,15 @@ def line_plot(
         f'font-size="12" text-anchor="middle" transform="rotate(-90 16 {(MARGIN_T + HEIGHT - MARGIN_B) / 2:.1f})">{ylabel}</text>'
     )
 
-    for i, (label, pts) in enumerate(series):
+    pxs = [x0 + (x - x_lo) / dx * pw for x in xs]  # projected once for every series
+    for i, ((label, ys), series_runs) in enumerate(zip(series, runs)):
         color = _PALETTE[i % len(_PALETTE)]
-        runs = [pts] if None not in pts else [list(g) for gap, g in groupby(pts, lambda p: p is None) if not gap]
-        for run in runs:
-            if len(run) > 1:  # one comprehension per polyline
-                points = " ".join(["%.2f,%.2f" % (x0 + (x - x_lo) / dx * pw, y0 - (y - y_lo) / dy * ph) for x, y in run])
+        for lo, hi in series_runs:
+            if hi - lo > 1:  # one "%.2f,%.2f" template over the flat (px, py) pairs of a polyline
+                flat = [0.0] * (2 * (hi - lo))
+                flat[0::2] = pxs[lo:hi]
+                flat[1::2] = [y0 - (y - y_lo) / dy * ph for y in ys[lo:hi]]
+                points = " ".join(["%.2f,%.2f"] * (hi - lo)) % tuple(flat)
                 out.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         lx = WIDTH - MARGIN_R - 120
         ly = MARGIN_T + 16 + 16 * i

@@ -5,14 +5,16 @@ evaluates the permittivity over a uniform q grid, serially, one y-row at a
 time.  ``MODELS``, which :mod:`qplasma.kernels` defines and this module
 re-binds, is a table of row functions, one per model: a row hoists
 what is constant at its fixed z = x + iy (the checked z, the BGK
-denominator 1 - g0(z), 1.5 xp^2) and then evaluates each q node in the
-scalar ``epsilon_*`` order, so every value and every error is the one the
-scalar function gives at that node.  Every entry runs the one row
-evaluator ``kernels._rows``, which evaluates a row that is the same for
-every y (the Mermin x = 0 row, the Lindhard row) once per call and copies
-it; N0(q) is still computed in each other Mermin row.
+denominator 1 - g0(z), 1.5 xp^2), evaluates N over the whole row in one
+loop and then each q node in the scalar ``epsilon_*`` order, so every value
+and every error is the one the scalar function gives at that node.  Every
+entry runs the one row evaluator ``kernels._rows``, which evaluates a row
+that is the same for every y (the Mermin x = 0 row, the Lindhard row) once
+per call and copies it; the Mermin rows at x != 0 share one N0(q) row.
 Output is deterministic: the CSV is written with 17 significant digits, LF
-line endings and a fixed column order (q, then one re/im pair per y).
+line endings and a fixed column order (q, then one re/im pair per y), from
+list columns through one template per line; the SVG projects the shared q
+column once per plot.
 
 This module owns the rule for "a grid node sits on a singular q": within
 1e-9 of it, found in one pass over the grid per distinct pole.  Sweep
@@ -130,30 +132,34 @@ class SweepResult:
         for y in self.config.y:
             label = format(y, "g")
             header += [f"re_eps_y{label}", f"im_eps_y{label}"]
-        lines = [",".join(header)]
-        # one "%.17g" template per line ("%.17g" % v == format(v, ".17g"));
-        # only a line with a skipped point, whose two cells stay empty, is
-        # formatted cell by cell.  The columns are generators, so no float
-        # is held longer than its line.
-        template = ",".join(["%.17g"] * len(header))
-        columns = [self.q_values]
+        # one "%.17g" template per line ("%.17g" % v == format(v, ".17g")),
+        # filled in one pass from the list columns interleaved into one flat
+        # list; a line with a skipped point (None) has empty cells in its
+        # template in place of those two, which leave the flat list
+        columns, gaps = [self.q_values], False
         for row in zip(*self.eps):
-            columns.append(None if e is None else e.real for e in row)
-            columns.append(None if e is None else e.imag for e in row)
-        for cells, node in zip(zip(*columns), self.eps):
-            if None in node:
-                lines.append(",".join("" if v is None else format(v, ".17g") for v in cells))
-            else:
-                lines.append(template % cells)
-        return "\n".join(lines) + "\n"
+            try:
+                columns += [e.real for e in row], [e.imag for e in row]
+            except AttributeError:  # a None
+                columns += [None if e is None else e.real for e in row], [None if e is None else e.imag for e in row]
+                gaps = True
+        width = len(columns)
+        flat = [None] * (width * len(self.q_values))
+        for j, column in enumerate(columns):
+            flat[j::width] = column
+        lines = [",".join(header)] + [",".join(["%.17g"] * width)] * len(self.q_values)  # no "%" in the header
+        if gaps:
+            for i, node in enumerate(self.eps):
+                if None in node:
+                    lines[i + 1] = ",".join(["%.17g" if v is not None else "" for v in flat[i * width:(i + 1) * width]])
+            flat = [v for v in flat if v is not None]
+        return "\n".join(lines) % tuple(flat) + "\n"
 
     def svg_text(self) -> str:
-        series = []
-        for y, row in zip(self.config.y, zip(*self.eps)):
-            pts = [None if e is None else (q, e.real) for q, e in zip(self.q_values, row)]
-            series.append((f"y={format(y, 'g')}", pts))
+        series = [(f"y={format(y, 'g')}", [None if e is None else e.real for e in row])
+                  for y, row in zip(self.config.y, zip(*self.eps))]
         title = f"{self.config.model}: Re eps vs q (x={self.config.x:g}, xp={self.config.xp:g})"
-        return line_plot(series, title, "q = k/kF", "Re eps")
+        return line_plot(self.q_values, series, title, "q = k/kF", "Re eps")
 
 
 def parse_q_range(text: str) -> tuple[float, float, int]:

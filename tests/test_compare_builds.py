@@ -2,6 +2,7 @@
 itself shows no difference, and one constant changed in a copy shows up as
 unexpected differences, named per function, with exit status 1."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -37,3 +38,24 @@ def test_a_changed_constant_is_named_per_function(tmp_path):
         assert f"  {name}: " in summary, name
     assert "  clog_ratio: " not in summary  # a kernel does not use the coupling
     assert run.stdout.splitlines()[-1].endswith(" unexpected difference(s)")
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("compare_builds", ROOT / "scripts" / "compare_builds.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_texts_are_one_token_and_counted_apart_from_non_finite_floats():
+    tool = _tool()
+    assert tool._tokens("0x1.8p+0 'DegenerateQ: q = 0: use it' \"it's\" -inf") == [
+        "0x1.8p+0", "'DegenerateQ: q = 0: use it'", "\"it's\"", "-inf"]
+    texts = tool.ValueChanges()  # a row node's error text changed, with another word count
+    texts.add("= 0x1.8p+0 'DegenerateQ: q = 0: a'", "= 0x1.8p+0 'DegenerateQ: q = 0: b c'")
+    assert texts.lines() == ["    no float changed", "    token 1: 1 x, 1 x text"]
+    floats = tool.ValueChanges()
+    floats.add("= 0x1.8p+0 'E: a'", "= inf 'E: a'")
+    floats.add("= 0x1.8p+0 'E: a'", "= 0x1p+0 'E: b'")
+    assert floats.lines() == ["    token 0: 2 x, largest change 0.5, relative 0.333, 1 x non-finite",
+                              "    token 1: 1 x, 1 x text"]

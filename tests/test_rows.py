@@ -20,7 +20,7 @@ from qplasma.dielectric import (
 )
 from qplasma import kernels
 from qplasma.errors import DenominatorVanishes, NonFiniteResult, QplasmaError, WindowContainsPole
-from qplasma.kernels import _numerator, g_a
+from qplasma.kernels import _Q0_POINT, _numerator, _one, g_a
 from qplasma.kohn import singularity_broadening_scan
 from qplasma.sweep import (
     MODELS,
@@ -149,18 +149,26 @@ def test_lindhard_rows_ignore_y(y):
     assert _row("lindhard", 0.3, y, [1.0, 1.5], 1.0) == [_scalar("lindhard", 0.3, y, q, 1.0) for q in (1.0, 1.5)]
 
 
-@pytest.mark.parametrize("model, x, ys, counted", [
-    ("mermin", 0.0, (0.0, 0.01, 0.02), "_static_numerator"),
-    ("lindhard", 0.3, (0.0, -0.0), "_numerator"),
+@pytest.mark.parametrize("model, x, ys, z", [
+    ("mermin", 0.0, (0.0, 0.01, 0.02), 0j),
+    ("mermin", 0.3, (0.01, 0.0, 0.02, 3.0), 0j),
+    ("lindhard", 0.3, (0.0, -0.0), 0.3 + 0j),
 ])
-def test_y_independent_rows_are_evaluated_once(monkeypatch, model, x, ys, counted):
-    # the Mermin x = 0 row and the Lindhard row are the same for every y: one node evaluation per q
-    calls = []
-    evaluate = getattr(kernels, counted)
-    monkeypatch.setattr(kernels, counted, lambda *args: calls.append(args) or evaluate(*args))
+def test_y_independent_rows_are_evaluated_once(monkeypatch, model, x, ys, z):
+    # the Mermin x = 0 row, the Lindhard row and Mermin's N0(q) = N(0, q) at
+    # x != 0 are the same for every y: N(z, q) is evaluated once per q, counted
+    # in nodes over the calls of the row kernel
+    nodes = Counter()
+    evaluate = kernels._numerator
+
+    def counting(at, qs, what):
+        nodes[at] += len(qs)
+        return evaluate(at, qs, what)
+
+    monkeypatch.setattr(kernels, "_numerator", counting)
     qs = [0.25 * k for k in range(1, 12)]
     rows = MODELS[model](x, ys, qs, 1.0)
-    assert len(calls) == len(qs)
+    assert nodes[z] == len(qs)
     assert [[_outcome(v) for v in row] for row in rows] == [_row(model, x, y, qs, 1.0) for y in ys]
 
 
@@ -307,6 +315,11 @@ def _g_sum(z, q):
     return 1.0 - g_a(z, q, +1) + g_a(z, q, -1)
 
 
+def _n(z, q):
+    """N at one q, as the scalar models take it: a one-node row, whose error is raised."""
+    return _one(_numerator(z, (q,), "N"))
+
+
 def test_numerator_is_the_sum_of_the_shifted_kernels():
     # bit for bit, except at z = +-0 + iy, y > 0, where N is 1 - 2 Re g(iy,+q)
     # (g(iy,-q) = -conj(g(iy,+q))): Im N is +0.0 and Re N within one
@@ -320,14 +333,14 @@ def test_numerator_is_the_sum_of_the_shifted_kernels():
         z = complex(x, y)
         q = rng.choice((math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, *branch_points_q(x),
                         *branch_points_q(0.0), rng.uniform(-5.0, 5.0), rng.choice(reals)))
-        if q == 0.0:  # outside _numerator's domain, as g_a raises DegenerateQ
+        if q == 0.0:  # the row's q = 0 text, checked in test_real_axis_numerator_equals_the_complex_evaluation
             continue
         try:
             g_sum = _g_sum(z, q)
         except QplasmaError as exc:
-            assert _outcome_or_error(_numerator, z, q) == _outcome(exc), (z, q)
+            assert _outcome_or_error(_n, z, q) == _outcome(exc), (z, q)
             continue
-        n = _numerator(z, q)
+        n = _n(z, q)
         if x == 0.0 and y > 0.0:
             assert _outcome(n)[1] == "0x0.0p+0", (z, q)
             assert abs(n.real - g_sum.real) <= sys.float_info.epsilon * (1.0 + 2.0 * abs(g_a(z, q, +1))), (z, q)
@@ -384,13 +397,15 @@ def _shift_kind(r, q):
 
 def test_real_axis_numerator_equals_the_complex_evaluation():
     # N(x +- 0j, q) is evaluated in floats: it must give the bits of the
-    # complex kernels (signed zeros included), or their error, class and text
+    # complex kernels (signed zeros included), or their error, class and text;
+    # a q = 0 node names the classical limit, as every model's q = 0 does
     rng = random.Random(36)
     kinds = Counter()
     for _ in range(24000):
         x, q = _real_axis_draw(rng)
         z = complex(x, rng.choice((0.0, -0.0)))
-        assert _outcome_or_error(_numerator, z, q) == _outcome_or_error(_g_sum, z, q), (z, q)
+        expected = ("DegenerateQ", _Q0_POINT) if q == 0.0 else _outcome_or_error(_g_sum, z, q)
+        assert _outcome_or_error(_n, z, q) == expected, (z, q)
         if q != 0.0 and math.isfinite(q):
             kinds.update(_shift_kind(x + s * (q / 2.0), q) for s in (1.0, -1.0))
         else:
