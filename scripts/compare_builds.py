@@ -39,11 +39,14 @@ each row's y, slope and skipped q; per sweep: every field of the result and
 a hash of its CSV and SVG text), or the class and message of the raised
 error.  The two streams are compared line by line.
 
-Two kinds of difference are expected and counted per function, with one
-example each: an OverflowError or ZeroDivisionError of the old tree that the
-new tree raises as NonFiniteResult, and a call with a non-finite argument or
-result in the old tree that the new tree rejects with NonFiniteResult.
-Changed error-message texts are counted the same way.  Any other difference
+Some differences are expected, and are counted per function and kind,
+with one example each: an OverflowError or ZeroDivisionError of the old
+tree that the new tree raises as NonFiniteResult; and a call that the new
+tree rejects with NonFiniteResult where the old tree returned a non-finite
+result, got a non-finite argument, or returned a finite value of finite
+arguments (a quantity derived from them that leaves double range, such as
+a square that overflows).  Changed error-message texts are counted the same
+way.  Any other difference
 is unexpected: the first 20 are printed, all of them are counted per
 function and (old outcome -> new outcome), an outcome being "value" or the
 class of the raised error, and the exit status is 1.  For the unexpected
@@ -335,6 +338,20 @@ def _non_finite(text: str) -> bool:
     return any(t.lstrip("-") in ("inf", "nan") for t in _tokens(text))
 
 
+def _rejected(args: str, res_old: str, res_new: str) -> str | None:
+    """The kind of call that the new tree rejects with NonFiniteResult where
+    the old tree's outcome was another -- "non-finite result", "non-finite
+    argument" or "finite argument and result" -- or None."""
+    if not res_new.startswith(f"! {EXPECTED_NEW}:") or res_old.startswith(f"! {EXPECTED_NEW}:"):
+        return None
+    returned = res_old.startswith("=")
+    if returned and _non_finite(res_old):
+        return "non-finite result"
+    if _non_finite(args):
+        return "non-finite argument"
+    return "finite argument and result" if returned else None
+
+
 def _outcome_class(result: str) -> str:
     """"value" for a returned value, else the class name of the raised error."""
     return "value" if result.startswith("=") else result[2:].split(":", 1)[0]
@@ -472,10 +489,9 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
         cls_old, cls_new = res_old.split(":", 1)[0], res_new.split(":", 1)[0]
         same_class = cls_old == cls_new and res_old.startswith("!")
         now_typed = cls_old[2:] in EXPECTED_OLD and cls_new == f"! {EXPECTED_NEW}"
-        bad_result = res_old.startswith("=") and _non_finite(res_old)
-        if (verdict == "unexpected difference" and cls_new == f"! {EXPECTED_NEW}"
-                and cls_old != cls_new and (bad_result or _non_finite(args))):
-            key = name, "result" if bad_result else "argument", ""
+        kind = _rejected(args, res_old, res_new) if verdict == "unexpected difference" else None
+        if kind is not None:
+            key = name, kind, ""
             rejected[key] += 1
             examples.setdefault(key, (res_old[2:], res_new[2:]))
             continue
@@ -506,7 +522,7 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
             print(f"  {key[0]}: {count} x {kind} changed, e.g.\n    old: {was}\n    new: {now}")
     for key, count in sorted(rejected.items()):
         was, now = examples[key]
-        print(f"  {key[0]}: {count} x non-finite {key[1]} now raises {EXPECTED_NEW}, e.g.\n"
+        print(f"  {key[0]}: {count} x {key[1]} now raises {EXPECTED_NEW}, e.g.\n"
               f"    old: {was}\n    new: {now}")
     if unexpected:
         print("unexpected differences per function, old outcome -> new outcome:")

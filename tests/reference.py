@@ -119,3 +119,18 @@ def rel_err(got: complex, ref) -> float:
     """|got - ref| / |ref| as a float, evaluated at the reference precision."""
     with mp.workdps(MP_DIGITS):
         return float(abs(mp.mpc(got) - ref) / abs(ref))
+
+
+def ref_bgk_dq(x, y, q, xp, digits=MP_DIGITS):
+    """d eps/d q of ref_bgk, summed from each shifted kernel's derivative
+    dg/dq = -(a^2 - 1)/(2 q^2) L(a) + s a/(2q) L(a) - s/(2q), a = z + s q/2,
+    at ``digits`` significant digits: the terms cancel to ~q^3 of their
+    size at small q, so give it ~3 |log10 q| digits more there."""
+    with mp.workdps(digits):
+        z, q = _z(x, y), mp.mpf(q)
+
+        def dg(s):
+            a = z + s * q / 2
+            return -(a * a - 1) / (2 * q * q) * _L(a) + s * a / (2 * q) * _L(a) - mp.mpf(s) / (2 * q)
+
+        return mp.mpf(1.5) * mp.mpf(xp) ** 2 * (-dg(1) + dg(-1)) / (1 - _g0(z))

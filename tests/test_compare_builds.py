@@ -59,3 +59,14 @@ def test_texts_are_one_token_and_counted_apart_from_non_finite_floats():
     floats.add("= 0x1.8p+0 'E: a'", "= 0x1p+0 'E: b'")
     assert floats.lines() == ["    token 0: 2 x, largest change 0.5, relative 0.333, 1 x non-finite",
                               "    token 1: 1 x, 1 x text"]
+
+
+def test_a_finite_call_that_now_raises_non_finite_result_is_an_expected_kind():
+    tool = _tool()
+    now = "! NonFiniteResult: the square of xp = 1e+200 overflows"
+    assert tool._rejected("0x0.0p+0 0x1.0p+1", "= 0x1.8p+0", now) == "finite argument and result"
+    assert tool._rejected("0x0.0p+0 0x1.0p+1", "= inf", now) == "non-finite result"
+    assert tool._rejected("nan 0x1.0p+1", "! ValueError: no", now) == "non-finite argument"
+    for old in ("! ValueError: no", "! NonFiniteResult: another text"):  # another class; the same class
+        assert tool._rejected("0x0.0p+0 0x1.0p+1", old, now) is None
+    assert tool._rejected("0x0.0p+0", "= 0x1.8p+0", "! DenominatorVanishes: |1 - g0| < 1e-30") is None

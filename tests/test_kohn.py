@@ -1,17 +1,27 @@
 """Kohn singularity locator and the collision-broadening scan."""
 
+import cmath
 import math
+import random
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from qplasma.cli import main
 from qplasma.errors import NonFiniteResult, WindowContainsPole
+from qplasma.kernels import _bgk_denominator
 from qplasma.kohn import (
+    _dn_dq,
     kohn_roots_dimless,
     kohn_wavenumbers_physical,
     singularity_broadening_scan,
 )
+from qplasma.sweep import load_config_file, parse_q_range
+from reference import ref_bgk, ref_bgk_dq
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_roots_at_x0_multiset():
@@ -202,6 +212,133 @@ def test_broadening_scan_skips_nodes_near_a_branch_point_outside_the_window():
     assert rows[0].max_abs_deps_dq == 0.0
     with pytest.raises(WindowContainsPole):
         singularity_broadening_scan(0.0, 1.0, [0.0], (2 + 2e-10, 2 + 6e-10), 5, on_pole="raise")
+
+
+def test_broadening_scan_grid_step_of_zero_raises_non_finite():
+    # 40 nodes over two ulps: the nodes repeat and the step is 0, so every
+    # central difference divided by it, and a bare ZeroDivisionError escaped
+    window = (0.0019325585203012372, 0.0019325585203012374)
+    with pytest.raises(NonFiniteResult, match="grid step"):
+        singularity_broadening_scan(280.9517344579988, 0.07172534008470595, [0.0], window, 40)
+    (row,) = singularity_broadening_scan(280.9517344579988, 0.07172534008470595, [0.003], window, 40)
+    assert math.isfinite(row.max_abs_deps_dq) and row.skipped_q == ()
+
+
+def test_broadening_scan_row_whose_slope_overflows_raises():
+    # 1.5 xp^2 overflows: every node of the grid failed, and the row read
+    # max_abs_deps_dq = 0.0 with all 11 nodes in skipped_q
+    with pytest.raises(NonFiniteResult, match="square of xp"):
+        singularity_broadening_scan(0.0, 1e200, [0.01], (1.5, 2.5), 11)
+    # 1.5 xp^2 = 1.5e308 is finite, the slope at the kink is not
+    with pytest.raises(NonFiniteResult, match="d eps/d q"):
+        singularity_broadening_scan(0.0, 1e154, [0.01], (1.5, 2.5), 11)
+
+
+@pytest.mark.parametrize("x, xp, ys, window", [
+    (1751.517185655992, 25.40381425564319, [0.006045294939366307, 0.14710324977137182], (-2.0, 5.0)),
+    (0.0, 1.0, [0.1, 3.0], (-1e-6, 2e-6)),
+    (0.3, 1.0, [0.1], (1e-300, 1e-299)),
+])
+def test_broadening_scan_slope_where_the_closed_form_terms_cancel(x, xp, ys, window):
+    # dN/dq ~ -q/(3 (z^2 - 1)^2) grows with |q| here, so the maximum is at the
+    # far edge; the closed form's terms cancel at small q/(z^2 - 1), and its
+    # rounding error grows as q -> 0, so a search on it found that error
+    # (1.2e36 in the first window, 1.8e300 in the last)
+    for row in singularity_broadening_scan(x, xp, ys, window, 29):
+        ref = abs(ref_bgk_dq(x, row.y, window[1], xp, 40 + 3 * round(abs(math.log10(window[1])))))
+        assert abs(row.max_abs_deps_dq - ref) <= 1e-10 * ref, (row, ref)
+
+
+def _slope(x, y, q, xp):
+    """d eps/d q as the scan's y > 0 rows take it."""
+    z = complex(x, y)
+    return 1.5 * xp ** 2 / _bgk_denominator(z) * _dn_dq(z, q, x == 0.0)
+
+
+_U = 2.0 ** -53
+
+
+def test_slope_matches_mpmath_diff_of_the_reference():
+    # seeded points of the oracle box, a quarter at x = 0 (the one-shift form)
+    rng = random.Random(20261020)
+    for _ in range(150):
+        x = 0.0 if rng.random() < 0.25 else rng.uniform(-2.0, 2.0)
+        y, q, xp = 10.0 ** rng.uniform(-3.0, 1.0), rng.uniform(0.05, 5.0), rng.uniform(0.1, 10.0)
+        with mp.workdps(40):
+            ref = mp.diff(lambda t: ref_bgk(x, y, t, xp), mp.mpf(q), h=mp.mpf("1e-15"))
+            assert abs(ref_bgk_dq(x, y, q, xp) - ref) <= mp.mpf("1e-15") * abs(ref)
+        assert abs(mp.mpc(_slope(x, y, q, xp)) - ref) <= 1e-10 * abs(ref), (x, y, q, xp)
+
+
+def test_x0_slope_is_one_shift_within_the_two_shift_rounding():
+    # dN/dq at z = iy from the +q shift and its mirror is real and differs
+    # from the two-shift sum by less than twice that sum's rounding in the
+    # form of the x = 0 bound on N, u (|q| + (|a|^2 + 1)(|ln(a + 1)| +
+    # |ln(a - 1)|))/q^2 with u = 2**-52 and a = iy + q/2: at most 1.67 of the
+    # single bound over 200k seeded draws, at q near the Kohn point 2, where
+    # each form is off the reference by up to 2.4 of it
+    rng = random.Random(20)
+    for _ in range(20000):
+        y = 10.0 ** rng.uniform(-6.0, 3.0)
+        q = rng.choice((2.0, -2.0)) + rng.uniform(-1e-3, 1e-3) if rng.random() < 0.3 else \
+            rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-4.0, 2.0)
+        z = complex(0.0, y)
+        one, two = _dn_dq(z, q, True), _dn_dq(z, q, False)
+        a = z + q / 2.0
+        bound = 4.0 * _U * (abs(q) + (abs(a) ** 2 + 1.0) * (abs(cmath.log(a + 1.0)) + abs(cmath.log(a - 1.0)))) / q ** 2
+        assert type(one) is float and abs(one - two) <= bound, (y, q, one, two)
+
+
+def _dense_max(x, y, xp, lo, hi, nodes=501):
+    """max |d eps/d q| over [lo, hi] from ref_bgk_dq: the best of a uniform
+    grid of ``nodes`` (a spacing no wider than the peaks at y >= 0.002), then
+    golden section over its neighbours down to a 1e-12 bracket, at 40 digits."""
+    f = lambda q: abs(ref_bgk_dq(x, y, q, xp))  # noqa: E731
+    with mp.workdps(40):
+        qs = mp.linspace(mp.mpf(lo), mp.mpf(hi), nodes)
+        values = [f(q) for q in qs]
+        i = max(range(nodes), key=values.__getitem__)
+        a, b = qs[max(i - 1, 0)], qs[min(i + 1, nodes - 1)]
+        ratio = (mp.sqrt(5) - 1) / 2
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        fc, fd = f(c), f(d)
+        while b - a > mp.mpf("1e-12"):
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - ratio * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + ratio * (b - a)
+                fd = f(d)
+        return max(values[i], fc, fd)
+
+
+@pytest.mark.parametrize("name", ["fig1.cfg", "fig2.cfg", "fig3.cfg"])
+def test_broadening_scan_is_the_dense_maximum_on_the_figure_windows(name):
+    values = load_config_file(ROOT / "configs" / name)
+    x, xp = float(values["x"]), float(values["xp"])
+    ys = [float(t) for t in values["y"].split(",") if float(t) > 0.0]
+    window = parse_q_range(values["q"])[:2]
+    for row in singularity_broadening_scan(x, xp, ys, window):
+        ref = _dense_max(x, row.y, xp, *window)
+        assert abs(row.max_abs_deps_dq - ref) <= 1e-12 * ref, (name, row, ref)
+
+
+def test_broadening_scan_finds_the_higher_of_two_close_kinks():
+    # at small x the kinks 2(1 - x) and 2(1 + x) often share one interval of
+    # the 32-interval grid; the search must reach the higher peak, which a
+    # dense grid of the same derivative, 1001 nodes over b +- 5y around each
+    # branch point b, bounds from below (each coarse-grid-only search missed
+    # it on 36 of 300 such draws, by up to 3%)
+    rng = random.Random(3)
+    for _ in range(60):
+        x, y = rng.uniform(-0.05, 0.05), 10.0 ** rng.uniform(-4.0, -2.0)
+        lo, hi = rng.uniform(1.0, 1.9), rng.uniform(2.1, 3.0)
+        (row,) = singularity_broadening_scan(x, 1.0, [y], (lo, hi))
+        dense = [b + (i / 100.0 - 5.0) * y for b in (2.0 * (1.0 - x), 2.0 * (1.0 + x)) for i in range(1001)]
+        best = max(abs(_slope(x, y, q, 1.0)) for q in dense if lo <= q <= hi)
+        assert row.max_abs_deps_dq >= best * (1.0 - 1e-12), (x, y, lo, hi, row, best)
 
 
 # (q, q_alt, degenerate, physical, principal, residual.hex()) of each root in

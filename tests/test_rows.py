@@ -2,6 +2,7 @@
 the same value to the last bit (signed zeros included) or the same error
 class and text; y < 0 or xp < 0 raises the scalar's ValueError out of the row."""
 
+import cmath
 import importlib.util
 import math
 import random
@@ -226,29 +227,52 @@ def test_pole_nodes_follow_the_node_rule(seed):
         assert _pole_nodes(qs, poles) == [i for i, q in enumerate(qs) if _on_pole_rule(q, poles)], (qs, poles)
 
 
-def _scan_by_points(x, xp, ys, window, n_points, on_pole):
-    """singularity_broadening_scan rebuilt node by node from
-    epsilon_collisional_a: (y, max slope, skipped q) per y, or
-    WindowContainsPole.  A node is a gap if it is a y = 0 node within 1e-9
-    of a branch point, or if its point raises a QplasmaError."""
+def _scan_by_points(x, xp, y, window, n_points, on_pole):
+    """A y = 0 row of singularity_broadening_scan rebuilt node by node from
+    epsilon_collisional_a: (y, max slope, skipped q), or WindowContainsPole.
+    A node is a gap if it is within 1e-9 of a branch point, or if its point
+    raises a QplasmaError."""
     qs = _linspace(*window, n_points)
     h = qs[1] - qs[0]
-    poles = branch_points_q(x)
-    rows = []
-    for y in ys:
-        on_pole_here = [y == 0.0 and _on_pole_rule(q, poles) for q in qs]
-        if on_pole == "raise" and any(on_pole_here):
-            return WindowContainsPole
-        eps = []
-        for q, skip in zip(qs, on_pole_here):
-            try:
-                eps.append(None if skip else epsilon_collisional_a(DimensionlessPointA(x, y, q, xp)).epsilon)
-            except QplasmaError:
-                eps.append(None)
-        slopes = [abs(hi - lo) / (2.0 * h) for lo, hi in zip(eps, eps[2:]) if lo is not None and hi is not None]
-        max_slope = max([s for s in slopes if not math.isnan(s)], default=0.0)
-        rows.append((y.hex(), max_slope.hex(), tuple(q for q, e in zip(qs, eps) if e is None)))
-    return rows
+    on_pole_here = [_on_pole_rule(q, branch_points_q(x)) for q in qs]
+    if on_pole == "raise" and any(on_pole_here):
+        return WindowContainsPole
+    eps = []
+    for q, skip in zip(qs, on_pole_here):
+        try:
+            eps.append(None if skip else epsilon_collisional_a(DimensionlessPointA(x, y, q, xp)).epsilon)
+        except QplasmaError:
+            eps.append(None)
+    slopes = [abs(hi - lo) / (2.0 * h) for lo, hi in zip(eps, eps[2:]) if lo is not None and hi is not None]
+    max_slope = max([s for s in slopes if not math.isnan(s)], default=0.0)
+    return y.hex(), max_slope.hex(), tuple(q for q, e in zip(qs, eps) if e is None)
+
+
+_U = 2.0 ** -53
+
+
+def _eps_rounding(x, y, q, xp, eps):
+    """A running-error bound on eps = 1 + 1.5 xp^2 N/(1 - g0) from its
+    closed form: 16 u times the sizes of its terms, T = |c|(|ln(a + 1)| +
+    |ln(a - 1)|) for each shift a = z +- q/2 with c = (a^2 - 1)/(2q), and
+    (y/2)(|ln(z + 1)| + |ln(z - 1)|) for g0."""
+    z = complex(x, y)
+    t = 1.0
+    for a in (z + q / 2.0, z - q / 2.0):
+        t += abs((a * a - 1.0) / (2.0 * q)) * (abs(cmath.log(a + 1.0)) + abs(cmath.log(a - 1.0)))
+    den = 1.0 - kernels.g0_a(z)
+    kappa_den = (1.0 + y / 2.0 * (abs(cmath.log(z + 1.0)) + abs(cmath.log(z - 1.0)))) / abs(den)
+    return 16.0 * _U * (abs(eps) + abs(eps - 1.0) * kappa_den + 1.5 * xp * xp * t / abs(den))
+
+
+def _central_differences(x, xp, y, window, n_points):
+    """(|eps(q + h) - eps(q - h)|/(2h), its rounding bound) at each inner node
+    of the scan's grid, from epsilon_collisional_a."""
+    qs = _linspace(*window, n_points)
+    h2 = 2.0 * (qs[1] - qs[0])
+    eps = [epsilon_collisional_a(DimensionlessPointA(x, y, q, xp)).epsilon for q in qs]
+    bounds = [_eps_rounding(x, y, q, xp, e) for q, e in zip(qs, eps)]
+    return [(abs(eps[i + 1] - eps[i - 1]) / h2, (bounds[i + 1] + bounds[i - 1]) / h2) for i in range(1, len(qs) - 1)]
 
 
 def _scan_window(rng, x):
@@ -268,10 +292,22 @@ def _scan_window(rng, x):
     return q_min, q_min + rng.uniform(1e-6, 4.0), rng.randint(3, 40)
 
 
+def _scan_outcome(*args):
+    try:
+        return [(r.y.hex(), r.max_abs_deps_dq.hex(), r.skipped_q) for r in singularity_broadening_scan(*args)]
+    except QplasmaError as exc:
+        return type(exc)
+
+
 @pytest.mark.parametrize("seed", [38, 39])
 def test_broadening_scan_matches_the_scalar_path(seed):
-    # the scan gives, row by row, the slope and gaps of the scalar points:
-    # every max |d eps/d q| to the last bit and every skipped q
+    # a y = 0 row gives the slope and gaps of the scalar points to the last
+    # bit, or raises WindowContainsPole as they say; a y > 0 row skips no q,
+    # raises NonFiniteResult exactly where 1.5 xp^2 overflows, and its slope,
+    # the maximum of |d eps/d q|, is at least each central difference of the
+    # scalar points (each is a mean of d eps/d q) less its rounding bound,
+    # checked where every node has |q| >= 1e-3 (nearer q = 0 eps has no
+    # correct digits); the scan of all ys gives the rows of the scans of one
     rng = random.Random(seed)
     seen = Counter()
     for _ in range(1200):
@@ -280,19 +316,38 @@ def test_broadening_scan_matches_the_scalar_path(seed):
         ys = [rng.choice((0.0, -0.0, 10.0 ** rng.uniform(-3.0, 1.0))) for _ in range(rng.randint(1, 3))]
         window = _scan_window(rng, x)
         on_pole = rng.choice(("skip", "raise"))
-        expected = _scan_by_points(x, xp, ys, window[:2], window[2], on_pole)
-        if expected is WindowContainsPole:
-            with pytest.raises(WindowContainsPole):
-                singularity_broadening_scan(x, xp, ys, window[:2], window[2], on_pole)
-            seen["raised"] += 1
-            continue
-        rows = singularity_broadening_scan(x, xp, ys, window[:2], window[2], on_pole)
-        got = [(r.y.hex(), r.max_abs_deps_dq.hex(), r.skipped_q) for r in rows]
-        assert got == expected, (x, xp, ys, window, on_pole)
-        for y, _, skipped in expected:
-            seen["y = 0 row with gaps" if skipped and float.fromhex(y) == 0.0 else
-                 "y > 0 row with gaps" if skipped else "row without gaps"] += 1
-    assert len(seen) == 4 and min(seen.values()) > 50, seen
+        outcomes = []
+        for y in ys:
+            got = _scan_outcome(x, xp, [y], window[:2], window[2], on_pole)
+            outcomes.append(got)
+            if y == 0.0:
+                expected = _scan_by_points(x, xp, y, window[:2], window[2], on_pole)
+                assert got == (expected if expected is WindowContainsPole else [expected]), (x, xp, y, window, on_pole)
+                seen["y = 0 row raised" if got is WindowContainsPole else
+                     "y = 0 row with gaps" if expected[2] else "y = 0 row without gaps"] += 1
+            elif xp == 1e200:
+                assert got is NonFiniteResult, (x, xp, y, window)
+                seen["y > 0 row raised"] += 1
+            else:
+                ((_, slope, skipped),) = got
+                assert skipped == ()
+                if all(abs(q) >= 1e-3 for q in _linspace(*window)):
+                    for cd, bound in _central_differences(x, xp, y, window[:2], window[2]):
+                        assert float.fromhex(slope) >= cd - bound, (x, xp, y, window, cd, bound)
+                    seen["y > 0 row above its central differences"] += 1
+        raised = [o for o in outcomes if not isinstance(o, list)]
+        assert _scan_outcome(x, xp, ys, window[:2], window[2], on_pole) == (
+            raised[0] if raised else [row for rows in outcomes for row in rows])
+    assert len(seen) == 5 and min(seen.values()) > 50, seen
+
+
+def test_broadening_scan_y_positive_rows_do_not_depend_on_the_grid():
+    rows = [singularity_broadening_scan(x, 1.0, [0.0, 0.003, 0.5], (1.5, 2.5), n)
+            for x in (0.0, 0.1) for n in (3, 201, 2001)]
+    for by_n in (rows[:3], rows[3:]):
+        assert len({r[0].max_abs_deps_dq for r in by_n}) == 3  # the y = 0 grid value moves
+        for i in (1, 2):
+            assert len({r[i].max_abs_deps_dq for r in by_n}) == 1
 
 
 @pytest.mark.parametrize("q_min, q_max, q_steps", [
