@@ -43,9 +43,12 @@ Some differences are expected, and are counted per function and kind,
 with one example each: an OverflowError or ZeroDivisionError of the old
 tree that the new tree raises as NonFiniteResult; and a call that the new
 tree rejects with NonFiniteResult where the old tree returned a non-finite
-result, got a non-finite argument, or returned a finite value of finite
-arguments (a quantity derived from them that leaves double range, such as
-a square that overflows).  Changed error-message texts are counted the same
+result or got a non-finite argument.  A call of a function named with
+``--finite-rejects NAME`` that returned a finite value of finite arguments
+and now raises NonFiniteResult (a quantity derived from them that leaves
+double range, such as a square that overflows) is expected too; of any
+other function it is not, so a finite value that a regression turns into
+an overflow still fails.  Changed error-message texts are counted the same
 way.  Any other difference
 is unexpected: the first 20 are printed, all of them are counted per
 function and (old outcome -> new outcome), an outcome being "value" or the
@@ -469,7 +472,7 @@ def _print_line_counts(old_src: Path, new_src: Path) -> None:
         print(f"  {name:<16}" + "   ".join(f"{w:>6} -> {n:>6} {n - w:>+6}" for w, n in zip(was, now)))
 
 
-def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
+def compare(old_src: Path, new_src: Path, seed: int, n: int, finite_rejects=()) -> int:
     procs = [_spawn(src, seed, n) for src in (old_src, new_src)]
     old, new = (p.stdout for p in procs)
     bad = 0
@@ -490,7 +493,7 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int) -> int:
         same_class = cls_old == cls_new and res_old.startswith("!")
         now_typed = cls_old[2:] in EXPECTED_OLD and cls_new == f"! {EXPECTED_NEW}"
         kind = _rejected(args, res_old, res_new) if verdict == "unexpected difference" else None
-        if kind is not None:
+        if kind is not None and (kind != "finite argument and result" or name in finite_rejects):
             key = name, kind, ""
             rejected[key] += 1
             examples.setdefault(key, (res_old[2:], res_new[2:]))
@@ -554,6 +557,9 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="REV", help="compare git revision REV with this checkout's src")
     parser.add_argument("--draws", type=int, default=600_000)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--finite-rejects", metavar="NAME", action="append", default=[],
+                        help="expect a finite call of NAME that returned a value to raise NonFiniteResult now "
+                             "(repeatable)")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -563,10 +569,11 @@ def main(argv=None) -> int:
         if args.old_src is not None or args.new_src is not None:
             parser.error("--against REV takes no OLD_SRC or NEW_SRC")
         with tempfile.TemporaryDirectory(prefix="compare_builds-") as tmp:
-            return compare(_unpack_src(args.against, Path(tmp)), ROOT / "src", args.seed, args.draws)
+            return compare(_unpack_src(args.against, Path(tmp)), ROOT / "src", args.seed, args.draws,
+                           args.finite_rejects)
     if args.old_src is None or args.new_src is None:
         parser.error("OLD_SRC and NEW_SRC are required")
-    return compare(args.old_src, args.new_src, args.seed, args.draws)
+    return compare(args.old_src, args.new_src, args.seed, args.draws, args.finite_rejects)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ import math
 import numbers
 from cmath import log
 from dataclasses import dataclass
-from math import fsum, hypot, log as _ln
+from math import fsum
 
 from .errors import NonFiniteResult, WindowContainsPole
 from .kernels import (  # kohn_wavenumbers_physical is re-bound here
@@ -124,7 +124,7 @@ _GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0  # where a golden-section search puts its inn
 _ATANH = tuple(1.0 / d for d in range(19, 1, -2))
 
 
-def _dn_dq(z: complex, q: float, mirror: bool) -> complex:
+def _dn_dq(z: complex, q: float) -> complex:
     """dN/dq of N(z, q) = 1 - g(z,+q) + g(z,-q), for Im z > 0 and q != 0.
 
     With a = z + s q/2 and L'(a) = -2/(a^2 - 1), each shifted kernel has
@@ -144,24 +144,17 @@ def _dn_dq(z: complex, q: float, mirror: bool) -> complex:
     nine terms.  Otherwise L(a) = log(a + 1) - log(a - 1), with Re(a +- 1)
     = x +- 1 + s q/2 rounded once (math.fsum): near a branch point it is
     the small difference of these three terms, and the slope, unlike N, is
-    not damped there by a factor a^2 - 1.  With ``mirror`` (z = iy) a- =
-    -conj(a+) and L(a-) = -conj(L(a+)), the mirror N takes in
-    kernels._numerator, so only the +q shift is evaluated: dN/dq = (q + p
-    Re L(a+))/q^2, real, with p = -(|a+|^2 + 1).  The direct forms divide by
-    q twice, so a tiny q gives inf, not a ZeroDivisionError from an
+    not damped there by a factor a^2 - 1.  The direct form divides by q
+    twice, so a tiny q gives inf, not a ZeroDivisionError from an
     underflowed q^2."""
     x, y, h = z.real, z.imag, 0.5 * q
     p = (z - 1.0) * (z + 1.0) - h * h
-    if mirror:
-        p = p.real  # its imaginary part is 0 at z = iy
     t = q / p
     if abs(t) <= 0.125:
         t2, s = t * t, 0.0
         for coefficient in _ATANH:
             s = s * t2 + coefficient
         return -(t / p) * s
-    if mirror:
-        return (q + p * (_ln(hypot(1.0 + h, y)) - _ln(hypot(h - 1.0, y)))) / q / q
     # the logs of a+ + 1, a+ - 1, a- + 1 and a- - 1
     lpp, lpm, lmp, lmm = (log(complex(fsum((x, one, shift)), y)) for shift in (h, -h) for one in (1.0, -1.0))
     return (p * (lpp - lpm - lmp + lmm) + 2.0 * q) / (2.0 * q) / q
@@ -202,12 +195,11 @@ def _max_slope(x: float, y: float, xp: float, lo: float, hi: float) -> float:
     if type(c) is not float:
         raise c
     c /= den
-    mirror = x == 0.0
 
     def slope(q: float) -> float:
         if q == 0.0:
             return 0.0
-        s = abs(c * _dn_dq(z, q, mirror))
+        s = abs(c * _dn_dq(z, q))
         if not math.isfinite(s):
             raise NonFiniteResult(f"|d eps/d q| at x={x!r}, y={y!r}, q={q!r}, xp={xp!r} overflowed or is undefined")
         return s
@@ -255,9 +247,9 @@ def singularity_broadening_scan(
     (``on_pole="skip"``, the default) or raise WindowContainsPole
     (``on_pole="raise"``).  Nodes whose evaluation raises a QplasmaError are
     excluded and reported the same way.  Skipped points are never
-    interpolated; a maximum that overflows, or a grid step that rounds to 0
-    (a window narrower than n_points - 1 steps of its own ulp), raises
-    NonFiniteResult.
+    interpolated; a maximum that overflows raises NonFiniteResult, and so
+    does a grid step that rounds to 0 (a window narrower than n_points - 1
+    steps of its own ulp), before the row is evaluated.
 
     A non-finite x, xp, y or window edge, or an ``n_points`` that is not an
     integer >= 3, raises ValueError before anything is evaluated, and so
@@ -294,6 +286,8 @@ def singularity_broadening_scan(
             continue
         if on_pole_nodes and on_pole == "raise":
             raise WindowContainsPole(f"grid node q={qs[on_pole_nodes[0]]} sits on a branch point (y=0)")
+        if h2 == 0.0:  # the window is too narrow for n_points distinct nodes
+            raise NonFiniteResult(f"the grid step of q_window {(q_lo, q_hi)!r} at n_points={n_points!r} is 0")
         row = MODELS["bgk"](x, (y,), qs, xp)[0]
         for i in on_pole_nodes:
             row[i] = None
@@ -301,15 +295,12 @@ def singularity_broadening_scan(
         for i in gaps:
             row[i] = None
         max_slope = 0.0
-        try:
-            for lo, hi in zip(row, row[2:]):  # the central difference at each inner node
-                if lo is None or hi is None:
-                    continue
-                slope = abs(hi - lo) / h2
-                if slope > max_slope:  # a nan slope never replaces the maximum
-                    max_slope = slope
-        except ZeroDivisionError:  # the window is too narrow for n_points distinct nodes
-            raise NonFiniteResult(f"the grid step of q_window {(q_lo, q_hi)!r} at n_points={n_points!r} is 0") from None
+        for lo, hi in zip(row, row[2:]):  # the central difference at each inner node
+            if lo is None or hi is None:
+                continue
+            slope = abs(hi - lo) / h2
+            if slope > max_slope:  # a nan slope never replaces the maximum
+                max_slope = slope
         if max_slope == math.inf:
             raise NonFiniteResult(f"the maximum |d eps/d q| at y={y!r} overflows")
         rows.append(BroadeningRow(y=y, max_abs_deps_dq=max_slope, skipped_q=tuple(qs[i] for i in gaps)))

@@ -1,8 +1,10 @@
 """scripts/compare_builds.py end to end, on a short draw: a tree compared with
 itself shows no difference, and one constant changed in a copy shows up as
-unexpected differences, named per function, with exit status 1."""
+unexpected differences, named per function, with exit status 1; so does a
+finite value that now overflows, unless its function is named as expected."""
 
 import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -12,8 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def _compare(old: Path, new: Path) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, str(ROOT / "scripts" / "compare_builds.py"), str(old), str(new), "--draws", "3000"]
+def _compare(old: Path, new: Path, *options: str) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, str(ROOT / "scripts" / "compare_builds.py"), str(old), str(new), "--draws", "3000", *options]
     return subprocess.run(cmd, capture_output=True, text=True, timeout=120)
 
 
@@ -38,6 +40,24 @@ def test_a_changed_constant_is_named_per_function(tmp_path):
         assert f"  {name}: " in summary, name
     assert "  clog_ratio: " not in summary  # a kernel does not use the coupling
     assert run.stdout.splitlines()[-1].endswith(" unexpected difference(s)")
+
+
+def test_a_finite_value_that_now_overflows_is_expected_only_where_named(tmp_path):
+    new = tmp_path / "src"
+    shutil.copytree(SRC / "qplasma", new / "qplasma", ignore=shutil.ignore_patterns("__pycache__"))
+    kernels = new / "qplasma" / "kernels.py"
+    text = kernels.read_text(encoding="utf-8")
+    assert text.count("        return 1.5 * xp ** 2\n") == 1
+    # the coupling overflows from xp = 1e150 on, where 1.5 xp^2 is finite up to ~1.3e154
+    broken = "        return 1.5 * xp ** 2 if abs(xp) < 1e150 else 1.5 * _square(xp * 1e160, 'xp')\n"
+    kernels.write_text(text.replace("        return 1.5 * xp ** 2\n", broken), encoding="utf-8")
+    run = _compare(SRC, new)
+    assert run.returncode == 1, run.stdout + run.stderr
+    summary = run.stdout.split("unexpected differences per function, old outcome -> new outcome:\n", 1)[1]
+    assert "  epsilon_lindhard: " in summary and " x value -> NonFiniteResult" in summary
+    run = _compare(SRC, new, "--finite-rejects", "epsilon_lindhard")
+    assert "  epsilon_lindhard: " not in run.stdout.split("unexpected differences per function", 1)[1]
+    assert re.search(r"  epsilon_lindhard: \d+ x finite argument and result now raises NonFiniteResult", run.stdout)
 
 
 def _tool():
