@@ -35,9 +35,10 @@ that share work.  Each call prints one line:
 the ``float.hex`` of every returned value (so signed zeros count), sigma,
 the model tag and the class name of every dataclass value (per row node:
 the value, or the class and message of the node's QplasmaError; per scan:
-each row's y, slope and skipped q; per sweep: every field of the result and
-a hash of its CSV and SVG text), or the class and message of the raised
-error.  The two streams are compared line by line.
+each row's y, slope and skipped q; per sweep: the result's config, grid,
+node-major values ``eps[iq][iy]``, skips, nudges and paths, however the
+result stores them, and a hash of its CSV and SVG text), or the class and
+message of the raised error.  The two streams are compared line by line.
 
 Some differences are expected, and are counted per function and kind,
 with one example each: an OverflowError or ZeroDivisionError of the old
@@ -288,16 +289,24 @@ def row_table():
 
 def sweep_table():
     """name -> (f(model, x, xp, q_min, q_max, q_steps, *ys), weight): one whole
-    sweep, its result and the sha256 of its CSV and SVG text."""
+    sweep, its result's public attributes and the sha256 of its CSV and SVG
+    text."""
     from qplasma import sweep
 
     def evaluate(model, x, xp, q_min, q_max, q_steps, *ys):
         cfg = sweep.SweepConfig(model, x, tuple(ys), q_min, q_max, q_steps, xp, "unused")
-        result = sweep.run_sweep(cfg, write=False)
-        texts = (result.csv_text(), result.svg_text())
-        return result, *(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+        return sweep_projection(sweep.run_sweep(cfg, write=False))
 
     return {f"sweep_{model}": (evaluate, weight) for model, weight in (("bgk", 1), ("mermin", 2), ("lindhard", 1))}
+
+
+def sweep_projection(result) -> tuple:
+    """A SweepResult as the attributes every revision has, in one order: the
+    values node-major (``eps[iq][iy]``), whichever layout the result stores,
+    then the sha256 of its CSV and SVG text."""
+    texts = (result.csv_text(), result.svg_text())
+    return (type(result).__name__, result.config, result.q_values, result.eps, result.skipped, result.nudged,
+            result.csv_path, result.svg_path, *(hashlib.sha256(t.encode()).hexdigest() for t in texts))
 
 
 def draws(seed: int, n: int, table):

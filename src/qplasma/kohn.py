@@ -249,7 +249,10 @@ def singularity_broadening_scan(
     excluded and reported the same way.  Skipped points are never
     interpolated; a maximum that overflows raises NonFiniteResult, and so
     does a grid step that rounds to 0 (a window narrower than n_points - 1
-    steps of its own ulp), before the row is evaluated.
+    steps of its own ulp), before the row is evaluated.  A row left with no
+    central difference (no inner node with both neighbours evaluated)
+    raises the first QplasmaError of its nodes, or WindowContainsPole if
+    its only gaps are branch-point nodes.
 
     A non-finite x, xp, y or window edge, or an ``n_points`` that is not an
     integer >= 3, raises ValueError before anything is evaluated, and so
@@ -292,8 +295,14 @@ def singularity_broadening_scan(
         for i in on_pole_nodes:
             row[i] = None
         gaps = [i for i, v in enumerate(row) if not isinstance(v, complex)]  # a pole node or a QplasmaError
+        error = next((row[i] for i in gaps if row[i] is not None), None)
         for i in gaps:
             row[i] = None
+        if gaps and all(lo is None or hi is None for lo, hi in zip(row, row[2:])):  # no central difference
+            if error is not None:
+                raise error
+            raise WindowContainsPole(f"no central difference at y=0: the grid node q={qs[on_pole_nodes[0]]} "
+                                     "and each other gap sits on a branch point")
         max_slope = 0.0
         for lo, hi in zip(row, row[2:]):  # the central difference at each inner node
             if lo is None or hi is None:

@@ -11,13 +11,17 @@ and every error is the one the scalar function gives at that node.  Every
 entry runs the one row evaluator ``kernels._rows``, which evaluates a row
 that is the same for every y (the Mermin x = 0 row, the Lindhard row) once
 per call and copies it; the Mermin rows at x != 0 share one N0(q) row.
-Output is deterministic: the CSV is written with 17 significant digits, LF
-line endings and a fixed column order (q, then one re/im pair per y), from
-list columns through one template per line; the SVG projects the shared q
-column once per plot.
+A result keeps the rows as the model returns them, row-major (one row per
+y, one value per q node), and both writers format from those rows; the
+node-major ``eps[iq][iy]`` is built from them when it is first read.  So a
+sweep allocates no container per node, and the garbage collector has
+nothing per node to count or to traverse.  Output is deterministic: the CSV
+is written with 17 significant digits, LF line endings and a fixed column
+order (q, then one re/im pair per y), from list columns through one template
+per line; the SVG projects the shared q column once per plot.
 
 This module owns the rule for "a grid node sits on a singular q": within
-1e-9 of it, found in one pass over the grid per distinct pole.  Sweep
+1e-9 of it, found by two bisections of the grid per distinct pole.  Sweep
 nodes that land on a y = 0 branch point (or on the static screening pole
 at q = 2 for the Mermin model) are nudged by +1e-6 with a warning; the
 broadening scan in :mod:`qplasma.kohn` reuses the same rule and the BGK
@@ -30,7 +34,10 @@ from __future__ import annotations
 
 import math
 import os.path
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from numbers import Integral
 from pathlib import Path
 
@@ -107,13 +114,22 @@ class SkippedPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's grid and values.  ``rows[iy][iq]`` is eps at ``config.y[iy]``
+    and ``q_values[iq]``, or None at a skipped node: the rows as the model
+    returns them.  ``eps`` is the same values node-major, ``eps[iq][iy]``,
+    derived from the rows when it is first read and kept."""
+
     config: SweepConfig
     q_values: tuple[float, ...]
-    eps: tuple[tuple[complex | None, ...], ...]  # [iq][iy]
+    rows: tuple[tuple[complex | None, ...], ...]  # [iy][iq]
     skipped: tuple[SkippedPoint, ...]
     nudged: tuple[tuple[float, float], ...]  # (original, shifted)
     csv_path: Path | None = None
     svg_path: Path | None = None
+
+    @cached_property
+    def eps(self) -> tuple[tuple[complex | None, ...], ...]:  # [iq][iy]
+        return tuple(zip(*self.rows))
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -136,28 +152,27 @@ class SweepResult:
         # filled in one pass from the list columns interleaved into one flat
         # list; a line with a skipped point (None) has empty cells in its
         # template in place of those two, which leave the flat list
-        columns, gaps = [self.q_values], False
-        for row in zip(*self.eps):
+        columns, gap_rows = [self.q_values], []
+        for row in self.rows:
             try:
                 columns += [e.real for e in row], [e.imag for e in row]
             except AttributeError:  # a None
                 columns += [None if e is None else e.real for e in row], [None if e is None else e.imag for e in row]
-                gaps = True
+                gap_rows.append(row)
         width = len(columns)
         flat = [None] * (width * len(self.q_values))
         for j, column in enumerate(columns):
             flat[j::width] = column
         lines = [",".join(header)] + [",".join(["%.17g"] * width)] * len(self.q_values)  # no "%" in the header
-        if gaps:
-            for i, node in enumerate(self.eps):
-                if None in node:
-                    lines[i + 1] = ",".join(["%.17g" if v is not None else "" for v in flat[i * width:(i + 1) * width]])
+        if gap_rows:
+            for i in {i for row in gap_rows for i, e in enumerate(row) if e is None}:
+                lines[i + 1] = ",".join(["%.17g" if v is not None else "" for v in flat[i * width:(i + 1) * width]])
             flat = [v for v in flat if v is not None]
         return "\n".join(lines) % tuple(flat) + "\n"
 
     def svg_text(self) -> str:
         series = [(f"y={format(y, 'g')}", [None if e is None else e.real for e in row])
-                  for y, row in zip(self.config.y, zip(*self.eps))]
+                  for y, row in zip(self.config.y, self.rows)]
         title = f"{self.config.model}: Re eps vs q (x={self.config.x:g}, xp={self.config.xp:g})"
         return line_plot(self.q_values, series, title, "q = k/kF", "Re eps")
 
@@ -206,12 +221,20 @@ def _singular_q(cfg: SweepConfig) -> list[float]:
 
 def _pole_nodes(qs, poles) -> list[int]:
     """Indices, ascending, of the nodes q of ``qs`` that sit on one of the
-    singular wavenumbers ``poles``: |q - b| < 1e-9.  One exact pass per
-    distinct pole, none without poles; qs need not be sorted and may hold nan."""
+    singular float wavenumbers ``poles``: |q - b| < 1e-9.  ``qs`` must be a
+    ``_linspace`` grid: its nodes but the last are lo + i*step, ascending
+    (or, where the span overflows, nan and then inf, which no pole matches),
+    so q - b rises with i and the nodes of each distinct pole are the run
+    between two bisections.  The last node, hi, is tested on its own: it
+    can sit below the node before it where a subnormal step rounds up."""
     hits: set[int] = set()
     lo, hi = -_NODE_POLE_TOL, _NODE_POLE_TOL  # lo < q - b < hi is |q - b| < 1e-9, nan never
+    last = len(qs) - 1
     for b in set(poles):
-        hits.update([i for i, q in enumerate(qs) if lo < q - b < hi])
+        key = b.__rsub__  # q - b
+        hits.update(range(bisect_right(qs, lo, 0, last, key=key), bisect_left(qs, hi, 0, last, key=key)))
+        if lo < qs[last] - b < hi:
+            hits.add(last)
     return sorted(hits)
 
 
@@ -246,7 +269,7 @@ def run_sweep(cfg: SweepConfig, write: bool = True) -> SweepResult:
     <base> is the output without a .csv or .svg it ends in."""
     qs, nudged = _grid(cfg)
     rows = MODELS[cfg.model](cfg.x, cfg.y, qs, cfg.xp)
-    bad = [iy for iy, row in enumerate(rows) if any(isinstance(v, QplasmaError) for v in row)]
+    bad = [iy for iy, row in enumerate(rows) if any(map(isinstance, row, repeat(QplasmaError)))]
     skipped = tuple(  # node by node, then row by row
         SkippedPoint(q, cfg.y[iy], f"{type(v).__name__}: {v}")
         for i, q in enumerate(qs) for iy in bad if isinstance(v := rows[iy][i], QplasmaError)
@@ -256,7 +279,7 @@ def run_sweep(cfg: SweepConfig, write: bool = True) -> SweepResult:
     base = _output_base(cfg.output)
     csv_path = Path(base + ".csv") if write and cfg.fmt in ("csv", "both") else None
     svg_path = Path(base + ".svg") if write and cfg.fmt in ("svg", "both") else None
-    result = SweepResult(config=cfg, q_values=tuple(qs), eps=tuple(zip(*rows)), skipped=skipped,
+    result = SweepResult(config=cfg, q_values=tuple(qs), rows=tuple(map(tuple, rows)), skipped=skipped,
                          nudged=tuple(nudged), csv_path=csv_path, svg_path=svg_path)
     if write:
         Path(base).parent.mkdir(parents=True, exist_ok=True)

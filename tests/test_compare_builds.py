@@ -90,3 +90,19 @@ def test_a_finite_call_that_now_raises_non_finite_result_is_an_expected_kind():
     for old in ("! ValueError: no", "! NonFiniteResult: another text"):  # another class; the same class
         assert tool._rejected("0x0.0p+0 0x1.0p+1", old, now) is None
     assert tool._rejected("0x0.0p+0", "= 0x1.8p+0", "! DenominatorVanishes: |1 - g0| < 1e-30") is None
+
+
+def test_a_sweep_flattens_node_major_whatever_its_result_stores():
+    # the tool compares sweeps through eps[iq][iy], so a result that stores
+    # its rows ([iy][iq]) flattens as one that stored eps did
+    from qplasma.sweep import SweepConfig, run_sweep
+
+    tool = _tool()
+    cfg = SweepConfig("mermin", 0.5, (0.0, 0.1), -1.0, 1.0, 5, 1.0, "unused")  # q = 0 fails in both rows
+    result = run_sweep(cfg, write=False)
+    assert result.skipped and len(result.rows) == 2
+    tokens = tool.flatten(tool.sweep_projection(result))
+    values = [v for node in zip(*result.rows) for e in node for v in tool.flatten(e)]
+    start = 1 + len(tool.flatten(cfg)) + len(result.q_values)
+    assert tokens[0] == "SweepResult" and tokens[start:start + len(values)] == values
+    assert values != [v for row in result.rows for e in row for v in tool.flatten(e)]

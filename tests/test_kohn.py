@@ -10,14 +10,14 @@ import pytest
 
 from qplasma.cli import main
 from qplasma.errors import NonFiniteResult, WindowContainsPole
-from qplasma.kernels import _bgk_denominator
+from qplasma.kernels import _bgk_denominator, branch_points_q
 from qplasma.kohn import (
     _dn_dq,
     kohn_roots_dimless,
     kohn_wavenumbers_physical,
     singularity_broadening_scan,
 )
-from qplasma.sweep import load_config_file, parse_q_range
+from qplasma.sweep import _linspace, _pole_nodes, load_config_file, parse_q_range
 from reference import ref_bgk, ref_bgk_dq
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -205,12 +205,28 @@ def test_broadening_scan_overflowing_slope_raises_non_finite():
 
 def test_broadening_scan_skips_nodes_near_a_branch_point_outside_the_window():
     # all 5 nodes lie within 1e-9 of q = 2, which lies outside the window;
-    # the node rule must not depend on the grid step (1e-10 here)
-    rows = singularity_broadening_scan(0.0, 1.0, [0.0], (2 + 2e-10, 2 + 6e-10), 5)
-    assert len(rows[0].skipped_q) == 5
-    assert rows[0].max_abs_deps_dq == 0.0
-    with pytest.raises(WindowContainsPole):
-        singularity_broadening_scan(0.0, 1.0, [0.0], (2 + 2e-10, 2 + 6e-10), 5, on_pole="raise")
+    # the node rule must not depend on the grid step (1e-10 here), so every
+    # node is a gap and the row, left with no central difference, raises
+    assert _pole_nodes(_linspace(2 + 2e-10, 2 + 6e-10, 5), branch_points_q(0.0)) == [0, 1, 2, 3, 4]
+    for on_pole in ("skip", "raise"):
+        with pytest.raises(WindowContainsPole, match=r"grid node q=2\.0000000002 "):
+            singularity_broadening_scan(0.0, 1.0, [0.0], (2 + 2e-10, 2 + 6e-10), 5, on_pole=on_pole)
+
+
+@pytest.mark.parametrize("args, error", [
+    ((0.0, 1e200, [0.0], (1.5, 2.5), 11), NonFiniteResult),  # 1.5 xp^2 overflows at each node off q = 2
+    ((0.3, 1.0, [0.0], (1e200, 2e200), 5), NonFiniteResult),  # N overflows at each node
+    ((0.0, 1.0, [0.0], (2 - 1e-10, 2 + 1e-10), 3), WindowContainsPole),  # each node within 1e-9 of q = 2
+])
+def test_broadening_scan_row_without_a_central_difference_raises(args, error):
+    # a y = 0 row whose inner nodes each have a gap beside them measured no
+    # slope; it returned max_abs_deps_dq = 0.0 and now raises the first
+    # error of its nodes, or WindowContainsPole if its gaps are pole nodes
+    with pytest.raises(error):
+        singularity_broadening_scan(*args)
+    # an inner node whose two neighbours are evaluated is enough for a value
+    (row,) = singularity_broadening_scan(0.0, 1.0, [0.0], (2 - 2e-9, 2 + 2e-9), 3)
+    assert row.skipped_q == (2.0,) and row.max_abs_deps_dq > 0.0
 
 
 def test_broadening_scan_grid_step_of_zero_raises_non_finite():

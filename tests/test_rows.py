@@ -216,34 +216,83 @@ def _on_pole_rule(q, poles):
     return any(abs(q - b) < 1e-9 for b in poles)
 
 
+def _ulps_above(q, k):
+    for _ in range(k):
+        q = math.nextafter(q, math.inf)
+    return q
+
+
+def _ascending_grid(rng, b):
+    """A _linspace grid at the pole b, as the sweep and the scan build them:
+    nodes 1e-10 apart around b, a window a few ulps wide where nodes repeat
+    (at b = 0 a subnormal step, which can round up past hi), a window from
+    or to q = +-0, or up to 4096 dyadic nodes through b."""
+    r = rng.random()
+    if r < 0.4:  # many nodes within 1e-9 of b
+        below, above = rng.randint(0, 30), rng.randint(1, 30)
+        return _linspace(b - below * 1e-10, b + above * 1e-10, below + above + 1)
+    if r < 0.6:
+        lo = _ulps_above(b, rng.randint(0, 2)) if rng.random() < 0.5 else -_ulps_above(-b, rng.randint(1, 3))
+        return _linspace(lo, _ulps_above(lo, rng.randint(1, 16)), rng.randint(2, 40))
+    if r < 0.8:
+        edge, span = rng.choice((0.0, -0.0)), rng.choice((1e-9, 2e-9, abs(b) + 1e-9, rng.uniform(1e-12, 4.0)))
+        lo, hi = (edge, span) if rng.random() < 0.5 else (-span, edge)
+        return _linspace(lo, hi, rng.randint(2, 64))
+    h = 2.0 ** -rng.randint(0, 10)
+    below, above = rng.randint(0, 2048), rng.randint(1, 2048)
+    return _linspace(b - below * h, b + above * h, below + above + 1)
+
+
 @pytest.mark.parametrize("seed", [31, 32])
 def test_pole_nodes_follow_the_node_rule(seed):
+    # _pole_nodes bisects a _linspace grid, whose nodes but the last ascend,
+    # and tests the last on its own; the brute-force rule, |q - b| < 1e-9
+    # node by node, is the oracle
     rng = random.Random(seed)
-    for _ in range(3000):
-        x = rng.choice((0.0, -0.0, 0.5, -0.25, math.nan, rng.uniform(-2.0, 2.0)))
+    hits = overshoots = 0
+    for _ in range(1000):
+        x = rng.choice((0.0, -0.0, 0.5, -0.25, 1.0, -1.0, math.nan, 1e308, rng.uniform(-2.0, 2.0)))
         poles = rng.choice(((), branch_points_q(x), (2.0, -2.0, *branch_points_q(x), *branch_points_q(0.0)),
                             (0.0, -0.0, math.nan, 2.0, 2.0)))
-        qs = _adversarial_qs(rng, [b for b in poles if not math.isnan(b)])
-        assert _pole_nodes(qs, poles) == [i for i, q in enumerate(qs) if _on_pole_rule(q, poles)], (qs, poles)
+        qs = _ascending_grid(rng, rng.choice([b for b in poles if math.isfinite(b)] or [rng.uniform(-4.0, 4.0)]))
+        assert all(a <= b for a, b in zip(qs, qs[1:-1])), qs  # every node but the last ascends
+        assert qs[-2] <= qs[-1] or abs(qs[-1]) < 1e-300, qs  # the last only after a subnormal step
+        overshoots += qs[-2] > qs[-1]
+        expected = [i for i, q in enumerate(qs) if _on_pole_rule(q, poles)]
+        assert _pole_nodes(qs, poles) == expected, (qs, poles)
+        hits += bool(expected)
+    assert hits > 300 and overshoots >= 3, (hits, overshoots)
+
+
+def test_pole_nodes_of_a_grid_whose_span_overflows():
+    x = 5e307
+    b = branch_points_q(x)[1]  # 2(1 + x), within 1e-9 of the last node only
+    qs = _linspace(-b, b, 4)
+    assert [math.isnan(qs[0]), *qs[1:]] == [True, math.inf, math.inf, b]
+    assert _pole_nodes(qs, branch_points_q(x)) == [3] == [i for i, q in enumerate(qs) if _on_pole_rule(q, (b,))]
 
 
 def _scan_by_points(x, xp, y, window, n_points, on_pole):
     """A y = 0 row of singularity_broadening_scan rebuilt node by node from
-    epsilon_collisional_a: (y, max slope, skipped q), or WindowContainsPole.
-    A node is a gap if it is within 1e-9 of a branch point, or if its point
-    raises a QplasmaError."""
+    epsilon_collisional_a: (y, max slope, skipped q), or the class it
+    raises.  A node is a gap if it is within 1e-9 of a branch point, or if
+    its point raises a QplasmaError; a row with no central difference raises
+    the first such error, or WindowContainsPole if it has none."""
     qs = _linspace(*window, n_points)
     h = qs[1] - qs[0]
     on_pole_here = [_on_pole_rule(q, branch_points_q(x)) for q in qs]
     if on_pole == "raise" and any(on_pole_here):
         return WindowContainsPole
-    eps = []
+    eps, errors = [], []
     for q, skip in zip(qs, on_pole_here):
         try:
             eps.append(None if skip else epsilon_collisional_a(DimensionlessPointA(x, y, q, xp)).epsilon)
-        except QplasmaError:
+        except QplasmaError as exc:
             eps.append(None)
+            errors.append(type(exc))
     slopes = [abs(hi - lo) / (2.0 * h) for lo, hi in zip(eps, eps[2:]) if lo is not None and hi is not None]
+    if not slopes:
+        return errors[0] if errors else WindowContainsPole
     max_slope = max([s for s in slopes if not math.isnan(s)], default=0.0)
     return y.hex(), max_slope.hex(), tuple(q for q, e in zip(qs, eps) if e is None)
 
@@ -322,8 +371,8 @@ def test_broadening_scan_matches_the_scalar_path(seed):
             outcomes.append(got)
             if y == 0.0:
                 expected = _scan_by_points(x, xp, y, window[:2], window[2], on_pole)
-                assert got == (expected if expected is WindowContainsPole else [expected]), (x, xp, y, window, on_pole)
-                seen["y = 0 row raised" if got is WindowContainsPole else
+                assert got == (expected if isinstance(expected, type) else [expected]), (x, xp, y, window, on_pole)
+                seen["y = 0 row raised" if isinstance(got, type) else
                      "y = 0 row with gaps" if expected[2] else "y = 0 row without gaps"] += 1
             elif xp == 1e200:
                 assert got is NonFiniteResult, (x, xp, y, window)

@@ -1,5 +1,6 @@
 """Sweep machinery and the four CLI subcommands."""
 
+import gc
 import json
 import random
 import re
@@ -94,6 +95,43 @@ def test_sweep_svg_structure(tmp_path):
     assert 'viewBox="0 0 800 450"' in text
     assert text.count("<polyline") >= 3  # one curve per y (gaps may split)
     assert "y=0.005" in text
+
+
+def test_sweep_result_keeps_rows_and_derives_eps():
+    # rows are [iy][iq] as the model returns them, None where a node was
+    # skipped; eps is the node-major view [iq][iy] of the same values
+    res = run_sweep(SweepConfig("mermin", 0.5, (0.0, 0.1, 1.0), -1.0, 1.0, 9, 1.0, "unused"), write=False)
+    assert len(res.skipped) == 3 and len(res.rows) == 3 and {len(row) for row in res.rows} == {9}
+    assert res.eps == tuple(zip(*res.rows))
+    assert [(q, y) for q, node in zip(res.q_values, res.eps) for y, e in zip(res.config.y, node) if e is None] == [
+        (p.q, p.y) for p in res.skipped]
+
+
+def test_sweep_allocates_nothing_per_node_for_the_collector():
+    # a sweep and both texts keep no container per node alive, so CPython's
+    # collector, which counts live tracked containers against its gen-0
+    # threshold of 700, is not started by a 4096-node row (the node-major
+    # tuples and the iterators that transposed them back started 13-16);
+    # one start is allowed for the count the test begins with
+    cfg = SweepConfig("bgk", 0.3, (0.1,), 0.1, 4.5, 4096, 1.0, "unused")
+    run_sweep(cfg, write=False)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    gc.callbacks.append(count)
+    try:
+        res = run_sweep(cfg, write=False)
+        res.csv_text()
+        res.svg_text()
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert len(starts) <= 1, starts
 
 
 def test_sweep_svg_of_a_curve_one_ulp_wide():
