@@ -219,9 +219,9 @@ def test_broadening_scan_skips_nodes_near_a_branch_point_outside_the_window():
     ((0.0, 1.0, [0.0], (2 - 1e-10, 2 + 1e-10), 3), WindowContainsPole),  # each node within 1e-9 of q = 2
 ])
 def test_broadening_scan_row_without_a_central_difference_raises(args, error):
-    # a y = 0 row whose inner nodes each have a gap beside them measured no
-    # slope; it returned max_abs_deps_dq = 0.0 and now raises the first
-    # error of its nodes, or WindowContainsPole if its gaps are pole nodes
+    # a y = 0 row whose inner nodes each have a gap beside them measures no
+    # slope, so it raises the first error of its nodes, or WindowContainsPole
+    # if its gaps are pole nodes, rather than report 0.0
     with pytest.raises(error):
         singularity_broadening_scan(*args)
     # an inner node whose two neighbours are evaluated is enough for a value

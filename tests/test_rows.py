@@ -222,7 +222,7 @@ def _ulps_above(q, k):
     return q
 
 
-def _ascending_grid(rng, b):
+def _grid_at_pole(rng, b):
     """A _linspace grid at the pole b, as the sweep and the scan build them:
     nodes 1e-10 apart around b, a window a few ulps wide where nodes repeat
     (at b = 0 a subnormal step, which can round up past hi), a window from
@@ -254,7 +254,7 @@ def test_pole_nodes_follow_the_node_rule(seed):
         x = rng.choice((0.0, -0.0, 0.5, -0.25, 1.0, -1.0, math.nan, 1e308, rng.uniform(-2.0, 2.0)))
         poles = rng.choice(((), branch_points_q(x), (2.0, -2.0, *branch_points_q(x), *branch_points_q(0.0)),
                             (0.0, -0.0, math.nan, 2.0, 2.0)))
-        qs = _ascending_grid(rng, rng.choice([b for b in poles if math.isfinite(b)] or [rng.uniform(-4.0, 4.0)]))
+        qs = _grid_at_pole(rng, rng.choice([b for b in poles if math.isfinite(b)] or [rng.uniform(-4.0, 4.0)]))
         assert all(a <= b for a, b in zip(qs, qs[1:-1])), qs  # every node but the last ascends
         assert qs[-2] <= qs[-1] or abs(qs[-1]) < 1e-300, qs  # the last only after a subnormal step
         overshoots += qs[-2] > qs[-1]

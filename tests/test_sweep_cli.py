@@ -110,9 +110,9 @@ def test_sweep_result_keeps_rows_and_derives_eps():
 def test_sweep_allocates_nothing_per_node_for_the_collector():
     # a sweep and both texts keep no container per node alive, so CPython's
     # collector, which counts live tracked containers against its gen-0
-    # threshold of 700, is not started by a 4096-node row (the node-major
-    # tuples and the iterators that transposed them back started 13-16);
-    # one start is allowed for the count the test begins with
+    # threshold of 700, is not started by a 4096-node row (a tuple per node,
+    # transposed back by each writer, starts it 13 times or more); one start
+    # is allowed for the count the test begins with
     cfg = SweepConfig("bgk", 0.3, (0.1,), 0.1, 4.5, 4096, 1.0, "unused")
     run_sweep(cfg, write=False)
     starts = []
