@@ -12,8 +12,8 @@ uncommitted edits included: ``--against HEAD`` checks a working tree
 against its last commit, ``--against HEAD~1`` a commit against its parent.
 
 Each tree is imported in its own subprocess (this script with ``--worker``),
-which evaluates every public kernel and model, the Kohn roots, the unit
-conversions, the density helpers (``fermi_quantities``,
+which evaluates every public kernel and model, the Kohn roots and branch
+points, the unit conversions, the density helpers (``fermi_quantities``,
 ``plasma_frequency`` and ``PhysicalParams.from_density``, flattened to the
 SI fields every revision has), the broadening scan and, rarely, the
 quadrature oracle (the Fermi-sphere integral g0, the quadrature assembly,
@@ -21,7 +21,7 @@ and ``oracle_scan`` of one to three points) on the same draw of arguments:
 +-0, subnormals, 1e-300 to 1e-170, 1e154 to the largest double, +-inf, nan,
 y = 0 and q on the branch points 2(1 +- x), mixed with ordinary values.
 A scan has one to three rows on a short grid (3 to 49 nodes) of the
-windows the sweeps below use, in either ``on_pole`` mode.  It then
+windows the sweeps below use.  It then
 evaluates N // 30 rows (20000 for the default N = 600000) through the
 model table, ``sweep.MODELS[model](x, (y,), qs, xp)[0]``, every model in
 turn, on short q grids that hold q = +-0, the branch points 2(1 +- x) and
@@ -175,12 +175,12 @@ def _sweep_args(rng: random.Random, model: str) -> tuple:
 
 
 def _scan_args(rng: random.Random) -> tuple:
-    """(x, xp, q_min, q_max, n_points, on_pole, *ys) of one broadening scan."""
+    """(x, xp, q_min, q_max, n_points, *ys) of one broadening scan."""
     x = _grid_x(rng)
     ys = [rng.choice((0.0, -0.0, _nonneg(rng), 10.0 ** rng.uniform(-3.0, 1.0))) for _ in range(rng.randint(1, 3))]
     xp = rng.choice((1.0, 0.0, 1e200, _nonneg(rng)))
     q_min, q_max, steps = _window(rng, x)
-    return (x, xp, q_min, q_max, max(steps, 3), rng.choice(("skip", "raise")), *ys)
+    return (x, xp, q_min, q_max, max(steps, 3), *ys)
 
 
 def _args(name: str, rng: random.Random) -> tuple:
@@ -207,7 +207,7 @@ def _args(name: str, rng: random.Random) -> tuple:
         return rng.randint(1, 3), rng.randrange(2 ** 31)
     if name == "singularity_broadening_scan":
         return _scan_args(rng)
-    if name == "kohn_roots_dimless":
+    if name in ("kohn_roots_dimless", "branch_points_q"):
         return (x,)
     if name == "kohn_wavenumbers_physical":
         return x, _nonneg(rng), _nonneg(rng)
@@ -258,10 +258,10 @@ def call_table():
         "epsilon_classical_limit": (
             lambda x, y, xp: d.epsilon_classical_limit(complex(x, y), xp), 20),
         "kohn_roots_dimless": (kohn.kohn_roots_dimless, 10),
+        "branch_points_q": (k.branch_points_q, 10),
         "kohn_wavenumbers_physical": (kohn.kohn_wavenumbers_physical, 10),
         "singularity_broadening_scan": (
-            lambda x, xp, q_min, q_max, n, on_pole, *ys: kohn.singularity_broadening_scan(
-                x, xp, ys, (q_min, q_max), n, on_pole), 1),
+            lambda x, xp, q_min, q_max, n, *ys: kohn.singularity_broadening_scan(x, xp, ys, (q_min, q_max), n), 1),
         "to_convention_a": (lambda *a: u.to_convention_a(_physical(u, *a)), 10),
         "to_convention_b": (lambda *a: u.to_convention_b(_physical(u, *a)), 10),
         "from_convention_a": (

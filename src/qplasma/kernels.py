@@ -125,10 +125,10 @@ def _divisor(v: complex, what: str) -> complex:
     return v
 
 
-def _normal(v: float, what: str) -> float:
-    """v, if it lies in the normal double range; NonFiniteResult otherwise."""
+def _normal(v: float, what: str, error=NonFiniteResult) -> float:
+    """v, if it lies in the normal double range; ``error`` otherwise."""
     if not float_info.min <= v < inf:
-        raise NonFiniteResult(f"{what} = {v!r} leaves the normal double range")
+        raise error(f"{what} = {v!r} leaves the normal double range")
     return v
 
 
@@ -512,10 +512,14 @@ MODELS = {
 
 def branch_points_q(x: float) -> tuple[float, ...]:
     """Wavenumbers q where the y = 0 kernels hit their log branch points at
-    fixed x (shifted argument x +- q/2 = +-1): +-2(1-x), +-2(1+x).  An int x
-    beyond double range raises NonFiniteResult."""
+    fixed x (shifted argument x +- q/2 = +-1): +-2(1-x), +-2(1+x).  A
+    non-finite x, or |x| so large that 2(1 +- x) overflows, raises
+    NonFiniteResult, and so does an int x beyond double range."""
     x = _number(x, "branch_points_q")
-    return (2.0 * (1.0 - x), 2.0 * (1.0 + x), -2.0 * (1.0 - x), -2.0 * (1.0 + x))
+    qs = (2.0 * (1.0 - x), 2.0 * (1.0 + x), -2.0 * (1.0 - x), -2.0 * (1.0 + x))
+    if not (_finite(qs[0]) and _finite(qs[1])):
+        raise NonFiniteResult(f"the branch points at x={x!r} overflow or are undefined")
+    return qs
 
 
 # ---------------------------------------------------------------- Kohn roots

@@ -28,7 +28,10 @@ The arithmetic lives in :mod:`qplasma.kernels` on plain tuples, which
 ``kohn_roots_dimless`` wraps them in the frozen KohnRoot and KohnRootSet, and
 ``kohn_wavenumbers_physical`` is defined there and re-bound here.  The
 broadening scan and the closed-form slope d eps/d q it searches live here,
-as the CLI commands that load kernels never run them.
+as the CLI commands that load kernels never run them.  The scan's y = 0
+rows take the sweep's q grid and pole rule from :mod:`qplasma.sweep`, with
+the grid's one precondition: a y = 0 row whose step is not a normal double
+raises NonFiniteResult.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ from cmath import log
 from dataclasses import dataclass
 from math import fsum
 
-from .errors import NonFiniteResult, WindowContainsPole
+from .errors import NonFiniteResult, QplasmaError, WindowContainsPole
 from .kernels import (  # kohn_wavenumbers_physical is re-bound here
-    MODELS, _bgk_denominator, _branch_label, _coupling, _kohn_roots, _nonnegative, _number, branch_points_q,
+    MODELS, _bgk_denominator, _branch_label, _coupling, _kohn_roots, _nonnegative, _normal, _number, branch_points_q,
     kohn_wavenumbers_physical,
 )
 
@@ -182,13 +185,13 @@ def _max_slope(x: float, y: float, xp: float, lo: float, hi: float) -> float:
     lo <= q <= hi, for y > 0, from the closed-form dN/dq.
 
     |d eps/d q| is sampled at lo, hi, 32 uniform intervals and, around each
-    finite branch point b of branch_points_q(x), where it peaks with a width
+    branch point b of branch_points_q(x), where it peaks with a width
     of order y, at b + k y/2 for |k| <= 8, inside the window; each sampled
     local maximum is refined by golden section until its bracket is at
     most max(1e-5 y, 4 ulp(q)) wide.  q = 0 is never evaluated: dN/dq is odd
     in q (N is even), so it is 0 there.  A vanishing 1 - g0 raises
-    DenominatorVanishes; a 1.5 xp^2 or slope that overflows or is undefined
-    raises NonFiniteResult."""
+    DenominatorVanishes; a 1.5 xp^2, branch point or slope that overflows
+    or is undefined raises NonFiniteResult."""
     z = complex(x, y)
     den = _bgk_denominator(z)
     c = _coupling(xp)
@@ -208,7 +211,7 @@ def _max_slope(x: float, y: float, xp: float, lo: float, hi: float) -> float:
     qs = {lo, hi, *[lo + i * step for i in range(1, 32)]}
     for b in set(branch_points_q(x)):
         qs.update([b + k * (0.5 * y) for k in range(-8, 9)])
-    qs = sorted(q for q in qs if lo <= q <= hi)  # drops the nan and inf of an overflow too
+    qs = sorted(q for q in qs if lo <= q <= hi)  # drops the inf of an overflow too
     fs = [slope(q) for q in qs]
     best, last = max(fs), len(qs) - 1
     for i, f in enumerate(fs):
@@ -224,7 +227,6 @@ def singularity_broadening_scan(
     y_list,
     q_window: tuple[float, float],
     n_points: int = 2001,
-    on_pole: str = "skip",
 ) -> list[BroadeningRow]:
     """Quantify how collisions smooth the Kohn kink.
 
@@ -243,13 +245,14 @@ def singularity_broadening_scan(
     grid value: the maximum central finite difference of the BGK row on a
     uniform grid of ``n_points`` (default 2001) over ``q_window``, which is
     all that ``n_points`` governs.  Grid nodes within 1e-9 of a branch point
-    are excluded from the derivative and reported in ``skipped_q``
-    (``on_pole="skip"``, the default) or raise WindowContainsPole
-    (``on_pole="raise"``).  Nodes whose evaluation raises a QplasmaError are
-    excluded and reported the same way.  Skipped points are never
-    interpolated; a maximum that overflows raises NonFiniteResult, and so
-    does a grid step that rounds to 0 (a window narrower than n_points - 1
-    steps of its own ulp), before the row is evaluated.  A row left with no
+    are excluded from the derivative and reported in ``skipped_q``, and so
+    are nodes whose evaluation raises a QplasmaError.  Skipped points are
+    never interpolated; a maximum that overflows raises NonFiniteResult.
+    Before the row is evaluated, NonFiniteResult is raised for a grid step
+    (q_max - q_min)/(n_points - 1) that is not a normal double (a span that
+    overflows, a step that is 0 or subnormal) and for a first step q1 - q0
+    that rounds to 0 (a window narrower than n_points - 1 steps of its own
+    ulp), and after it for branch points that overflow.  A row left with no
     central difference (no inner node with both neighbours evaluated)
     raises the first QplasmaError of its nodes, or WindowContainsPole if
     its only gaps are branch-point nodes.
@@ -261,8 +264,6 @@ def singularity_broadening_scan(
     """
     from .sweep import _linspace, _pole_nodes
 
-    if on_pole not in ("skip", "raise"):
-        raise ValueError(f"on_pole must be 'skip' or 'raise', got {on_pole!r}")
     if not isinstance(n_points, numbers.Integral) or n_points < 3:
         raise ValueError(f"n_points must be an integer >= 3, got {n_points!r}")
     what = "singularity_broadening_scan"
@@ -275,11 +276,7 @@ def singularity_broadening_scan(
     if not all(math.isfinite(v) for v in (x, xp_f, q_lo, q_hi, *ys)):
         raise ValueError("x, xp, y and q_window must be finite")
 
-    if 0.0 in ys:  # the grid of the y = 0 rows
-        qs = _linspace(q_lo, q_hi, int(n_points))
-        h2 = 2.0 * (qs[1] - qs[0])
-        on_pole_nodes = _pole_nodes(qs, branch_points_q(x))
-
+    qs = None  # the grid of the y = 0 rows, built by the first of them
     rows = []
     for y in ys:
         if y != 0.0:
@@ -287,30 +284,26 @@ def singularity_broadening_scan(
             _nonnegative("xp", xp)
             rows.append(BroadeningRow(y=y, max_abs_deps_dq=_max_slope(x, y, xp_f, q_lo, q_hi), skipped_q=()))
             continue
-        if on_pole_nodes and on_pole == "raise":
-            raise WindowContainsPole(f"grid node q={qs[on_pole_nodes[0]]} sits on a branch point (y=0)")
+        if qs is None:
+            _normal((q_hi - q_lo) / (n_points - 1), f"the grid step (q_max - q_min)/(n_points - 1) of {(q_lo, q_hi)!r}")
+            qs = _linspace(q_lo, q_hi, int(n_points))
+            h2 = 2.0 * (qs[1] - qs[0])
         if h2 == 0.0:  # the window is too narrow for n_points distinct nodes
             raise NonFiniteResult(f"the grid step of q_window {(q_lo, q_hi)!r} at n_points={n_points!r} is 0")
         row = MODELS["bgk"](x, (y,), qs, xp)[0]
-        for i in on_pole_nodes:
+        pole_nodes = _pole_nodes(qs, branch_points_q(x))
+        for i in pole_nodes:
             row[i] = None
-        gaps = [i for i, v in enumerate(row) if not isinstance(v, complex)]  # a pole node or a QplasmaError
-        error = next((row[i] for i in gaps if row[i] is not None), None)
-        for i in gaps:
-            row[i] = None
-        if gaps and all(lo is None or hi is None for lo, hi in zip(row, row[2:])):  # no central difference
-            if error is not None:
-                raise error
-            raise WindowContainsPole(f"no central difference at y=0: the grid node q={qs[on_pole_nodes[0]]} "
-                                     "and each other gap sits on a branch point")
-        max_slope = 0.0
-        for lo, hi in zip(row, row[2:]):  # the central difference at each inner node
-            if lo is None or hi is None:
-                continue
-            slope = abs(hi - lo) / h2
-            if slope > max_slope:  # a nan slope never replaces the maximum
-                max_slope = slope
+        # the central difference at each inner node whose two neighbours were evaluated
+        slopes = [abs(hi - lo) / h2 for lo, hi in zip(row, row[2:])
+                  if isinstance(lo, complex) and isinstance(hi, complex)]
+        if not slopes:  # raise the first node's error, or that every gap sits on a pole
+            raise next((v for v in row if isinstance(v, QplasmaError)), None) or WindowContainsPole(
+                f"no central difference at y=0: the grid node q={qs[pole_nodes[0]]} "
+                "and each other gap sits on a branch point")
+        max_slope = max(0.0, *slopes)  # as a loop from 0.0: a nan slope never replaces the maximum
         if max_slope == math.inf:
             raise NonFiniteResult(f"the maximum |d eps/d q| at y={y!r} overflows")
-        rows.append(BroadeningRow(y=y, max_abs_deps_dq=max_slope, skipped_q=tuple(qs[i] for i in gaps)))
+        skipped = tuple(q for q, v in zip(qs, row) if not isinstance(v, complex))  # a pole node or a QplasmaError
+        rows.append(BroadeningRow(y=y, max_abs_deps_dq=max_slope, skipped_q=skipped))
     return rows

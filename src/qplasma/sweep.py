@@ -20,6 +20,12 @@ is written with 17 significant digits, LF line endings and a fixed column
 order (q, then one re/im pair per y), from list columns through one template
 per line; the SVG projects the shared q column once per plot.
 
+A q grid has one precondition: its step (q_max - q_min)/(q_steps - 1),
+in floats, is a normal double.  ``SweepConfig`` refuses any other window
+with ConfigError (a span that overflows, a step that is 0 or subnormal),
+and the broadening scan raises NonFiniteResult for its y = 0 rows; so the
+grid is lo + i*step and then hi: it never descends or leaves its window.
+
 This module owns the rule for "a grid node sits on a singular q": within
 1e-9 of it, found by two bisections of the grid per distinct pole.  Sweep
 nodes that land on a y = 0 branch point (or on the static screening pole
@@ -42,7 +48,7 @@ from numbers import Integral
 from pathlib import Path
 
 from .errors import ConfigError, QplasmaError
-from .kernels import MODELS, _number, branch_points_q
+from .kernels import MODELS, _normal, _number, branch_points_q
 from .svg import line_plot
 
 __all__ = ["SweepConfig", "SweepResult", "run_sweep", "load_config_file", "parse_q_range"]
@@ -83,6 +89,9 @@ class SweepConfig:
         _number(self.q_steps, "SweepConfig", error=ConfigError)  # a count beyond double range cannot space the grid
         if not self.q_max > self.q_min:
             raise ConfigError("q range needs q_min < q_max")
+        # the one precondition of a _linspace grid, whose step is taken in floats
+        _normal((float(self.q_max) - float(self.q_min)) / (self.q_steps - 1),
+                "the q step (q_max - q_min)/(q_steps - 1)", error=ConfigError)
         if not self.y:
             raise ConfigError("at least one y value is required")
         if any(y < 0 for y in self.y):
@@ -221,35 +230,25 @@ def _singular_q(cfg: SweepConfig) -> list[float]:
 
 def _pole_nodes(qs, poles) -> list[int]:
     """Indices, ascending, of the nodes q of ``qs`` that sit on one of the
-    singular float wavenumbers ``poles``: |q - b| < 1e-9.  ``qs`` must be a
-    ``_linspace`` grid: its nodes but the last are lo + i*step, ascending
-    (or, where the span overflows, nan and then inf, which no pole matches),
-    so q - b rises with i and the nodes of each distinct pole are the run
-    between two bisections.  The last node, hi, is tested on its own: it
-    can sit below the node before it where a subnormal step rounds up."""
+    finite singular wavenumbers ``poles``: |q - b| < 1e-9.  ``qs`` must be
+    a ``_linspace`` grid, which does not descend, so q - b does not either,
+    and the nodes of each distinct pole are the run between two bisections."""
     hits: set[int] = set()
-    lo, hi = -_NODE_POLE_TOL, _NODE_POLE_TOL  # lo < q - b < hi is |q - b| < 1e-9, nan never
-    last = len(qs) - 1
+    lo, hi = -_NODE_POLE_TOL, _NODE_POLE_TOL  # lo < q - b < hi is |q - b| < 1e-9
     for b in set(poles):
         key = b.__rsub__  # q - b
-        hits.update(range(bisect_right(qs, lo, 0, last, key=key), bisect_left(qs, hi, 0, last, key=key)))
-        if lo < qs[last] - b < hi:
-            hits.add(last)
+        hits.update(range(bisect_right(qs, lo, key=key), bisect_left(qs, hi, key=key)))
     return sorted(hits)
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """n >= 2 uniform nodes from lo to hi, bit for bit those of
-    numpy.linspace: lo + i*step, or lo + (i/(n-1))*delta when the step
-    underflows to 0 (numpy gh-5437), and the last node exactly hi."""
+    """n >= 2 uniform nodes from lo < hi: lo + i*step, and last hi itself.
+    The step (hi - lo)/(n - 1) must be a normal double, as every caller
+    checks; then the nodes are those of numpy.linspace bit for bit, and
+    they do not descend and stay inside [lo, hi]."""
     lo, hi = float(lo), float(hi)
-    div = n - 1
-    delta = hi - lo
-    step = delta / div
-    if step == 0.0:
-        nodes = [i / div * delta + lo for i in range(div)]
-    else:
-        nodes = [i * step + lo for i in range(div)]
+    step = (hi - lo) / (n - 1)
+    nodes = [i * step + lo for i in range(n - 1)]
     nodes.append(hi)
     return nodes
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from pathlib import Path
 
 import mpmath as mp
@@ -157,16 +158,6 @@ def test_broadening_scan_skips_singular_node():
     assert math.isfinite(rows[0].max_abs_deps_dq)
 
 
-def test_broadening_scan_raise_mode():
-    with pytest.raises(WindowContainsPole):
-        singularity_broadening_scan(0.0, 1.0, [0.0], (1.8, 2.2), on_pole="raise")
-
-
-def test_broadening_scan_rejects_an_unknown_on_pole_mode():
-    with pytest.raises(ValueError, match="^on_pole must be 'skip' or 'raise', got 'bogus'$"):
-        singularity_broadening_scan(0.0, 1.0, [0.0], (1.8, 2.2), on_pole="bogus")
-
-
 def test_broadening_scan_y0_dominates():
     rows = singularity_broadening_scan(0.0, 1.0, [0.0, 0.005, 0.01], (1.8, 2.2))
     slopes = [r.max_abs_deps_dq for r in rows]
@@ -208,9 +199,45 @@ def test_broadening_scan_skips_nodes_near_a_branch_point_outside_the_window():
     # the node rule must not depend on the grid step (1e-10 here), so every
     # node is a gap and the row, left with no central difference, raises
     assert _pole_nodes(_linspace(2 + 2e-10, 2 + 6e-10, 5), branch_points_q(0.0)) == [0, 1, 2, 3, 4]
-    for on_pole in ("skip", "raise"):
-        with pytest.raises(WindowContainsPole, match=r"grid node q=2\.0000000002 "):
-            singularity_broadening_scan(0.0, 1.0, [0.0], (2 + 2e-10, 2 + 6e-10), 5, on_pole=on_pole)
+    with pytest.raises(WindowContainsPole, match=r"grid node q=2\.0000000002 "):
+        singularity_broadening_scan(0.0, 1.0, [0.0], (2 + 2e-10, 2 + 6e-10), 5)
+
+
+@pytest.mark.parametrize("window, n_points, step", [
+    ((-1e308, 1e308), 5, "inf"),  # the span overflows
+    ((1e-323, 3e-323), 7, "5e-324"),  # a subnormal step, which rounded nodes past q_max
+    ((0.0, 1e-320), 4916, "0.0"),  # a step that underflows to 0
+])
+def test_broadening_scan_y0_row_needs_a_normal_grid_step(window, n_points, step):
+    # a y = 0 row builds its grid only on a normal step, and raises where it
+    # stands in the y list: a negative y before it still raises first
+    text = rf"^the grid step \(q_max - q_min\)/\(n_points - 1\) of {re.escape(repr(window))} = {step} leaves"
+    with pytest.raises(NonFiniteResult, match=text):
+        singularity_broadening_scan(0.0, 1.0, [0.01, 0.0], window, n_points)
+    with pytest.raises(ValueError, match="^y must be >= 0"):
+        singularity_broadening_scan(0.0, 1.0, [-0.01, 0.0], window, n_points)
+
+
+def test_broadening_scan_y_positive_row_on_an_overflowing_window():
+    # a y > 0 row samples its own 33 points and never builds the y = 0 grid,
+    # so a window whose span overflows keeps its value, bit for bit
+    (row,) = singularity_broadening_scan(0.0, 1.0, [0.01], (-1e308, 1e308))
+    assert row.max_abs_deps_dq == 3.2756137736628874 and row.skipped_q == ()
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1e308, -1e308, 8.99e307])
+def test_branch_points_that_overflow_raise(x):
+    # before: (-inf, inf, inf, -inf) at x = 1e308 and four nans at x = nan
+    text = f"^the branch points at x={re.escape(repr(x))} overflow or are undefined$"
+    with pytest.raises(NonFiniteResult, match=text):
+        branch_points_q(x)
+    assert all(map(math.isfinite, branch_points_q(math.copysign(8.98e307, x))))
+
+
+def test_broadening_scan_raises_where_the_branch_points_overflow():
+    for ys in ([0.0], [0.01]):
+        with pytest.raises(NonFiniteResult, match=r"^the branch points at x=1e\+308 overflow"):
+            singularity_broadening_scan(1e308, 1.0, ys, (1.5, 2.5), 5)
 
 
 @pytest.mark.parametrize("args, error", [

@@ -2,8 +2,10 @@
 
 import gc
 import json
+import math
 import random
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +34,17 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+def _normal_step(lo, hi, n):
+    return sys.float_info.min <= (hi - lo) / (n - 1) < math.inf
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_linspace_is_bit_identical_to_numpy():
-    # subnormal steps take numpy's step == 0 branch (gh-5437); a range
-    # wider than the largest double overflows the same way in both
-    for lo, hi, n in ((0.0, 1e-320, 4916), (-1e-320, 1e-320, 3), (0.0, 5e-324, 7),
-                      (-1e308, 1e308, 5), (1.7e308, 1.7976931348623157e308, 9),
-                      (-1.7976931348623157e308, -1e308, 2), (1.5, 2.5, 501), (0.3, 0.1, 2)):
+    # on every grid a caller accepts: its step (hi - lo)/(n - 1) is a normal
+    # double; numpy also forms (n - 1)*step, which can overflow, and then
+    # overwrites that last node with hi
+    for lo, hi, n in ((1.7e308, 1.7976931348623157e308, 9), (-1.7976931348623157e308, -1e308, 2),
+                      (1.5, 2.5, 501), (-1e-300, 1e-300, 3), (0.0, 2.2250738585072014e-308, 2)):
         assert _hex(_linspace(lo, hi, n)) == _hex(np.linspace(lo, hi, n)), (lo, hi, n)
     rng = random.Random(20260)
     special = (0.0, -0.0, 5e-324, 1e-320, -1e-310, 1.0, -2.0, 1e308, -1e308, 1.7976931348623157e308)
@@ -51,9 +57,60 @@ def test_linspace_is_bit_identical_to_numpy():
             return rng.uniform(-10.0, 10.0)
         return rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-323.0, 308.0)
 
+    checked = 0
     for _ in range(4000):
-        lo, hi, n = draw(), draw(), rng.choice((2, 3, rng.randint(2, 600)))
-        assert _hex(_linspace(lo, hi, n)) == _hex(np.linspace(lo, hi, n)), (lo, hi, n)
+        (lo, hi), n = sorted((draw(), draw())), rng.choice((2, 3, rng.randint(2, 600)))
+        if _normal_step(lo, hi, n):
+            assert _hex(_linspace(lo, hi, n)) == _hex(np.linspace(lo, hi, n)), (lo, hi, n)
+            checked += 1
+    assert checked > 3000, checked
+
+
+@pytest.mark.parametrize("seed", [27, 28])
+def test_linspace_of_a_normal_step_stays_in_its_window(seed):
+    # lo + i*step rounds twice, yet with a normal step the nodes never
+    # descend or leave [lo, hi]; a subnormal step, 3e-323/7 say, rounded a
+    # node past hi, and a span that overflows gave nan and inf nodes
+    rng = random.Random(seed)
+    tiny = sys.float_info.min
+    checked = 0
+    for _ in range(20000):
+        n = rng.choice((2, 3, rng.randint(2, 40), rng.randint(2, 3000)))
+        lo = rng.choice((0.0, -0.0, tiny, -tiny, 1.0, -2.0, 1e308, -1.7976931348623157e308,
+                         rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-308.0, 308.0)))
+        r = rng.random()
+        if r < 0.4:  # a step a few times the least normal double, or just below it
+            hi = lo + (n - 1) * tiny * rng.uniform(0.5, 4.0)
+        elif r < 0.7:  # a few ulps of lo, where nodes repeat
+            hi = lo
+            for _ in range(rng.randint(1, 64)):
+                hi = math.nextafter(hi, math.inf)
+        else:
+            hi = lo + 10.0 ** rng.uniform(-308.0, 308.0)
+        if not _normal_step(lo, hi, n):
+            continue
+        qs = _linspace(lo, hi, n)
+        assert len(qs) == n and qs[0] == lo and qs[-1] == hi, (lo, hi, n)
+        assert all(a <= b for a, b in zip(qs, qs[1:])), (lo, hi, n)
+        checked += 1
+    assert checked > 10000, checked
+
+
+@pytest.mark.parametrize("q_min, q_max, q_steps, step", [
+    (-1e308, 1e308, 5, "inf"),  # the span overflows: nodes were nan, inf, inf, inf, 1e+308
+    (1e-323, 3e-323, 7, "5e-324"),  # a subnormal step put a node, 3.5e-323, above q_max
+    (0.0, 1e-320, 4916, "0.0"),  # a step that underflows to 0
+    (-10 ** 308, 10 ** 308, 3, "inf"),  # an int span that int / int would divide
+])
+def test_sweep_grid_step_must_be_a_normal_double(tmp_path, capsys, q_min, q_max, q_steps, step):
+    text = f"the q step (q_max - q_min)/(q_steps - 1) = {step} leaves the normal double range"
+    with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
+        _cfg(tmp_path, q_min=q_min, q_max=q_max, q_steps=q_steps)
+    rc = main(["sweep", "--model", "bgk", "--x", "0", "--y", "0,0.01", f"--q={q_min}:{q_max}:{q_steps}", "--xp", "1",
+               "--output", str(tmp_path / "s"), "--format", "both"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {text}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_csv_layout(tmp_path):

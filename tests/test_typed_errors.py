@@ -97,9 +97,7 @@ def test_adversarial_draw_raises_only_typed_errors(seed):
 
 
 # public functions that call_table() leaves out, with the reason
-_NOT_DRAWN = {
-    "branch_points_q": "returns infinite or nan poles for a non-finite x, as the pole tests and the sweep use it",
-}
+_NOT_DRAWN: dict[str, str] = {}
 
 
 def test_adversarial_draw_reaches_every_public_function():
