@@ -8,16 +8,20 @@ taken on the branch that is continuous from the upper half of the complex
 a-plane.  Physically the frequency carries a positive infinitesimal
 imaginary part (retarded response, exp(-i omega t) convention), so values
 on the real axis mean the limit Im(a) -> 0+.  That limit is evaluated
-analytically, never by substituting a small imaginary part:
+analytically, never by substituting a small imaginary part; for r real,
 
-    L(r) = ln|1 + r| - ln|1 - r|  (- i*pi for r inside (-1, 1)),   r real.
+    L(r) = 2 artanh(r) - i*pi              for r inside (-1, 1),
+    L(r) = +-ln(1 + 2/(|r| - 1))           for |r| > 1, with the sign of r.
 
-That formula is written in two places, both in this module: in _L, the
-reference every public kernel evaluates, and inline in _numerator, the row
-kernel of N = 1 - g(z,+q) + g(z,-q), which evaluates N over a whole row of q
-in one loop for every model, the scalar ones as a row of one node.  At a
-branch point r = +-1 it is math.log(0.0), whose ValueError _L raises as
-PoleAtBranchPoint.  At x = 0 (omega = 0, where the static rows and
+Each is one libm call (math.atanh, math.log1p) that loses no digit: 1 -+ r
+inside and |r| - 1 outside are exact near the branch points, and the
+argument of log1p is small at large |r|, where ln|1 + r| - ln|1 - r| would
+cancel.  That formula is written in two places, both in this module: in _L,
+the reference every public kernel evaluates, and inline in _numerator, the
+row kernel of N = 1 - g(z,+q) + g(z,-q), which evaluates N over a whole row
+of q in one loop for every model, the scalar ones as a row of one node.  At
+a branch point r = +-1 it is math.atanh(+-1.0), whose ValueError _L raises
+as PoleAtBranchPoint.  At x = 0 (omega = 0, where the static rows and
 Mermin's N0 sit) the two shifts are mirror images, g(iy,-q) =
 -conj(g(iy,+q)) for y >= 0, so _numerator evaluates the +q shift alone and
 N is exactly real there.
@@ -66,7 +70,7 @@ from __future__ import annotations
 
 from cmath import isfinite, log, sqrt
 from functools import partial
-from math import inf, isfinite as _finite, log as _ln, pi
+from math import atanh, inf, isfinite as _finite, log1p, pi
 from sys import float_info
 
 from .errors import (
@@ -145,22 +149,25 @@ def _as_upper_half(z: complex, what: str) -> complex:
 
 
 def _L(a: complex) -> complex:
-    """L(a) for Im a >= 0, unchecked: only a branch point raises; nan/inf in, nan/inf out."""
+    """L(a) for Im a >= 0, unchecked: only a branch point raises; a non-finite
+    a gives nan/inf, except a = +-inf, which gives the limit +-0."""
     if a.imag == 0.0:  # the Im a -> 0+ limit: exactly -i*pi inside (-1, 1)
         x = a.real
-        try:
-            re = _ln(abs(1.0 + x)) - _ln(abs(1.0 - x))
-        except ValueError:  # math.log(0.0): x is +-1
-            raise PoleAtBranchPoint(f"clog_ratio argument at branch point {x:+g}") from None
-        return complex(re, 0.0 if abs(x) > 1.0 else _MINUS_PI)
+        if -1.0 <= x <= 1.0:
+            try:
+                return complex(2.0 * atanh(x), _MINUS_PI)
+            except ValueError:  # math.atanh(+-1.0): x is a branch point
+                raise PoleAtBranchPoint(f"clog_ratio argument at branch point {x:+g}") from None
+        return complex(log1p(2.0 / (x - 1.0)) if x > 1.0 else -log1p(2.0 / (-1.0 - x)), 0.0)
     # Im a > 0: a + 1 and a - 1 lie above the real axis; no unwinding needed.
     return log(a + 1.0) - log(a - 1.0)
 
 
 def clog_ratio(a: complex) -> complex:
     """ln((a+1)/(a-1)) on the branch continuous from the upper half-plane;
-    real a is the Im(a) -> 0+ limit.  A difference of logs, so arguments near
-    a branch point cannot overflow the intermediate ratio."""
+    real a is the Im(a) -> 0+ limit.  A difference of logs off the real axis
+    and one atanh or log1p on it, so arguments near a branch point cannot
+    overflow the intermediate ratio."""
     return _L(_as_upper_half(a, "clog_ratio"))
 
 
@@ -255,20 +262,21 @@ def _numerator(z: complex, qs, what: str) -> list[complex | QplasmaError]:
 
     On the real axis (z.imag == 0.0) N is evaluated in floats, bit for bit
     equal to g_a.  With r = x +- q/2 and c = (r*r - 1)/(2q), each g is
-    c*(ln|1 + r| - ln|1 - r|), the real part of _L(r); a shift inside
+    c * Re L(r), with Re L(r) written as _L writes it; a shift inside
     (-1, 1) adds c*(-pi) to Im g, one outside a zero whose sign cancels out
     of 1 - g+ + g-.  (c*(-pi) underflows to 0 only where 2q overflows, which
     leaves r = 0 as the one shift inside, and there Im g is the same signed
-    zero.)  A shift on a branch point (the ValueError of math.log(0.0)) and
-    a non-finite term take g_a itself, 1 - g_a(z,q,+1) + g_a(z,q,-1), so the
-    node holds what g_a raises.
+    zero.)  A shift on a branch point (the ValueError of math.atanh(+-1.0))
+    and a non-finite term take g_a itself, 1 - g_a(z,q,+1) + g_a(z,q,-1), so
+    the node holds what g_a raises.
 
     For Im z > 0 both shifts keep Im a = Im z > 0, and g_a's body is inline:
     each g is checked before the next is computed.
 
     At x = +-0 only the +q shift is evaluated; the -q shift is its mirror.
-    On the real axis r- = -r+, so g- = -g+ with the same c*(-pi): N is the
-    same bits as from both shifts.  At z = iy, g(iy,-q) = -conj(g(iy,+q)),
+    On the real axis r- = -r+ and Re L is odd (atanh is, and -1 - r+ is
+    r- - 1), so g- = -g+ with the same c*(-pi): N is the same bits as from
+    both shifts.  At z = iy, g(iy,-q) = -conj(g(iy,+q)),
     so N = (1 - Re g+) - Re g+ with Im N = +0.0: real, as the exact N is.
     Re N then differs from the two-shift sum by less than the rounding that
     sum carries, u*(1 + 2|c|(|ln(a+1)| + |ln(a-1)|)) with u = 2**-52 and
@@ -288,17 +296,23 @@ def _numerator(z: complex, qs, what: str) -> list[complex | QplasmaError]:
             try:
                 r = x + h
                 c = (r * r - 1.0) / q2
-                gp, tp = c * (_ln(abs(1.0 + r)) - _ln(abs(1.0 - r))), 0.0 if abs(r) > 1.0 else c * _MINUS_PI
-                if mirror:  # the -q shift's logs are these two swapped, its c the same square
+                if -1.0 <= r <= 1.0:
+                    gp, tp = c * (2.0 * atanh(r)), c * _MINUS_PI
+                else:
+                    gp, tp = c * (log1p(2.0 / (r - 1.0)) if r > 1.0 else -log1p(2.0 / (-1.0 - r))), 0.0
+                if mirror:  # the -q shift's Re L is this one's, negated; its c the same square
                     gm, tm = -gp, tp
                 else:
                     r = x - h
                     c = (r * r - 1.0) / q2
-                    gm, tm = c * (_ln(abs(1.0 + r)) - _ln(abs(1.0 - r))), 0.0 if abs(r) > 1.0 else c * _MINUS_PI
+                    if -1.0 <= r <= 1.0:
+                        gm, tm = c * (2.0 * atanh(r)), c * _MINUS_PI
+                    else:
+                        gm, tm = c * (log1p(2.0 / (r - 1.0)) if r > 1.0 else -log1p(2.0 / (-1.0 - r))), 0.0
                 if _finite(gp + gm + tp + tm):  # else some term is nan or inf (or the sum overflows)
                     out.append(complex((1.0 - gp) + gm, (0.0 - tp) + tm))
                     continue
-            except ValueError:  # math.log(0.0): a shift on a branch point
+            except ValueError:  # math.atanh(+-1.0): a shift on a branch point
                 pass
             try:
                 out.append(1.0 - g_a(z, q, 1) + g_a(z, q, -1))

@@ -73,14 +73,22 @@ def line_plot(
     if not x_all:
         x_all, y_all = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(x_all), max(x_all)
-    y_lo, y_hi = min(y_all), max(y_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    y_pad = 0.05 * (y_hi - y_lo)
-    y_lo -= y_pad
-    y_hi += y_pad
+    if x_hi == x_lo:  # 1.0 below 2**53, where x + 1.0 is another float
+        x_hi = x_lo + max(1.0, math.ulp(x_lo))
+    # The y axis is drawn in units of y: 1, or 4 where the padded extent
+    # overflows, as every padded |y/4| stays below 5e307 (dividing by a
+    # power of two is exact); a tick whose value 4t overflows is not drawn.
+    for unit in (1.0, 4.0):
+        y_lo, y_hi = min(y_all) / unit, max(y_all) / unit
+        if y_hi == y_lo:  # as for x
+            y_hi = y_lo + max(1.0, math.ulp(y_lo))
+        y_pad = 0.05 * (y_hi - y_lo)
+        y_lo -= y_pad
+        y_hi += y_pad
+        if math.isfinite(y_hi - y_lo):
+            break
+    if unit != 1.0:
+        series = [(label, [None if y is None else y / unit for y in ys]) for label, ys in series]
 
     x0, dx, pw = MARGIN_L, x_hi - x_lo, WIDTH - MARGIN_L - MARGIN_R
     y0, dy, ph = HEIGHT - MARGIN_B, y_hi - y_lo, HEIGHT - MARGIN_T - MARGIN_B
@@ -106,11 +114,13 @@ def line_plot(
             f'font-size="11" text-anchor="middle">{t:g}</text>'
         )
     for t in _ticks(y_lo, y_hi):
+        if not math.isfinite(t * unit):
+            continue
         py = y0 - (t - y_lo) / dy * ph
         out.append(f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
         out.append(
             f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{t:g}</text>'
+            f'font-size="11" text-anchor="end">{t * unit:g}</text>'
         )
     out.append(
         f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2:.1f}" y="{HEIGHT - 8}" '

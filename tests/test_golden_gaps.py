@@ -14,12 +14,12 @@ CASES = {
     "bgk-3-rows": (
         SweepConfig(model="bgk", x=0.25, y=(0.0, 0.01, 0.1), q_min=-1.0, q_max=3.0, q_steps=33, xp=1.0,
                     output="unused"),
-        "32ff28dc923ca5d3c87400e979dd0bb111e4b0d2e74fc1fe1c4f4ec1f83f2d19",
+        "0b6c5b586f08355a7324acd353110454ecf0fce5c1e48dfe0bc527e1f97d1f32",
         "2f3b3b406919eb8675d11e0feabe4ca70f6e5281c210ce87af4850a18c45025b",
     ),
     "lindhard-leading-gap": (
         SweepConfig(model="lindhard", x=0.25, y=(0.0,), q_min=0.0, q_max=3.0, q_steps=25, xp=1.0, output="unused"),
-        "867e2bba5b0ea0842aff46414ba9d96dbdf2016583f10f8f7d122ed997db2ba8",
+        "429e2dc1afac099f879bc2036c34a728d2e4d56ceed43f43370a8d5a81dd3cc1",
         "39284d3bd6a9ca7727e6b84c473d31c9b9d659cf8b3fbe1cb6c62630dfc467b3",
     ),
 }

@@ -2,13 +2,14 @@
 
 import cmath
 import math
+import random
 
 import mpmath as mp
 import pytest
 from conftest import random_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import MP_DIGITS, _g, _z
+from reference import MP_DIGITS, _L, _g, _n, _z
 
 from qplasma.errors import (
     DegenerateQ,
@@ -16,7 +17,7 @@ from qplasma.errors import (
     NonUpperHalfPlane,
     PoleAtBranchPoint,
 )
-from qplasma.kernels import clog_ratio, g0_a, g0_b, g_a, g_b
+from qplasma.kernels import _numerator, clog_ratio, g0_a, g0_b, g_a, g_b
 
 LN2 = 0.6931471805599453
 LN3 = 1.0986122886681098
@@ -260,3 +261,88 @@ def test_kernels_reject_non_finite_arguments(bad):
             g_a(0.3 + 0.1j, bad, s)
         with pytest.raises(NonFiniteResult):
             g_b(0.3 + 0.1j, bad, s)
+
+
+# ------------------------------------------------------- real-axis accuracy
+#
+# Re L(r) is 2 atanh(r) inside (-1, 1) and +-log1p(2/(|r| - 1)) outside.
+# These tests hold it, and N = 1 - g(x,+q) + g(x,-q) on the real axis,
+# against the reference and against the retired real-axis form
+# ln|1 + r| - ln|1 - r| (two math.log per shift), written out here.
+
+_U = 2.0 ** -53  # the unit roundoff
+# A box's new worst error may exceed the retired form's by 4 u: the last
+# roundings of c*L and of 1 - g+ + g- differ between the two forms, so a
+# draw whose N is already rounded to a few u can move by that much either way.
+_SLACK = 4.0 * _U
+
+
+def _retired_re_l(r):
+    return math.log(abs(1.0 + r)) - math.log(abs(1.0 - r))
+
+
+def _retired_n(x, q):
+    """N at (x + 0j, q) in floats, as the row kernel took it with two logs per shift."""
+    terms = []
+    for r in (x + q / 2.0, x - q / 2.0):
+        c = (r * r - 1.0) / (2.0 * q)
+        terms.append((c * _retired_re_l(r), 0.0 if abs(r) > 1.0 else c * -math.pi))
+    (gp, tp), (gm, tm) = terms
+    return complex((1.0 - gp) + gm, (0.0 - tp) + tm)
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _near_a_branch_point(rng):
+    """(x, q) whose +q shift x + q/2 lies 1e-13..1e-5 (relative) inside or outside +-1."""
+    r = rng.choice((1.0, -1.0)) * (1.0 + rng.choice((1.0, -1.0)) * _log_uniform(rng, 1e-13, 1e-5))
+    q = _log_uniform(rng, 0.05, 5.0)
+    return r - q / 2.0, q
+
+
+_REAL_AXIS_BOXES = {
+    "|x| <= 2": lambda rng: (rng.uniform(-2.0, 2.0), _log_uniform(rng, 0.05, 5.0)),
+    "near a branch point": _near_a_branch_point,
+    "|x| up to 1e5": lambda rng: (rng.choice((1.0, -1.0)) * _log_uniform(rng, 2.0, 1e5), _log_uniform(rng, 0.05, 5.0)),
+    "x = 0 figure window": lambda rng: (0.0, rng.uniform(1.5, 2.5)),
+}
+
+
+@pytest.mark.parametrize("box", _REAL_AXIS_BOXES)
+def test_real_axis_n_and_clog_ratio_against_the_reference(box):
+    # 60 digits: at |x| = 1e5, q = 0.05, N ~ 1e-10 is what is left of terms
+    # ~ 1e7, and 60 digits keep ~40 of them (checked against 120 digits)
+    rng = random.Random(2027)
+    worst = dict.fromkeys(("N", "N retired", "Re L", "Re L retired"), 0.0)
+    for _ in range(300):
+        x, q = _REAL_AXIS_BOXES[box](rng)
+        with mp.workdps(60):
+            ref = _n(_z(x, 0), mp.mpf(q))
+            for key, got in (("N", _numerator(complex(x, 0.0), [q], "N")[0]), ("N retired", _retired_n(x, q))):
+                worst[key] = max(worst[key], float(abs(mp.mpc(got) - ref) / abs(ref)))
+            for r in (x + q / 2.0, x - q / 2.0):
+                ref_l = _L(mp.mpc(r, 0))
+                got = clog_ratio(r)
+                assert got.imag == (0.0 if abs(r) > 1.0 else -math.pi), (x, q, r)
+                for key, re in (("Re L", got.real), ("Re L retired", _retired_re_l(r))):
+                    worst[key] = max(worst[key], float(abs(re - ref_l.real) / abs(ref_l.real)))
+    assert worst["N"] <= worst["N retired"] + _SLACK, worst
+    assert worst["Re L"] <= worst["Re L retired"] + _SLACK, worst
+    assert worst["Re L"] <= 4.0 * _U, worst  # one libm call and at most one rounded quotient: ~2 u
+    if box == "|x| up to 1e5":  # the retired form cancelled here; N's own cancellation is left
+        assert worst["N retired"] > 1e4 and worst["N"] < 1e2, worst
+
+
+@pytest.mark.parametrize("a", [1e300, 5e15, -3e12, 1e8, 5e-10, -5e-10, 1.7976931348623157e308, 5e-324])
+def test_clog_ratio_far_out_and_near_zero_within_a_few_ulp(a):
+    # the retired form returned 0j at 1e300 and 5e15, was off by 1.9e-3 at
+    # -3e12, 9.5e-8 at 1e8 and 8.3e-8 at 5e-10; (a+1)/(a-1) - 1 ~ 2/a needs
+    # ~log10|a| + 20 digits to be resolved, hence 700 at 1e300
+    with mp.workdps(700):
+        r = mp.mpf(a)
+        ref = mp.log(abs((r + 1) / (r - 1)))
+        got = clog_ratio(a)
+        assert got.imag == (0.0 if abs(a) > 1.0 else -math.pi)
+        assert abs(got.real - ref) <= 4.0 * _U * abs(ref), (a, got, float(ref))

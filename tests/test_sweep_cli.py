@@ -13,6 +13,7 @@ import pytest
 
 from qplasma.cli import main
 from qplasma.dielectric import DimensionlessPointA, epsilon_collisional_a, epsilon_lindhard, epsilon_mermin
+from qplasma.svg import line_plot
 from qplasma.sweep import FORMATS, MODELS, ConfigError, SweepConfig, _linspace, load_config_file, parse_q_range, run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -201,6 +202,43 @@ def test_sweep_svg_of_a_curve_one_ulp_wide():
     re_eps = {v.real for (v,) in res.eps}
     assert max(re_eps) - min(re_eps) == 2.0 ** -53
     assert res.svg_text().count("<polyline") == 1
+
+
+def _plot_numbers(text):
+    """(every polyline point, every y tick label) of an SVG text, as floats."""
+    points = [float(v) for pts in re.findall(r'points="([^"]*)"', text) for v in re.split("[ ,]", pts)]
+    return points, [float(t) for t in re.findall(r'text-anchor="end">([^<]*)<', text)]
+
+
+def test_sweep_svg_is_finite_where_the_span_of_re_eps_overflows():
+    # Re eps spans -1.5e308 .. 4.4e307 with no node skipped, so the padded
+    # span overflows: the y axis is drawn at a quarter scale, where it wrote
+    # nan coordinates and an -inf tick
+    res = run_sweep(SweepConfig("lindhard", 1.2, (0.0,), 0.05, 6.0, 201, 9e153, "unused"), write=False)
+    re_eps = [v.real for (v,) in res.eps]
+    assert not res.skipped and max(re_eps) - min(re_eps) == math.inf
+    points, ticks = _plot_numbers(res.svg_text())
+    assert len(points) == 2 * 201 and len(ticks) >= 3
+    assert all(0.0 <= v <= 800.0 for v in points) and all(math.isfinite(t) for t in ticks)
+
+
+def test_svg_line_plot_near_the_double_range_is_finite():
+    # extents at +-max, padding that overflows one end only, and constant
+    # series beyond 2**53, where y + 1.0 == y left the span 0 and the
+    # projection raised ZeroDivisionError
+    big = sys.float_info.max
+    cases = [[-big, big], [big, big], [-big, -big], [1e20, 1e20], [6.75e307, 1.75e308], [-big, 0.0, None, big]]
+    rng = random.Random(27)
+    for _ in range(2000):
+        ys = [rng.choice((1.0, -1.0)) * big * rng.random() ** rng.choice((0.01, 0.1, 1.0, 10.0)) for _ in range(3)]
+        cases.append(ys if rng.random() < 0.8 else [ys[0]] * 3)
+    for ys in cases:
+        points, ticks = _plot_numbers(line_plot([float(i) for i in range(len(ys))], [("a", ys)], "t", "x", "y"))
+        assert points and all(0.0 <= v <= 800.0 for v in points), ys
+        assert ticks and all(math.isfinite(t) for t in ticks), ys
+    for x in (1e20, -1e300, big):  # one q node drawn: the x span is 0 the same way
+        text = line_plot([x, 2.0 * x], [("a", [2.5, None]), ("b", [1.0, None])], "t", "x", "y")
+        assert "nan" not in text and "inf" not in text, x
 
 
 def test_sweep_config_validation(tmp_path):
