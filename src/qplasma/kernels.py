@@ -24,7 +24,8 @@ a branch point r = +-1 it is math.atanh(+-1.0), whose ValueError _L raises
 as PoleAtBranchPoint.  At x = 0 (omega = 0, where the static rows and
 Mermin's N0 sit) the two shifts are mirror images, g(iy,-q) =
 -conj(g(iy,+q)) for y >= 0, so _numerator evaluates the +q shift alone and
-N is exactly real there.
+N is exactly real there; for y > 0 it takes that shift's real part in
+floats, one log1p and one atan2 (see _numerator), with no complex log.
 
 Two kernel families sit on top of L.  Convention A scales frequencies by
 k*v_F, with z = (omega + i*nu)/(k v_F) and q = k/k_F:
@@ -70,7 +71,7 @@ from __future__ import annotations
 
 from cmath import isfinite, log, sqrt
 from functools import partial
-from math import atanh, inf, isfinite as _finite, log1p, pi
+from math import atan2, atanh, inf, isfinite as _finite, log1p, pi
 from sys import float_info
 
 from .errors import (
@@ -82,6 +83,9 @@ __all__ = ["clog_ratio", "g0_a", "g_a", "g0_b", "g_b"]
 
 _VALID_SIGNS = (1, -1)
 _MINUS_PI = -pi  # Im L(r) for a real r inside (-1, 1)
+# _numerator's float path at z = iy, w = |q|/2, runs for w and y below _SQUARE_HI, where
+# w*w + y*y stays finite, and for w at or above _SQUARE_LO, where w*w is a normal double
+_SQUARE_LO, _SQUARE_HI = 2.0 ** -511, 2.0 ** 511
 
 
 def _non_finite(value: complex, what: str) -> NonFiniteResult:
@@ -276,13 +280,30 @@ def _numerator(z: complex, qs, what: str) -> list[complex | QplasmaError]:
     At x = +-0 only the +q shift is evaluated; the -q shift is its mirror.
     On the real axis r- = -r+ and Re L is odd (atanh is, and -1 - r+ is
     r- - 1), so g- = -g+ with the same c*(-pi): N is the same bits as from
-    both shifts.  At z = iy, g(iy,-q) = -conj(g(iy,+q)),
-    so N = (1 - Re g+) - Re g+ with Im N = +0.0: real, as the exact N is.
-    Re N then differs from the two-shift sum by less than the rounding that
-    sum carries, u*(1 + 2|c|(|ln(a+1)| + |ln(a-1)|)) with u = 2**-52 and
-    a = iy + q/2, c = (a*a - 1)/(2q) (measured on seeded draws, not proven)."""
+    both shifts.  At z = iy, y > 0, g(iy,-q) = -conj(g(iy,+q)), so
+    N = (1 - Re g+) - Re g+ with Im N = +0.0: real, as the exact N is.  N is
+    even in q, and Re g+ is taken in floats at w = |q|/2, a = w + iy, with
+    m = w - 1 and p = m*(w + 1) = w*w - 1:
+
+        Re c = (p - y*y)/(2|q|),   Re L = log1p(2|q|/(m*m + y*y))/2,
+        Im c = y/2,                Im L = -atan2(2y, p + y*y),
+        Re g = Re c * Re L - Im c * Im L,
+
+    Im L being the argument of (a + 1)/(a - 1) = (p + y*y - 2iy)/(m*m + y*y).
+    That needs one log1p, one atan2 and no complex temporary, and it is
+    closer to the reference than the complex logs, which lose digits in
+    ln|a + 1| - ln|a - 1|.  It runs where w lies in [2**-511, 2**511) and
+    y below 2**511, so that no square overflows and w*w does not underflow;
+    y*y may underflow, which matters only at w = 1, where m*m + y*y is then
+    0 or subnormal and Re L not finite.  A node outside those bounds or with
+    a Re g that is not finite takes the complex path below (g_a's body at
+    +q, mirrored), so it holds g_a's value there, or g_a's error."""
     out: list[complex | QplasmaError] = []
-    x, real, mirror = z.real, z.imag == 0.0, z.real == 0.0
+    x, y = z.real, z.imag
+    real, mirror = y == 0.0, x == 0.0
+    imaginary = mirror and 0.0 < y < _SQUARE_HI  # z = +-0 + iy, y*y finite: the float path below
+    if imaginary:
+        yy, y2, hy = y * y, 2.0 * y, 0.5 * y
     for q in qs:
         if q == 0.0:
             out.append(DegenerateQ(_Q0_POINT))
@@ -319,6 +340,18 @@ def _numerator(z: complex, qs, what: str) -> list[complex | QplasmaError]:
             except QplasmaError as exc:
                 out.append(exc)
             continue
+        if imaginary:
+            w = abs(h)  # N is even in q
+            if _SQUARE_LO <= w < _SQUARE_HI:
+                m, q4 = w - 1.0, abs(q2)
+                p = m * (w + 1.0)
+                try:
+                    rg = (p - yy) / q4 * (0.5 * log1p(q4 / (m * m + yy))) + hy * atan2(y2, p + yy)
+                except ZeroDivisionError:  # m*m + y*y is 0: w = 1, with y*y underflowed
+                    rg = inf
+                if _finite(rg):
+                    out.append(complex((1.0 - rg) - rg, 0.0))
+                    continue
         a = z + h
         gp = (a * a - 1.0) / q2 * (log(a + 1.0) - log(a - 1.0))
         if not isfinite(gp):

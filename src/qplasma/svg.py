@@ -32,13 +32,13 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
             step = mult * mag
             break
     first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
+    ticks, j, t = [], 0, first
     while t <= hi + 1e-9 * span:
         ticks.append(round(t, 12))
-        if t + step == t:  # a span of a few ulps: the step cannot move t
+        j, last = j + 1, t
+        t = first + j * step  # from the index j, so no rounding accumulates: a zero tick is 0
+        if t == last:  # a span of a few ulps: the step cannot move t
             break
-        t += step
     return ticks
 
 
@@ -132,14 +132,17 @@ def line_plot(
     )
 
     pxs = [x0 + (x - x_lo) / dx * pw for x in xs]  # projected once for every series
+    pair = "%.2f,%.2f"
+    if len(series) > 1:  # and formatted once for all of them: "%s" of "%.2f" % px prints what "%.2f" would
+        pxs, pair = ("%.2f " * len(pxs) % tuple(pxs)).split(), "%s,%.2f"
     for i, ((label, ys), series_runs) in enumerate(zip(series, runs)):
         color = _PALETTE[i % len(_PALETTE)]
         for lo, hi in series_runs:
-            if hi - lo > 1:  # one "%.2f,%.2f" template over the flat (px, py) pairs of a polyline
+            if hi - lo > 1:  # one pair template over the flat (px, py) pairs of a polyline
                 flat = [0.0] * (2 * (hi - lo))
                 flat[0::2] = pxs[lo:hi]
                 flat[1::2] = [y0 - (y - y_lo) / dy * ph for y in ys[lo:hi]]
-                points = " ".join(["%.2f,%.2f"] * (hi - lo)) % tuple(flat)
+                points = " ".join([pair] * (hi - lo)) % tuple(flat)
                 out.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         lx = WIDTH - MARGIN_R - 120
         ly = MARGIN_T + 16 + 16 * i

@@ -10,7 +10,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import mpmath as mp
 import pytest
+from reference import MP_DIGITS, rel_err, ref_numerator
+from reference import _g as ref_g, _n as ref_n, _z as ref_z
 
 from qplasma.dielectric import (
     DimensionlessPointA,
@@ -428,10 +431,20 @@ def _n(z, q):
     return _one(_numerator(z, (q,), "N"))
 
 
+def _reference_n(y, q):
+    """(N, |g(iy,+q)|) at z = iy from the reference closed form, with digits
+    added for the cancellations of large |log10 q| and y >> 1."""
+    digits = MP_DIGITS + int(3.0 * (abs(math.log10(abs(q))) + max(0.0, math.log10(y))))
+    with mp.workdps(digits):
+        z, q = ref_z(0.0, y), mp.mpf(q)
+        return ref_n(z, q), abs(ref_g(z, q, 1))
+
+
 def test_numerator_is_the_sum_of_the_shifted_kernels():
-    # bit for bit, except at z = +-0 + iy, y > 0, where N is 1 - 2 Re g(iy,+q)
-    # (g(iy,-q) = -conj(g(iy,+q))): Im N is +0.0 and Re N within one
-    # eps*(1 + 2|g+|) of the two-shift sum, eps = 2**-52, or the same error
+    # bit for bit, except at z = +-0 + iy, y > 0, where N is 1 - 2 Re g(iy,+|q|)
+    # (g(iy,-q) = -conj(g(iy,+q))), taken in floats: there Im N is +0.0 and
+    # Re N within eps*(1 + 2|g+|) of the reference, eps = 2**-52, or the error
+    # of the two-shift sum
     rng = random.Random(34)
     mirrored = 0
     reals = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 5e-324, 1e-170, 1e154, -1e200, 1.7976931348623157e308)
@@ -451,11 +464,68 @@ def test_numerator_is_the_sum_of_the_shifted_kernels():
         n = _n(z, q)
         if x == 0.0 and y > 0.0:
             assert _outcome(n)[1] == "0x0.0p+0", (z, q)
-            assert abs(n.real - g_sum.real) <= sys.float_info.epsilon * (1.0 + 2.0 * abs(g_a(z, q, +1))), (z, q)
+            ref, g = _reference_n(y, q)
+            assert abs(n.real - ref) <= sys.float_info.epsilon * (1.0 + 2.0 * g), (z, q)
             mirrored += 1
         else:
             assert _outcome(n) == _outcome(g_sum), (z, q)
     assert mirrored > 300, mirrored
+
+
+def _complex_mirror(z, q):
+    """N at z = +-0 + iy as the complex path takes it, where the float path
+    falls back: 1 - 2 Re g_a(z, q, +1) with Im N = +0.0, or g_a's error."""
+    g = g_a(z, q, +1)
+    return complex((1.0 - g.real) - g.real, 0.0)
+
+
+def _iy_draw(rng, box):
+    """(y, q) at z = +-0 + iy: the figure window, the oracle box, |q|/2 within
+    1e-9 of the branch point 1 (or on it) at small y, and y whose square
+    underflows (q = +-2 included, where m*m + y*y is 0 or subnormal)."""
+    sign = rng.choice((1.0, -1.0))
+    if box == "figure":
+        return 10.0 ** rng.uniform(-3.0, -1.5), rng.uniform(1.5, 2.5)
+    if box == "oracle":
+        return 10.0 ** rng.uniform(-3.0, 1.0), sign * 10.0 ** rng.uniform(math.log10(0.05), math.log10(5.0))
+    if box == "near h = 1":
+        return 10.0 ** rng.uniform(-16.0, -8.0), sign * 2.0 * (1.0 + rng.choice((0.0, rng.uniform(-1e-9, 1e-9))))
+    q = sign * rng.choice((2.0, 10.0 ** rng.uniform(math.log10(0.05), math.log10(5.0))))
+    return 10.0 ** rng.uniform(-323.0, -154.0), q
+
+
+@pytest.mark.parametrize("box, bound", [("figure", 1e-15), ("oracle", 1e-13), ("near h = 1", 1e-15),
+                                        ("y*y underflows", 4e-15)])
+def test_numerator_at_iy_is_at_least_as_accurate_as_the_complex_path(box, bound):
+    # N at z = +-0 + iy in floats: worst relative error against the reference
+    # within the box's bound and no larger than the complex path's
+    rng = random.Random(28)
+    worst_floats = worst_complex = 0.0
+    for _ in range(300):
+        y, q = _iy_draw(rng, box)
+        z = complex(rng.choice((0.0, -0.0)), y)
+        ref = ref_numerator(0.0, y, q)
+        worst_floats = max(worst_floats, rel_err(_n(z, q), ref))
+        worst_complex = max(worst_complex, rel_err(_complex_mirror(z, q), ref))
+    assert worst_floats <= min(bound, worst_complex), (worst_floats, worst_complex)
+
+
+def test_numerator_at_iy_falls_back_where_a_square_overflows():
+    # h = |q|/2 or y at or above 1e154: the complex path's value, bit for bit, or its error, class and text
+    rng = random.Random(29)
+    kinds = Counter()
+    for _ in range(3000):
+        if rng.random() < 0.5:  # the complex path overflows
+            big, other = 10.0 ** rng.uniform(154.0, 308.25), 10.0 ** rng.uniform(-3.0, 308.25)
+        else:  # it does not: h*h + y*y stays finite
+            big, other = rng.uniform(1e154, 1.3e154), 10.0 ** rng.uniform(-3.0, 153.0)
+        y, h = (big, other) if rng.random() < 0.5 else (other, big)
+        q = rng.choice((1.0, -1.0)) * 2.0 * h
+        z = complex(rng.choice((0.0, -0.0)), y)
+        expected = _outcome_or_error(_complex_mirror, z, q)
+        assert _outcome_or_error(_n, z, q) == expected, (z, q)
+        kinds[expected[0] if expected[0] == "NonFiniteResult" else "value"] += 1
+    assert min(kinds.values()) > 300, kinds
 
 
 def _real_axis_draw(rng):

@@ -222,6 +222,14 @@ def test_sweep_svg_is_finite_where_the_span_of_re_eps_overflows():
     assert all(0.0 <= v <= 800.0 for v in points) and all(math.isfinite(t) for t in ticks)
 
 
+def test_svg_zero_tick_reads_zero_on_a_wide_axis():
+    # tick j is first + j*step, so the zero tick is first + (-first): summing
+    # the steps of the quarter-scale axis of -1.5e308 .. 4.4e307 labelled it 9.9792e+291
+    res = run_sweep(SweepConfig("lindhard", 1.2, (0.0,), 0.05, 6.0, 201, 9e153, "unused"), write=False)
+    labels = re.findall(r'text-anchor="end">([^<]*)<', res.svg_text())
+    assert labels == ["-1.2e+308", "-8e+307", "-4e+307", "0", "4e+307"]
+
+
 def test_svg_line_plot_near_the_double_range_is_finite():
     # extents at +-max, padding that overflows one end only, and constant
     # series beyond 2**53, where y + 1.0 == y left the span 0 and the
