@@ -38,7 +38,8 @@ g(iy,-q) = -conj(g(iy,+q)), and N is computed from g(iy,+q) alone as
 Each formula is written once, in :mod:`qplasma.kernels`, as a row function
 over q on plain values; this module holds the typed layer over them: the
 frozen points, the DielectricResult and its Model tag, and the scalar
-epsilon_* and sigma_longitudinal, which run a row of one node.  The row
+epsilon_* and sigma_longitudinal, which run a row of one node.  Both
+points are validated by _check_point, on the arguments given (A: its fields).  The row
 table ``MODELS``, whose entries all run the one row evaluator
 ``kernels._rows``, and ``branch_points_q`` are defined in kernels and
 re-bound here.
@@ -88,19 +89,17 @@ class Model(enum.Enum):
 _BGK_TAG, _LINDHARD_TAG, _MERMIN_TAG = Model.CollisionalBGK, Model.Lindhard, Model.Mermin
 
 
-def _check_point(p, coupling: str, c: float) -> None:
-    """Check a point p whose coupling field ``coupling`` holds c: y, then c,
-    must be >= 0 on the values as given, then q != 0; int fields are then
-    stored as floats.  The signs are compared here, not by _nonnegative, as a
-    point is built for every scalar evaluation."""
-    if p.y < 0.0:
-        raise ValueError(f"y must be >= 0, got {p.y}")
+def _check_point(x: float, y: float, q: float, c: float, coupling: str) -> bool:
+    """Check a point's arguments, c being its coupling ``coupling``: y, then c, must be >= 0
+    on the values as given, then q != 0; True if one is an int, which the point stores as a
+    float.  Not by _nonnegative, as a point is built for every scalar evaluation."""
+    if y < 0.0:
+        raise ValueError(f"y must be >= 0, got {y}")
     if c < 0.0:
         raise ValueError(f"{coupling} must be >= 0, got {c}")
-    if p.q == 0.0:
+    if q == 0.0:
         raise DegenerateQ(_Q0_POINT)
-    if int in (type(p.x), type(p.y), type(p.q), type(c)):
-        _floats(p, type(p).__name__)
+    return int in (type(x), type(y), type(q), type(c))
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,8 @@ class DimensionlessPointA:
     # evaluation, which cancelled the faster construction.
 
     def __post_init__(self) -> None:
-        _check_point(self, "xp", self.xp)
+        if _check_point(self.x, self.y, self.q, self.xp, "xp"):
+            _floats(self, type(self).__name__)
 
     @property
     def z(self) -> complex:
@@ -140,10 +140,8 @@ class DimensionlessPointB:
         # object.__setattr__; a store into the instance dict costs a fraction.
         d = self.__dict__
         d["x"], d["y"], d["q"], d["xp2"] = x, y, q, xp2
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _check_point(self, "xp2", self.xp2)
+        if _check_point(x, y, q, xp2, "xp2"):  # the arguments, not the fields just stored
+            _floats(self, type(self).__name__)
 
     @property
     def z(self) -> complex:
@@ -194,11 +192,12 @@ def epsilon_collisional_b(p: DimensionlessPointB) -> DielectricResult:
     sigma is the convention-A conductivity at the signed x/q, y/q, so it is
     odd in q at y = 0 and even in q for y > 0.
     """
-    q = abs(p.q)
-    ratio = _collisional_ratio(complex(p.x, p.y) / q, q)
-    q2 = _divisor(_square(p.q, "q"), "q**2")
-    eps = _require_finite(1.0 + 1.5 * p.xp2 / q2 * ratio, "epsilon_collisional_b")
-    sigma = _require_finite(_sigma(p.x / p.q, p.y / p.q) * ratio, "sigma")
+    x, y, q, xp2 = p.x, p.y, p.q, p.xp2
+    a = abs(q)
+    ratio = _collisional_ratio(complex(x, y) / a, a)
+    q2 = _divisor(_square(q, "q"), "q**2")
+    eps = _require_finite(1.0 + 1.5 * xp2 / q2 * ratio, "epsilon_collisional_b")
+    sigma = _require_finite(_sigma(x / q, y / q) * ratio, "sigma")
     return DielectricResult(eps, sigma, _BGK_TAG)
 
 

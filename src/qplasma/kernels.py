@@ -598,17 +598,16 @@ def _kohn_roots(x: float) -> tuple[float, tuple[tuple, tuple, tuple, tuple]]:
         # The (-,+) principal root duplicates the (-,-) one; surface the
         # degenerate q = 0 root of that equation instead.
         q2, a2, principal2 = a2, q2, False
-    # For |x| below ~1e-16, 1 +- 2x rounds to 1: the roots coincide in pairs, all degenerate.
-    values = (q1, q2, q3, q4)
+    # A root is degenerate where it is 0 or equals another root.  Roots of opposite sign never are
+    # equal (Re q1, Re q2 >= 1 >= -Re q3, -Re q4 but for q2 = 0 at x = 0), so that is q1 == q2,
+    # q3 == q4 and q2 == 0; for |x| below ~1e-16, 1 +- 2x rounds to 1 and all four are degenerate.
+    d12, d34 = q1 == q2, q3 == q4
     return x, (
-        (q1, a1, (-1, -1), q1 == 0.0 or values.count(q1) > 1, q1.imag == 0.0 and q1.real > 0.0, True,
-         abs(q1 * q1 + -2.0 * q1 + -2.0 * x)),
-        (q2, a2, (-1, +1), q2 == 0.0 or values.count(q2) > 1, q2.imag == 0.0 and q2.real > 0.0, principal2,
+        (q1, a1, (-1, -1), d12, q1.imag == 0.0 and q1.real > 0.0, True, abs(q1 * q1 + -2.0 * q1 + -2.0 * x)),
+        (q2, a2, (-1, +1), d12 or q2 == 0.0, q2.imag == 0.0 and q2.real > 0.0, principal2,
          abs(q2 * q2 + -2.0 * q2 + 2.0 * x)),
-        (q3, a3, (+1, -1), q3 == 0.0 or values.count(q3) > 1, q3.imag == 0.0 and q3.real > 0.0, True,
-         abs(q3 * q3 + 2.0 * q3 + -2.0 * x)),
-        (q4, a4, (+1, +1), q4 == 0.0 or values.count(q4) > 1, q4.imag == 0.0 and q4.real > 0.0, True,
-         abs(q4 * q4 + 2.0 * q4 + 2.0 * x)),
+        (q3, a3, (+1, -1), d34, q3.imag == 0.0 and q3.real > 0.0, True, abs(q3 * q3 + 2.0 * q3 + -2.0 * x)),
+        (q4, a4, (+1, +1), d34, q4.imag == 0.0 and q4.real > 0.0, True, abs(q4 * q4 + 2.0 * q4 + 2.0 * x)),
     )
 
 

@@ -16,7 +16,8 @@ dimensionless.
 
 The degenerate-gas relation k_F = m v_F / hbar links the field values;
 construction checks it (and the optional density) to 1e-6 relative and
-refuses inconsistent inputs rather than silently preferring one.
+refuses inconsistent inputs rather than silently preferring one.  It and
+the points check their arguments, not the fields they stored.
 
 One density rule: every density goes through ``fermi_quantities`` and
 ``plasma_frequency``.  A finite N <= 0 raises ValueError; nan, +-inf, an
@@ -29,10 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 
 from .dielectric import DimensionlessPointA, DimensionlessPointB
 from .errors import InconsistentParameters, NonFiniteResult, ZeroWavenumber
-from .kernels import _floats, _normal, _number, _square
+from .kernels import _normal, _number, _square
 
 __all__ = [
     "HBAR",
@@ -118,44 +120,39 @@ class PhysicalParams:
 
     def __init__(self, omega: float, nu: float, k: float, vF: float, kF: float, omega_p: float,
                  N: float | None = None) -> None:
+        # Every check reads the arguments, which cost less to read than the fields; an int is
+        # converted first, as int arithmetic can overflow where floats round
+        if int in (type(omega), type(nu), type(k), type(vF), type(kF), type(omega_p), type(N)):
+            omega, nu, k, vF, kF, omega_p, N = (_number(v, "PhysicalParams") if type(v) is int else v
+                                                for v in (omega, nu, k, vF, kF, omega_p, N))
         # The generated frozen __init__ stores each field through
         # object.__setattr__; a store into the instance dict costs a fraction.
         d = self.__dict__
         d["omega"], d["nu"], d["k"], d["vF"], d["kF"], d["omega_p"], d["N"] = omega, nu, k, vF, kF, omega_p, N
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if int in (type(self.omega), type(self.nu), type(self.k), type(self.vF), type(self.kF), type(self.omega_p),
-                   type(self.N)):  # int arithmetic can overflow where floats round
-            _floats(self, "PhysicalParams")
-        if self.omega < 0.0:
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
-        if self.nu < 0.0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
-        if self.k <= 0.0:
-            raise ZeroWavenumber(f"k must be positive, got {self.k}")
-        for name in ("vF", "kF", "omega_p"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        kF_expected = self.vF / _HBAR_OVER_ME
-        if abs(self.kF - kF_expected) > _REL_TOL * kF_expected:
-            raise InconsistentParameters(
-                f"kF={self.kF:g} inconsistent with vF/(hbar/m)={kF_expected:g}"
-            )
-        if self.N is not None:
-            kF_n = fermi_quantities(self.N).kF
-            if abs(self.kF - kF_n) > _REL_TOL * kF_n:
-                raise InconsistentParameters(
-                    f"kF={self.kF:g} inconsistent with (3 pi^2 N)^(1/3)={kF_n:g}"
-                )
-            wp_n = plasma_frequency(self.N)
-            if abs(self.omega_p - wp_n) > _REL_TOL * wp_n:
-                raise InconsistentParameters(
-                    f"omega_p={self.omega_p:g} inconsistent with density value {wp_n:g}"
-                )
+        if omega < 0.0:
+            raise ValueError(f"omega must be >= 0, got {omega}")
+        if nu < 0.0:
+            raise ValueError(f"nu must be >= 0, got {nu}")
+        if k <= 0.0:
+            raise ZeroWavenumber(f"k must be positive, got {k}")
+        if vF <= 0.0:
+            raise ValueError(f"vF must be positive, got {vF}")
+        if kF <= 0.0:
+            raise ValueError(f"kF must be positive, got {kF}")
+        if omega_p <= 0.0:
+            raise ValueError(f"omega_p must be positive, got {omega_p}")
+        kF_expected = vF / _HBAR_OVER_ME
+        if abs(kF - kF_expected) > _REL_TOL * kF_expected:
+            raise InconsistentParameters(f"kF={kF:g} inconsistent with vF/(hbar/m)={kF_expected:g}")
+        if N is not None:
+            kF_n = fermi_quantities(N).kF
+            if abs(kF - kF_n) > _REL_TOL * kF_n:
+                raise InconsistentParameters(f"kF={kF:g} inconsistent with (3 pi^2 N)^(1/3)={kF_n:g}")
+            wp_n = plasma_frequency(N)
+            if abs(omega_p - wp_n) > _REL_TOL * wp_n:
+                raise InconsistentParameters(f"omega_p={omega_p:g} inconsistent with density value {wp_n:g}")
         # every field is >= 0 or nan here, so one comparison each finds nan and inf
-        if not (self.omega < _INF and self.nu < _INF and self.k < _INF and self.kF < _INF
-                and self.omega_p < _INF and kF_expected < _INF):
+        if not (omega < _INF and nu < _INF and k < _INF and kF < _INF and omega_p < _INF and kF_expected < _INF):
             raise NonFiniteResult(f"a field or vF/(hbar/m) is not finite: {self!r}")
 
     @classmethod
@@ -165,9 +162,9 @@ class PhysicalParams:
         return cls(omega=omega, nu=nu, k=k, vF=fq.vF, kF=fq.kF, omega_p=plasma_frequency(N), N=N)
 
 
-def _finite(pt):
-    """pt, if every field is finite; NonFiniteResult otherwise."""
-    if not all(map(math.isfinite, vars(pt).values())):
+def _finite(pt, x: float, y: float, q: float, c: float):
+    """pt, if its fields x, y, q and c, as computed, are finite; NonFiniteResult otherwise."""
+    if not (isfinite(x) and isfinite(y) and isfinite(q) and isfinite(c)):
         raise NonFiniteResult(f"a dimensionless field overflowed or is undefined: {pt!r}")
     return pt
 
@@ -176,19 +173,21 @@ def to_convention_a(p: PhysicalParams) -> DimensionlessPointA:
     """Per-k scaling: x = omega/(k vF), y = nu/(k vF), q = k/kF,
     xp = omega_p/(k vF); a scale k*vF that is not a normal double (inf
     would round every field to 0, 0 leave it undefined, a subnormal cost it
-    digits) or a field that is not finite raises NonFiniteResult."""
+    digits) or a field that is not finite raises NonFiniteResult, after the
+    point has checked its fields."""
     s = _normal(p.k * p.vF, "k*vF")
-    return _finite(DimensionlessPointA(x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp=p.omega_p / s))
+    x, y, q, xp = p.omega / s, p.nu / s, p.k / p.kF, p.omega_p / s
+    return _finite(DimensionlessPointA(x, y, q, xp), x, y, q, xp)
 
 
 def to_convention_b(p: PhysicalParams) -> DimensionlessPointB:
     """Per-k_F scaling: x = omega/(kF vF), y = nu/(kF vF), q = k/kF,
     xp2 = (omega_p/(kF vF))^2; a scale kF*vF that is not a normal double or
-    a field that is not finite raises NonFiniteResult."""
+    a field that is not finite raises NonFiniteResult, after the point has
+    checked its fields."""
     s = _normal(p.kF * p.vF, "kF*vF")
-    return _finite(DimensionlessPointB(
-        x=p.omega / s, y=p.nu / s, q=p.k / p.kF, xp2=_square(p.omega_p / s, "omega_p/(kF vF)")
-    ))
+    x, y, q, xp2 = p.omega / s, p.nu / s, p.k / p.kF, _square(p.omega_p / s, "omega_p/(kF vF)")
+    return _finite(DimensionlessPointB(x, y, q, xp2), x, y, q, xp2)
 
 
 def from_convention_a(pt: DimensionlessPointA, kF: float, vF: float) -> PhysicalParams:
