@@ -1,10 +1,17 @@
 """High-precision references for the tests: the closed forms in mpmath.
 
-Each ``ref_*`` evaluates one model's closed form at ``MP_DIGITS``
-significant digits, with every logarithm the analytic upper-half-plane
-limit (exact on the real axis), and returns an ``mpmath.mpc``.  The
-precision is set per call, so importing this module changes no global
-mpmath state.  ``rel_err`` measures a float result against one of them.
+Each ``ref_*`` evaluates one model's closed form, with every logarithm the
+analytic upper-half-plane limit (exact on the real axis), and returns an
+``mpmath.mpc`` (``ref_bgk_dq`` an ``mpc`` too).  The precision adapts to
+the arguments: a call starts at
+
+    MP_DIGITS + 2 |log10 min |arg|| + 4 log10 max(1, max |arg|)
+
+significant digits, over its nonzero arguments, as the closed forms cancel
+to ~q^2 of their terms at small q and to ~1/|z|^2 at large |z|, and
+doubles the precision until two evaluations agree to 1e-25 relative.  It
+is set per call, so importing this module changes no global mpmath state.
+``rel_err`` measures a float result against one of them.
 """
 
 from __future__ import annotations
@@ -14,13 +21,32 @@ import functools
 import mpmath as mp
 
 MP_DIGITS = 40
+_AGREE = mp.mpf("1e-25")
+_MAX_DIGITS = 40000  # far beyond what any double argument needs; a call that gets there raises
+
+
+def _start_digits(args) -> int:
+    sizes = [abs(mp.mpf(a)) for a in args if a]
+    if not sizes:
+        return MP_DIGITS
+    return MP_DIGITS + int(2 * abs(mp.log10(min(sizes))) + 4 * mp.log10(max(1, max(sizes))))
 
 
 def _at_reference_precision(fn):
+    """fn(*args) at the adaptive precision of the module docstring."""
     @functools.wraps(fn)
     def wrapper(*args):
-        with mp.workdps(MP_DIGITS):
-            return fn(*args)
+        digits = _start_digits(args)
+        with mp.workdps(digits):
+            value = fn(*args)
+        while digits < _MAX_DIGITS:
+            digits *= 2
+            with mp.workdps(digits):
+                new = fn(*args)
+                if abs(new - value) <= _AGREE * abs(new):
+                    return new
+            value = new
+        raise ArithmeticError(f"{fn.__name__}{args}: no two evaluations agree to 1e-25 up to {digits} digits")
 
     return wrapper
 
@@ -109,6 +135,12 @@ def ref_numerator(x, y, q):
     return _n(_z(x, y), mp.mpf(q))
 
 
+@_at_reference_precision
+def ref_g(x, y, q, s):
+    """The shifted kernel g(z, q, s) = ((z + s q/2)^2 - 1)/(2q) L(z + s q/2), s = +-1."""
+    return _g(_z(x, y), mp.mpf(q), s)
+
+
 def abs_err(got: complex, ref) -> float:
     """|got - ref| as a float, evaluated at the reference precision."""
     with mp.workdps(MP_DIGITS):
@@ -121,16 +153,15 @@ def rel_err(got: complex, ref) -> float:
         return float(abs(mp.mpc(got) - ref) / abs(ref))
 
 
-def ref_bgk_dq(x, y, q, xp, digits=MP_DIGITS):
+@_at_reference_precision
+def ref_bgk_dq(x, y, q, xp):
     """d eps/d q of ref_bgk, summed from each shifted kernel's derivative
-    dg/dq = -(a^2 - 1)/(2 q^2) L(a) + s a/(2q) L(a) - s/(2q), a = z + s q/2,
-    at ``digits`` significant digits: the terms cancel to ~q^3 of their
-    size at small q, so give it ~3 |log10 q| digits more there."""
-    with mp.workdps(digits):
-        z, q = _z(x, y), mp.mpf(q)
+    dg/dq = -(a^2 - 1)/(2 q^2) L(a) + s a/(2q) L(a) - s/(2q), a = z + s q/2;
+    the terms cancel to ~q^3 of their size at small q."""
+    z, q = _z(x, y), mp.mpf(q)
 
-        def dg(s):
-            a = z + s * q / 2
-            return -(a * a - 1) / (2 * q * q) * _L(a) + s * a / (2 * q) * _L(a) - mp.mpf(s) / (2 * q)
+    def dg(s):
+        a = z + s * q / 2
+        return -(a * a - 1) / (2 * q * q) * _L(a) + s * a / (2 * q) * _L(a) - mp.mpf(s) / (2 * q)
 
-        return mp.mpf(1.5) * mp.mpf(xp) ** 2 * (-dg(1) + dg(-1)) / (1 - _g0(z))
+    return mp.mpf(1.5) * mp.mpf(xp) ** 2 * (-dg(1) + dg(-1)) / (1 - _g0(z))
