@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compare two qplasma source trees call by call on one seeded adversarial draw.
 
-Usage: python scripts/compare_builds.py OLD_SRC NEW_SRC [--draws N] [--seed S]
-       python scripts/compare_builds.py --against REV [--draws N] [--seed S]
+Usage: python scripts/compare_builds.py OLD_SRC NEW_SRC [--draws N] [--seed S] [--examples N]
+       python scripts/compare_builds.py --against REV [--draws N] [--seed S] [--examples N]
 
 OLD_SRC and NEW_SRC are directories holding the ``qplasma`` package (the
 ``src`` of a checkout).  ``--against REV`` unpacks the ``src`` of git
@@ -51,8 +51,9 @@ double range, such as a square that overflows) is expected too; of any
 other function it is not, so a finite value that a regression turns into
 an overflow still fails.  Changed error-message texts are counted the same
 way.  Any other difference
-is unexpected: the first 20 are printed, all of them are counted per
-function and (old outcome -> new outcome), an outcome being "value" or the
+is unexpected: the first 20 are printed (``--examples N``: the first N,
+0 for all), all of them are counted per function and (old outcome -> new
+outcome), an outcome being "value" or the
 class of the raised error, and the exit status is 1.  For the unexpected
 value -> value differences, the summary also gives per function and per
 token of the printed result (its fields, counted from 0: a quoted text,
@@ -481,7 +482,7 @@ def _print_line_counts(old_src: Path, new_src: Path) -> None:
         print(f"  {name:<16}" + "   ".join(f"{w:>6} -> {n:>6} {n - w:>+6}" for w, n in zip(was, now)))
 
 
-def compare(old_src: Path, new_src: Path, seed: int, n: int, finite_rejects=()) -> int:
+def compare(old_src: Path, new_src: Path, seed: int, n: int, finite_rejects=(), n_examples: int = 20) -> int:
     procs = [_spawn(src, seed, n) for src in (old_src, new_src)]
     old, new = (p.stdout for p in procs)
     bad = 0
@@ -516,7 +517,7 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int, finite_rejects=()) 
         unexpected[name, _outcome_class(res_old), _outcome_class(res_new)] += 1
         if verdict == "unexpected difference" and res_old.startswith("=") and res_new.startswith("="):
             values.setdefault(name, ValueChanges()).add(res_old, res_new)
-        if bad <= 20:
+        if bad <= n_examples or not n_examples:
             print(f"{verdict}: {name}({args})\n  old {res_old}\n  new {res_new}")
     for p in procs:
         p.stdout.close()  # a worker that is still writing stops instead of blocking
@@ -569,8 +570,12 @@ def main(argv=None) -> int:
     parser.add_argument("--finite-rejects", metavar="NAME", action="append", default=[],
                         help="expect a finite call of NAME that returned a value to raise NonFiniteResult now "
                              "(repeatable)")
+    parser.add_argument("--examples", metavar="N", type=int, default=20,
+                        help="print the first N unexpected differences (0: all; default 20)")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.examples < 0:
+        parser.error("--examples N takes N >= 0")
     if args.worker:
         _worker(args.seed, args.draws)
         return 0
@@ -579,10 +584,10 @@ def main(argv=None) -> int:
             parser.error("--against REV takes no OLD_SRC or NEW_SRC")
         with tempfile.TemporaryDirectory(prefix="compare_builds-") as tmp:
             return compare(_unpack_src(args.against, Path(tmp)), ROOT / "src", args.seed, args.draws,
-                           args.finite_rejects)
+                           args.finite_rejects, args.examples)
     if args.old_src is None or args.new_src is None:
         parser.error("OLD_SRC and NEW_SRC are required")
-    return compare(args.old_src, args.new_src, args.seed, args.draws, args.finite_rejects)
+    return compare(args.old_src, args.new_src, args.seed, args.draws, args.finite_rejects, args.examples)
 
 
 if __name__ == "__main__":

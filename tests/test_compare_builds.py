@@ -40,6 +40,15 @@ def test_a_changed_constant_is_named_per_function(tmp_path):
         assert f"  {name}: " in summary, name
     assert "  clog_ratio: " not in summary  # a kernel does not use the coupling
     assert run.stdout.splitlines()[-1].endswith(" unexpected difference(s)")
+    bad = int(run.stdout.splitlines()[-1].split()[0])
+    assert bad > 20 and _examples(run) == 20
+    for examples, printed in (("3", 3), ("0", bad)):  # 0 prints all of them
+        assert _examples(_compare(SRC, new, "--examples", examples)) == printed, examples
+
+
+def _examples(run: subprocess.CompletedProcess) -> int:
+    """The number of unexpected differences a run printed."""
+    return sum(line.startswith("unexpected difference: ") for line in run.stdout.splitlines())
 
 
 def test_a_finite_value_that_now_overflows_is_expected_only_where_named(tmp_path):
