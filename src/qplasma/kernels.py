@@ -295,9 +295,11 @@ def _numerator(z: complex, qs, what: str) -> list[complex | QplasmaError]:
     ln|a + 1| - ln|a - 1|.  It runs where w lies in [2**-511, 2**511) and
     y below 2**511, so that no square overflows and w*w does not underflow;
     y*y may underflow, which matters only at w = 1, where m*m + y*y is then
-    0 or subnormal and Re L not finite.  A node outside those bounds or with
-    a Re g that is not finite takes the complex path below (g_a's body at
-    +q, mirrored), so it holds g_a's value there, or g_a's error."""
+    0 or subnormal and Re L not finite.  Below w = 2**-511, where a + 1
+    drops w, N is its q -> 0 limit 2 - z L(z) = 2 - 2y atan2(1, y), exact
+    to O(q*q).  A node with w or y at or above 2**511, or with a Re g that
+    is not finite, takes the complex path below (g_a's body at +q,
+    mirrored), so it holds g_a's value there, or g_a's error."""
     out: list[complex | QplasmaError] = []
     x, y = z.real, z.imag
     real, mirror = y == 0.0, x == 0.0
@@ -342,7 +344,10 @@ def _numerator(z: complex, qs, what: str) -> list[complex | QplasmaError]:
             continue
         if imaginary:
             w = abs(h)  # N is even in q
-            if _SQUARE_LO <= w < _SQUARE_HI:
+            if w < _SQUARE_LO:  # the q -> 0 limit, whose O(q*q) rest is below 2**-1020
+                out.append(complex(2.0 - y2 * atan2(1.0, y), 0.0))
+                continue
+            if w < _SQUARE_HI:
                 m, q4 = w - 1.0, abs(q2)
                 p = m * (w + 1.0)
                 try:
