@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import mpmath as mp
@@ -11,7 +12,7 @@ import pytest
 
 from qplasma.cli import main
 from qplasma.errors import NonFiniteResult, WindowContainsPole
-from qplasma.kernels import _bgk_denominator, branch_points_q
+from qplasma.kernels import _bgk_denominator, _kohn_roots, branch_points_q
 from qplasma.kohn import (
     _dn_dq,
     kohn_roots_dimless,
@@ -62,6 +63,38 @@ def test_complex_roots_flagged_nonphysical():
     assert all(not r.physical for r in complex_roots)
     # 1 - 2x < 0 only affects the sm branches
     assert {r.branch for r in complex_roots} == {(-1, +1), (+1, +1)}
+
+
+def _kohn_flag_draw(rng):
+    """x for the Kohn flags: 0, subnormal and |x| ~ 1e-17, where 1 +- 2x rounds to
+    1 (at -0x1.a847ccea1e467p-54 both round to 2 though sqrt(1 + 2x) != sqrt(1 - 2x)),
+    +-0.5 and its neighbours, where a discriminant is 0, and uniform and
+    log-uniform x up to 1e300."""
+    r = rng.random()
+    if r < 0.2:
+        return rng.choice((0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, float.fromhex("-0x1.a847ccea1e467p-54")))
+    if r < 0.3:
+        h = rng.choice((0.5, -0.5))
+        return rng.choice((h, math.nextafter(h, math.inf), math.nextafter(h, -math.inf)))
+    if r < 0.6:
+        return rng.uniform(-2.0, 2.0)
+    return rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-320.0, 300.0)
+
+
+def test_degenerate_and_physical_flags_follow_the_root_values():
+    # a root is degenerate where it is 0 or equals another root (values.count),
+    # physical where it is real and positive
+    rng = random.Random(2029)
+    kinds = Counter()
+    for _ in range(6000):
+        x = _kohn_flag_draw(rng)
+        _, roots = _kohn_roots(x)
+        values = tuple(root[0] for root in roots)
+        for q, _, _, degenerate, physical, _, _ in roots:
+            assert degenerate is (q == 0.0 or values.count(q) > 1), (x, values)
+            assert physical is (q.imag == 0.0 and q.real > 0.0), (x, values)
+            kinds[degenerate, physical] += 1
+    assert min(kinds.values()) > 300 and len(kinds) == 4, kinds
 
 
 def test_residuals_across_x_range():
