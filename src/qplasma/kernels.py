@@ -296,10 +296,10 @@ def _numerator(z: complex, qs, what: str) -> list[complex | QplasmaError]:
     y below 2**511, so that no square overflows and w*w does not underflow;
     y*y may underflow, which matters only at w = 1, where m*m + y*y is then
     0 or subnormal and Re L not finite.  Below w = 2**-511, where a + 1
-    drops w, N is its q -> 0 limit 2 - z L(z) = 2 - 2y atan2(1, y), exact
-    to O(q*q).  A node with w or y at or above 2**511, or with a Re g that
-    is not finite, takes the complex path below (g_a's body at +q,
-    mirrored), so it holds g_a's value there, or g_a's error."""
+    drops w, N is its q -> 0 limit 2 - z L(z) = 2 - 2y atan2(1, y).  A node
+    with w or y at or above 2**511, or a Re g that is not finite, takes the
+    complex path below (g_a's body at +q, mirrored), so it holds g_a's
+    value there, or g_a's error."""
     out: list[complex | QplasmaError] = []
     x, y = z.real, z.imag
     real, mirror = y == 0.0, x == 0.0
@@ -603,9 +603,8 @@ def _kohn_roots(x: float) -> tuple[float, tuple[tuple, tuple, tuple, tuple]]:
         # The (-,+) principal root duplicates the (-,-) one; surface the
         # degenerate q = 0 root of that equation instead.
         q2, a2, principal2 = a2, q2, False
-    # A root is degenerate where it is 0 or equals another root.  Roots of opposite sign never are
-    # equal (Re q1, Re q2 >= 1 >= -Re q3, -Re q4 but for q2 = 0 at x = 0), so that is q1 == q2,
-    # q3 == q4 and q2 == 0; for |x| below ~1e-16, 1 +- 2x rounds to 1 and all four are degenerate.
+    # A root is degenerate where it is 0 or equals another root: q1 == q2, q3 == q4 or q2 == 0, as
+    # roots of opposite sign differ (Re q1, Re q2 >= 1 > -1 >= Re q3, Re q4, but q2 = 0 at x = 0).
     d12, d34 = q1 == q2, q3 == q4
     return x, (
         (q1, a1, (-1, -1), d12, q1.imag == 0.0 and q1.real > 0.0, True, abs(q1 * q1 + -2.0 * q1 + -2.0 * x)),

@@ -16,8 +16,8 @@ dimensionless.
 
 The degenerate-gas relation k_F = m v_F / hbar links the field values;
 construction checks it (and the optional density) to 1e-6 relative and
-refuses inconsistent inputs rather than silently preferring one.  It and
-the points check their arguments, not the fields they stored.
+refuses inconsistent inputs rather than silently preferring one.
+PhysicalParams, like the points, checks its arguments, not its fields.
 
 One density rule: every density goes through ``fermi_quantities`` and
 ``plasma_frequency``.  A finite N <= 0 raises ValueError; nan, +-inf, an
@@ -120,13 +120,12 @@ class PhysicalParams:
 
     def __init__(self, omega: float, nu: float, k: float, vF: float, kF: float, omega_p: float,
                  N: float | None = None) -> None:
-        # Every check reads the arguments, which cost less to read than the fields; an int is
-        # converted first, as int arithmetic can overflow where floats round
+        # Checked on the arguments (ints converted first: int arithmetic can overflow where floats
+        # round), which read faster than the fields; a store into the instance dict costs a fraction
+        # of the generated frozen __init__'s object.__setattr__.
         if int in (type(omega), type(nu), type(k), type(vF), type(kF), type(omega_p), type(N)):
             omega, nu, k, vF, kF, omega_p, N = (_number(v, "PhysicalParams") if type(v) is int else v
                                                 for v in (omega, nu, k, vF, kF, omega_p, N))
-        # The generated frozen __init__ stores each field through
-        # object.__setattr__; a store into the instance dict costs a fraction.
         d = self.__dict__
         d["omega"], d["nu"], d["k"], d["vF"], d["kF"], d["omega_p"], d["N"] = omega, nu, k, vF, kF, omega_p, N
         if omega < 0.0:

@@ -2,16 +2,15 @@
 
 Each ``ref_*`` evaluates one model's closed form, with every logarithm the
 analytic upper-half-plane limit (exact on the real axis), and returns an
-``mpmath.mpc`` (``ref_bgk_dq`` an ``mpc`` too).  The precision adapts to
-the arguments: a call starts at
+``mpmath.mpc``.  The precision adapts to the arguments, as the closed
+forms cancel at small and at large ones: a call starts at
 
     MP_DIGITS + 2 |log10 min |arg|| + 4 log10 max(1, max |arg|)
 
-significant digits, over its nonzero arguments, as the closed forms cancel
-to ~q^2 of their terms at small q and to ~1/|z|^2 at large |z|, and
-doubles the precision until two evaluations agree to 1e-25 relative.  It
-is set per call, so importing this module changes no global mpmath state.
-``rel_err`` measures a float result against one of them.
+significant digits, over its nonzero arguments, and doubles the precision
+until two evaluations agree to 1e-25 relative.  It is set per call, so
+importing this module changes no global mpmath state.  ``rel_err``
+measures a float result against one of them.
 """
 
 from __future__ import annotations

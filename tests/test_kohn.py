@@ -66,10 +66,10 @@ def test_complex_roots_flagged_nonphysical():
 
 
 def _kohn_flag_draw(rng):
-    """x for the Kohn flags: 0, subnormal and |x| ~ 1e-17, where 1 +- 2x rounds to
-    1 (at -0x1.a847ccea1e467p-54 both round to 2 though sqrt(1 + 2x) != sqrt(1 - 2x)),
-    +-0.5 and its neighbours, where a discriminant is 0, and uniform and
-    log-uniform x up to 1e300."""
+    """x for the Kohn flags: 0, subnormal and |x| ~ 1e-17, where 1 +- 2x rounds to 1;
+    -0x1.a847ccea1e467p-54, where sqrt(1 + 2x) != sqrt(1 - 2x) but 1 plus either rounds
+    to 2; +-0.5 and its neighbours, where a discriminant is 0; uniform and log-uniform
+    x up to 1e300."""
     r = rng.random()
     if r < 0.2:
         return rng.choice((0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, float.fromhex("-0x1.a847ccea1e467p-54")))
