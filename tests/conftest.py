@@ -1,6 +1,15 @@
-"""Shared test helpers: samplers that stay clear of the log branch points."""
+"""Shared test helpers: samplers that stay clear of the log branch points,
+the grid-step precondition, and scripts/compare_builds.py as a module."""
+
+import functools
+import importlib.util
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def branch_distance(x: float, q: float) -> float:
@@ -23,3 +32,18 @@ def random_points(n, seed, x_range=(-2.0, 2.0), y_range=(0.01, 3.0),
             continue
         out.append((x, y, q))
     return out
+
+
+def normal_step(lo, hi, n):
+    """Whether the grid step (hi - lo)/(n - 1) is a normal double, the one
+    precondition of a _linspace grid that SweepConfig and the scan check."""
+    return sys.float_info.min <= (hi - lo) / (n - 1) < math.inf
+
+
+@functools.cache
+def compare_builds():
+    """scripts/compare_builds.py, imported once: its draws, call tables and parsers."""
+    spec = importlib.util.spec_from_file_location("compare_builds", ROOT / "scripts" / "compare_builds.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

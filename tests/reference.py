@@ -86,12 +86,6 @@ def ref_bgk(x, y, q, xp):
 
 
 @_at_reference_precision
-def ref_lindhard(x, q, xp):
-    """Lindhard permittivity: the BGK numerator at y = 0."""
-    return 1 + mp.mpf(1.5) * mp.mpf(xp) ** 2 * _n(_z(x, 0), mp.mpf(q))
-
-
-@_at_reference_precision
 def ref_mermin(x, y, q, xp):
     """Mermin permittivity: 1 + (3/2) xp^2 z N / (x + i y N / N0)."""
     z, q, k = _z(x, y), mp.mpf(q), mp.mpf(1.5) * mp.mpf(xp) ** 2
@@ -126,6 +120,12 @@ def ref_bgk_b(x, y, q, xp2):
 
     g0 = mp.mpc(0) if z.imag == 0 else mp.mpc(0, 1) * z.imag / (2 * q) * _L(z / q)
     return 1 + mp.mpf(1.5) * mp.mpf(xp2) / q ** 2 * (1 - gb(1) + gb(-1)) / (1 - g0)
+
+
+@_at_reference_precision
+def ref_clog_ratio(x, y):
+    """L(x + iy) = ln((a+1)/(a-1)), the logarithm every kernel takes."""
+    return _L(_z(x, y))
 
 
 @_at_reference_precision

@@ -3,12 +3,13 @@ itself shows no difference, and one constant changed in a copy shows up as
 unexpected differences, named per function, with exit status 1; so does a
 finite value that now overflows, unless its function is named as expected."""
 
-import importlib.util
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import compare_builds
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -69,15 +70,8 @@ def test_a_finite_value_that_now_overflows_is_expected_only_where_named(tmp_path
     assert re.search(r"  epsilon_lindhard: \d+ x finite argument and result now raises NonFiniteResult", run.stdout)
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("compare_builds", ROOT / "scripts" / "compare_builds.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
 def test_texts_are_one_token_and_counted_apart_from_non_finite_floats():
-    tool = _tool()
+    tool = compare_builds()
     assert tool._tokens("0x1.8p+0 'DegenerateQ: q = 0: use it' \"it's\" -inf") == [
         "0x1.8p+0", "'DegenerateQ: q = 0: use it'", "\"it's\"", "-inf"]
     texts = tool.ValueChanges()  # a row node's error text changed, with another word count
@@ -91,7 +85,7 @@ def test_texts_are_one_token_and_counted_apart_from_non_finite_floats():
 
 
 def test_a_finite_call_that_now_raises_non_finite_result_is_an_expected_kind():
-    tool = _tool()
+    tool = compare_builds()
     now = "! NonFiniteResult: the square of xp = 1e+200 overflows"
     assert tool._rejected("0x0.0p+0 0x1.0p+1", "= 0x1.8p+0", now) == "finite argument and result"
     assert tool._rejected("0x0.0p+0 0x1.0p+1", "= inf", now) == "non-finite result"
@@ -106,7 +100,7 @@ def test_a_sweep_flattens_node_major_whatever_its_result_stores():
     # its rows ([iy][iq]) flattens as one that stored eps did
     from qplasma.sweep import SweepConfig, run_sweep
 
-    tool = _tool()
+    tool = compare_builds()
     cfg = SweepConfig("mermin", 0.5, (0.0, 0.1), -1.0, 1.0, 5, 1.0, "unused")  # q = 0 fails in both rows
     result = run_sweep(cfg, write=False)
     assert result.skipped and len(result.rows) == 2

@@ -4,12 +4,11 @@ import cmath
 import math
 import random
 
-import mpmath as mp
 import pytest
 from conftest import random_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import MP_DIGITS, _L, _g, _n, _z
+from reference import ref_clog_ratio, ref_g, ref_numerator, rel_err
 
 from qplasma.errors import (
     DegenerateQ,
@@ -126,13 +125,10 @@ def test_g_a_shifted_origin():
     assert abs(v - 0.25j * math.pi) < 1e-15
 
 
-def test_g_a_matches_the_40_digit_reference():
+def test_g_a_matches_the_reference():
     for (x, y, q) in random_points(25, seed=23, y_range=(1e-3, 10.0)):
         for s in (+1, -1):
-            got = g_a(complex(x, y), q, s)
-            with mp.workdps(MP_DIGITS):
-                ref = _g(_z(x, y), mp.mpf(q), s)
-                assert abs(got - ref) <= 1e-13 * abs(ref), (x, y, q, s)
+            assert rel_err(g_a(complex(x, y), q, s), ref_g(x, y, q, s)) <= 1e-13, (x, y, q, s)
 
 
 def test_g_a_sign_flip_identity_pointwise():
@@ -312,22 +308,19 @@ _REAL_AXIS_BOXES = {
 
 @pytest.mark.parametrize("box", _REAL_AXIS_BOXES)
 def test_real_axis_n_and_clog_ratio_against_the_reference(box):
-    # 60 digits: at |x| = 1e5, q = 0.05, N ~ 1e-10 is what is left of terms
-    # ~ 1e7, and 60 digits keep ~40 of them (checked against 120 digits)
     rng = random.Random(2027)
     worst = dict.fromkeys(("N", "N retired", "Re L", "Re L retired"), 0.0)
     for _ in range(300):
         x, q = _REAL_AXIS_BOXES[box](rng)
-        with mp.workdps(60):
-            ref = _n(_z(x, 0), mp.mpf(q))
-            for key, got in (("N", _numerator(complex(x, 0.0), [q], "N")[0]), ("N retired", _retired_n(x, q))):
-                worst[key] = max(worst[key], float(abs(mp.mpc(got) - ref) / abs(ref)))
-            for r in (x + q / 2.0, x - q / 2.0):
-                ref_l = _L(mp.mpc(r, 0))
-                got = clog_ratio(r)
-                assert got.imag == (0.0 if abs(r) > 1.0 else -math.pi), (x, q, r)
-                for key, re in (("Re L", got.real), ("Re L retired", _retired_re_l(r))):
-                    worst[key] = max(worst[key], float(abs(re - ref_l.real) / abs(ref_l.real)))
+        ref = ref_numerator(x, 0.0, q)
+        for key, got in (("N", _numerator(complex(x, 0.0), [q], "N")[0]), ("N retired", _retired_n(x, q))):
+            worst[key] = max(worst[key], rel_err(got, ref))
+        for r in (x + q / 2.0, x - q / 2.0):
+            ref_l = ref_clog_ratio(r, 0.0).real
+            got = clog_ratio(r)
+            assert got.imag == (0.0 if abs(r) > 1.0 else -math.pi), (x, q, r)
+            for key, re in (("Re L", got.real), ("Re L retired", _retired_re_l(r))):
+                worst[key] = max(worst[key], rel_err(re, ref_l))
     assert worst["N"] <= worst["N retired"] + _SLACK, worst
     assert worst["Re L"] <= worst["Re L retired"] + _SLACK, worst
     assert worst["Re L"] <= 4.0 * _U, worst  # one libm call and at most one rounded quotient: ~2 u
@@ -338,11 +331,8 @@ def test_real_axis_n_and_clog_ratio_against_the_reference(box):
 @pytest.mark.parametrize("a", [1e300, 5e15, -3e12, 1e8, 5e-10, -5e-10, 1.7976931348623157e308, 5e-324])
 def test_clog_ratio_far_out_and_near_zero_within_a_few_ulp(a):
     # the retired form returned 0j at 1e300 and 5e15, was off by 1.9e-3 at
-    # -3e12, 9.5e-8 at 1e8 and 8.3e-8 at 5e-10; (a+1)/(a-1) - 1 ~ 2/a needs
-    # ~log10|a| + 20 digits to be resolved, hence 700 at 1e300
-    with mp.workdps(700):
-        r = mp.mpf(a)
-        ref = mp.log(abs((r + 1) / (r - 1)))
-        got = clog_ratio(a)
-        assert got.imag == (0.0 if abs(a) > 1.0 else -math.pi)
-        assert abs(got.real - ref) <= 4.0 * _U * abs(ref), (a, got, float(ref))
+    # -3e12, 9.5e-8 at 1e8 and 8.3e-8 at 5e-10
+    ref = ref_clog_ratio(a, 0.0).real
+    got = clog_ratio(a)
+    assert got.imag == (0.0 if abs(a) > 1.0 else -math.pi)
+    assert rel_err(got.real, ref) <= 4.0 * _U, (a, got, float(ref))

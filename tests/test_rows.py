@@ -3,14 +3,13 @@ the same value to the last bit (signed zeros included) or the same error
 class and text; y < 0 or xp < 0 raises the scalar's ValueError out of the row."""
 
 import cmath
-import importlib.util
 import math
 import random
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
+from conftest import compare_builds, normal_step
 from reference import ref_g, ref_numerator, rel_err
 
 from qplasma.dielectric import (
@@ -33,8 +32,6 @@ from qplasma.sweep import (
     _singular_q,
     run_sweep,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 SCALAR = {
     "bgk": lambda x, y, q, xp: epsilon_collisional_a(DimensionlessPointA(x, y, q, xp)).epsilon,
@@ -74,9 +71,7 @@ def _check(model, x, y, qs, xp):
 
 
 def _row_draws(seed, n):
-    spec = importlib.util.spec_from_file_location("compare_builds", ROOT / "scripts" / "compare_builds.py")
-    cb = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cb)
+    cb = compare_builds()
     for name, (x, y, xp, *qs) in cb.draws(seed, n, cb.row_table()):
         yield name[len("row_"):], x, y, qs, xp
 
@@ -229,12 +224,6 @@ def _ulps_above(q, k):
     return q
 
 
-def _normal_step(lo, hi, n):
-    """Whether the grid step (hi - lo)/(n - 1) is a normal double, the one
-    precondition of a _linspace grid that SweepConfig and the scan check."""
-    return sys.float_info.min <= (hi - lo) / (n - 1) < math.inf
-
-
 def _window_at_pole(rng, b):
     """(lo, hi, n) of a grid at the pole b, as the sweep and the scan accept
     them: nodes 1e-10 apart around b, a window a few ulps wide where nodes
@@ -255,7 +244,7 @@ def _window_at_pole(rng, b):
             h = 2.0 ** -rng.randint(0, 10)
             below, above = rng.randint(0, 2048), rng.randint(1, 2048)
             window = b - below * h, b + above * h, below + above + 1
-        if _normal_step(*window):
+        if normal_step(*window):
             return window
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import normal_step
 
 from qplasma.cli import main
 from qplasma.dielectric import DimensionlessPointA, epsilon_collisional_a, epsilon_lindhard, epsilon_mermin
@@ -35,10 +36,6 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-def _normal_step(lo, hi, n):
-    return sys.float_info.min <= (hi - lo) / (n - 1) < math.inf
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_linspace_is_bit_identical_to_numpy():
     # on every grid a caller accepts: its step (hi - lo)/(n - 1) is a normal
@@ -61,7 +58,7 @@ def test_linspace_is_bit_identical_to_numpy():
     checked = 0
     for _ in range(4000):
         (lo, hi), n = sorted((draw(), draw())), rng.choice((2, 3, rng.randint(2, 600)))
-        if _normal_step(lo, hi, n):
+        if normal_step(lo, hi, n):
             assert _hex(_linspace(lo, hi, n)) == _hex(np.linspace(lo, hi, n)), (lo, hi, n)
             checked += 1
     assert checked > 3000, checked
@@ -88,7 +85,7 @@ def test_linspace_of_a_normal_step_stays_in_its_window(seed):
                 hi = math.nextafter(hi, math.inf)
         else:
             hi = lo + 10.0 ** rng.uniform(-308.0, 308.0)
-        if not _normal_step(lo, hi, n):
+        if not normal_step(lo, hi, n):
             continue
         qs = _linspace(lo, hi, n)
         assert len(qs) == n and qs[0] == lo and qs[-1] == hi, (lo, hi, n)

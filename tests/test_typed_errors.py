@@ -2,13 +2,12 @@
 arguments, returns finite values or raises a QplasmaError (or a documented
 ValueError), never a bare OverflowError or ZeroDivisionError."""
 
-import importlib.util
 import inspect
 import math
 import random
-from pathlib import Path
 
 import pytest
+from conftest import compare_builds
 
 from qplasma.cli import main
 from qplasma.dielectric import (
@@ -40,16 +39,6 @@ from qplasma.units import (
     to_convention_b,
 )
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _compare_builds():
-    spec = importlib.util.spec_from_file_location("compare_builds", ROOT / "scripts" / "compare_builds.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 _HUGE_INT = 10 ** 400  # an int beyond double range: float() of it raises OverflowError
 # argument slots the call table itself converts before the call (it joins
 # x and y into complex(x, y), and divides vF by hbar/m for kF)
@@ -73,7 +62,7 @@ def _with_huge_ints(seed: int, draws):
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_adversarial_draw_raises_only_typed_errors(seed):
-    cb = _compare_builds()
+    cb = compare_builds()
     table = cb.call_table()
     bad = []
     for name, args in _with_huge_ints(seed, cb.draws(seed, 30_000, table)):
@@ -103,7 +92,7 @@ _NOT_DRAWN: dict[str, str] = {}
 def test_adversarial_draw_reaches_every_public_function():
     import qplasma
 
-    cb = _compare_builds()
+    cb = compare_builds()
     functions = {name for name in qplasma.__all__ if inspect.isfunction(getattr(qplasma, name))}
     drawn = set(cb.call_table()) | {"run_sweep"}  # run_sweep: every sweep_table() entry
     assert functions - drawn == set(_NOT_DRAWN)
