@@ -111,8 +111,10 @@ def ref_sigma(x, y, q):
 @_at_reference_precision
 def ref_bgk_b(x, y, q, xp2):
     """Convention B, from its own kernels: u = z + s q^2/2,
-    g_b = (u^2 - q^2)/(2 q^3) ln((u+q)/(u-q)), g0_b = (i Im z/(2q)) ln((z+q)/(z-q))."""
-    z, q = _z(x, y), mp.mpf(q)
+    g_b = (u^2 - q^2)/(2 q^3) ln((u+q)/(u-q)), g0_b = (i Im z/(2q)) ln((z+q)/(z-q)),
+    at |q|: eps depends on |k|, and u/q at a signed q would take the real
+    axis limit of the log from below."""
+    z, q = _z(x, y), abs(mp.mpf(q))
 
     def gb(s):
         u = z + s * q * q / 2

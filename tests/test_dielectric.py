@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 from conftest import branch_distance, random_points
-from reference import abs_err, ref_numerator
+from reference import abs_err, ref_bgk_b, ref_mermin, ref_numerator, ref_sigma, rel_err
 
 from qplasma.dielectric import (
     MODELS,
@@ -336,6 +336,29 @@ def test_evenness_in_q(model):
             a = epsilon_collisional_b(B(x * q, y * q, q, 1.0)).epsilon
             b = epsilon_collisional_b(B(x * q, y * q, -q, 1.0)).epsilon
         assert abs(a - b) <= 1e-12 * abs(a)
+
+
+# ---------------------------------------------------------------- reference
+
+def test_mermin_sigma_and_convention_b_match_the_reference_on_the_oracle_box():
+    # |x| <= 2, y in [1e-3, 10], q in [0.05, 5], xp in [0.1, 10], the y = 0
+    # branch set and q = 2 at least 1e-3 away; Mermin by its three routes,
+    # sigma at y = 0 and y > 0, convention B at +-q from the mapped point
+    # (x q, y q), whose kernel ratio is the convention-A one at (x, y, |q|)
+    rng = random.Random(20261022)
+    drawn = 0
+    while drawn < 300:
+        x, y, q, xp = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-3.0, 1.0), rng.uniform(0.05, 5.0), rng.uniform(0.1, 10.0)
+        if branch_distance(x, q) < 1e-3 or abs(q - 2.0) < 1e-3:
+            continue
+        drawn += 1
+        checks = [(epsilon_mermin(A(xx, yy, q, xp)).epsilon, ref_mermin(xx, yy, q, xp))
+                  for xx, yy in ((0.0, y), (x, 0.0), (x, y))]
+        checks += [(sigma_longitudinal(A(x, yy, q, xp)), ref_sigma(x, yy, q)) for yy in (0.0, y)]
+        checks += [(epsilon_collisional_b(B(q * x, q * yy, s * q, xp)).epsilon, ref_bgk_b(q * x, q * yy, s * q, xp))
+                   for yy in (0.0, y) for s in (1.0, -1.0)]
+        for i, (got, ref) in enumerate(checks):
+            assert rel_err(got, ref) <= 1e-10, (i, x, y, q, xp, got, ref)
 
 
 def _x0_draws(seed, n):
