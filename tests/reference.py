@@ -1,16 +1,17 @@
 """High-precision references for the tests: the closed forms in mpmath.
 
-Each ``ref_*`` evaluates one model's closed form, with every logarithm the
-analytic upper-half-plane limit (exact on the real axis), and returns an
-``mpmath.mpc``.  The precision adapts to the arguments, as the closed
-forms cancel at small and at large ones: a call starts at
+Each ``ref_*`` takes (x, y, ...), evaluates one closed form, with every
+logarithm the analytic upper-half-plane limit (exact on the real axis), and
+returns an ``mpmath.mpc``.  The precision adapts to the arguments, as the
+closed forms cancel at small and at large ones: a call starts at
 
-    MP_DIGITS + 2 |log10 min |arg|| + 4 log10 max(1, max |arg|)
+    MP_DIGITS + 2 max(0, -log10 min |arg|) + 4 log10 max(1, max |arg|)
 
-significant digits, over its nonzero arguments, and doubles the precision
-until two evaluations agree to 1e-25 relative.  It is set per call, so
-importing this module changes no global mpmath state.  ``rel_err``
-measures a float result against one of them.
+significant digits, the minimum over the nonzero arguments but y (no closed
+form cancels as y -> 0), the maximum over all of them (large y cancels),
+and doubles the precision until two evaluations agree to 1e-25 relative.
+It is set per call, so importing this module changes no global mpmath
+state.  ``rel_err`` measures a float result against one of them.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ _MAX_DIGITS = 40000  # far beyond what any double argument needs; a call that ge
 
 
 def _start_digits(args) -> int:
-    sizes = [abs(mp.mpf(a)) for a in args if a]
-    if not sizes:
-        return MP_DIGITS
-    return MP_DIGITS + int(2 * abs(mp.log10(min(sizes))) + 4 * mp.log10(max(1, max(sizes))))
+    sizes = [abs(mp.mpf(a)) for a in args]
+    smallest = min((size for i, size in enumerate(sizes) if size and i != 1), default=1)  # args[1] is y
+    return MP_DIGITS + int(2 * max(0, -mp.log10(smallest)) + 4 * mp.log10(max(1, *sizes)))
 
 
 def _at_reference_precision(fn):
