@@ -123,7 +123,7 @@ class BroadeningRow:
 
 _GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0  # where a golden-section search puts its inner points
 # 1/19, 1/17, ..., 1/3: the coefficients of (atanh(t) - t)/t^3 in t^2, by Horner from the top;
-# at |t| <= 1/8 the first left out, t^18/21, is below 2e-18 of the sum
+# at |t| <= 1/8 the first left out, t^18/21, is at most 2.6e-18, ~8e-18 of the sum (~u/14)
 _ATANH = tuple(1.0 / d for d in range(19, 1, -2))
 
 
