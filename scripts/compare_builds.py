@@ -41,10 +41,11 @@ result stores them, and a hash of its CSV and SVG text), or the class and
 message of the raised error.  The two streams are compared line by line.
 
 Some differences are expected, and are counted per function and kind,
-with one example each: an OverflowError or ZeroDivisionError of the old
-tree that the new tree raises as NonFiniteResult; and a call that the new
-tree rejects with NonFiniteResult where the old tree returned a non-finite
-result or got a non-finite argument.  A call of a function named with
+with one example each, printed with its arguments: an OverflowError or
+ZeroDivisionError of the old tree that the new tree raises as
+NonFiniteResult; and a call that the new tree rejects with NonFiniteResult
+where the old tree returned a non-finite result or got a non-finite
+argument.  A call of a function named with
 ``--finite-rejects NAME`` that returned a finite value of finite arguments
 and now raises NonFiniteResult (a quantity derived from them that leaves
 double range, such as a square that overflows) is expected too; of any
@@ -52,8 +53,9 @@ other function it is not, so a finite value that a regression turns into
 an overflow still fails.  Changed error-message texts are counted the same
 way.  Any other difference
 is unexpected: the first 20 are printed (``--examples N``: the first N,
-0 for all), all of them are counted per function and (old outcome -> new
-outcome), an outcome being "value" or the
+0 for all), a changed row with the q, the old and the new outcome of each
+node that changed; all of them are counted per function and (old outcome ->
+new outcome), an outcome being "value" or the
 class of the raised error, and the exit status is 1.  For the unexpected
 value -> value differences, the summary also gives per function and per
 token of the printed result (its fields, counted from 0: a quoted text,
@@ -375,6 +377,29 @@ def _float(token: str) -> float | None:
     return float.fromhex(token) if token.lstrip("-").startswith("0x") or token.lstrip("-") in ("inf", "nan") else None
 
 
+def _nodes(result: str) -> list[str]:
+    """A row's printed outcome per node: a value's two floats or an error's
+    quoted text; [] for a row that raised."""
+    tokens = _tokens(result[2:]) if result.startswith("=") else []
+    nodes = []
+    while tokens:
+        width = 1 if tokens[0][0] in "'\"" else 2
+        nodes.append(" ".join(tokens[:width]))
+        tokens = tokens[width:]
+    return nodes
+
+
+def changed_nodes(args: str, res_old: str, res_new: str) -> list[str]:
+    """One line per node of a row draw (args x y xp *qs) whose outcome
+    changed: its q, then the old and the new outcome; none where the row
+    raised in either tree."""
+    qs = _tokens(args)[3:]
+    old, new = _nodes(res_old), _nodes(res_new)
+    if not len(old) == len(new) == len(qs):
+        return []
+    return [f"    q = {float.fromhex(q)!r}: {a} -> {b}" for q, a, b in zip(qs, old, new) if a != b]
+
+
 _SHORT = 8  # a result of at most this many tokens has its changes listed token by token
 
 
@@ -506,12 +531,12 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int, finite_rejects=(), 
         if kind is not None and (kind != "finite argument and result" or name in finite_rejects):
             key = name, kind, ""
             rejected[key] += 1
-            examples.setdefault(key, (res_old[2:], res_new[2:]))
+            examples.setdefault(key, (f"{name}({args})", res_old[2:], res_new[2:]))
             continue
         if verdict == "unexpected difference" and (same_class or now_typed):
             key = name, _NUMBER.sub("#", res_old[2:]), _NUMBER.sub("#", res_new[2:])
             (messages if same_class else expected)[key] += 1
-            examples.setdefault(key, (res_old[2:], res_new[2:]))
+            examples.setdefault(key, (f"{name}({args})", res_old[2:], res_new[2:]))
             continue
         bad += 1
         unexpected[name, _outcome_class(res_old), _outcome_class(res_new)] += 1
@@ -519,6 +544,9 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int, finite_rejects=(), 
             values.setdefault(name, ValueChanges()).add(res_old, res_new)
         if bad <= n_examples or not n_examples:
             print(f"{verdict}: {name}({args})\n  old {res_old}\n  new {res_new}")
+            if name.startswith("row_") and verdict == "unexpected difference":
+                for line in changed_nodes(args, res_old, res_new):
+                    print(line)
     for p in procs:
         p.stdout.close()  # a worker that is still writing stops instead of blocking
         if p.wait() != 0:
@@ -531,11 +559,11 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int, finite_rejects=(), 
     print(f"{total} calls over {len(calls)} functions, seed {seed}")
     for kind, counts in (("error class", expected), ("message", messages)):
         for key, count in sorted(counts.items()):
-            was, now = examples[key]
-            print(f"  {key[0]}: {count} x {kind} changed, e.g.\n    old: {was}\n    new: {now}")
+            call, was, now = examples[key]
+            print(f"  {key[0]}: {count} x {kind} changed, e.g. {call}\n    old: {was}\n    new: {now}")
     for key, count in sorted(rejected.items()):
-        was, now = examples[key]
-        print(f"  {key[0]}: {count} x {key[1]} now raises {EXPECTED_NEW}, e.g.\n"
+        call, was, now = examples[key]
+        print(f"  {key[0]}: {count} x {key[1]} now raises {EXPECTED_NEW}, e.g. {call}\n"
               f"    old: {was}\n    new: {now}")
     if unexpected:
         print("unexpected differences per function, old outcome -> new outcome:")

@@ -1,7 +1,9 @@
 """scripts/compare_builds.py end to end, on a short draw: a tree compared with
 itself shows no difference, and one constant changed in a copy shows up as
 unexpected differences, named per function, with exit status 1; so does a
-finite value that now overflows, unless its function is named as expected."""
+finite value that now overflows, unless its function is named as expected.
+An example of an expected kind shows its arguments, and a changed row the q
+and outcomes of each node that changed."""
 
 import re
 import shutil
@@ -44,7 +46,11 @@ def test_a_changed_constant_is_named_per_function(tmp_path):
     bad = int(run.stdout.splitlines()[-1].split()[0])
     assert bad > 20 and _examples(run) == 20
     for examples, printed in (("3", 3), ("0", bad)):  # 0 prints all of them
-        assert _examples(_compare(SRC, new, "--examples", examples)) == printed, examples
+        run = _compare(SRC, new, "--examples", examples)
+        assert _examples(run) == printed, examples
+    # a changed row is followed by the q and outcomes of its changed nodes
+    assert re.search(r"^unexpected difference: row_bgk\(.*\)\n  old .*\n  new .*\n    q = \S+: \S+ \S+ -> \S+ \S+$",
+                     run.stdout, re.M)
 
 
 def _examples(run: subprocess.CompletedProcess) -> int:
@@ -67,7 +73,8 @@ def test_a_finite_value_that_now_overflows_is_expected_only_where_named(tmp_path
     assert "  epsilon_lindhard: " in summary and " x value -> NonFiniteResult" in summary
     run = _compare(SRC, new, "--finite-rejects", "epsilon_lindhard")
     assert "  epsilon_lindhard: " not in run.stdout.split("unexpected differences per function", 1)[1]
-    assert re.search(r"  epsilon_lindhard: \d+ x finite argument and result now raises NonFiniteResult", run.stdout)
+    assert re.search(r"  epsilon_lindhard: \d+ x finite argument and result now raises NonFiniteResult, "
+                     r"e\.g\. epsilon_lindhard\(\S+ \S+ \S+\)$", run.stdout, re.M)
 
 
 def test_texts_are_one_token_and_counted_apart_from_non_finite_floats():
@@ -82,6 +89,17 @@ def test_texts_are_one_token_and_counted_apart_from_non_finite_floats():
     floats.add("= 0x1.8p+0 'E: a'", "= 0x1p+0 'E: b'")
     assert floats.lines() == ["    token 0: 2 x, largest change 0.5, relative 0.333, 1 x non-finite",
                               "    token 1: 1 x, 1 x text"]
+
+
+def test_a_changed_row_lists_the_q_and_outcomes_of_its_changed_nodes():
+    tool = compare_builds()
+    args = "0x0.0p+0 0x1.0p-1 0x1.0p+0 0x1.0p+0 0x1.8p+0 0x1.0p+1"  # x, y, xp, then q = 1, 1.5, 2
+    old = "= 0x1.0p+0 0x0.0p+0 0x1.0p+1 -0x0.0p+0 'PoleAtBranchPoint: q = 2'"
+    new = "= 0x1.0p+0 0x0.0p+0 'NonFiniteResult: overflow' 0x1.0p+2 0x0.0p+0"
+    assert tool.changed_nodes(args, old, new) == [
+        "    q = 1.5: 0x1.0p+1 -0x0.0p+0 -> 'NonFiniteResult: overflow'",
+        "    q = 2.0: 'PoleAtBranchPoint: q = 2' -> 0x1.0p+2 0x0.0p+0"]
+    assert tool.changed_nodes(args, "! ValueError: y must be >= 0, got -1.0", new) == []
 
 
 def test_a_finite_call_that_now_raises_non_finite_result_is_an_expected_kind():
