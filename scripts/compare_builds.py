@@ -389,7 +389,7 @@ def _nodes(result: str) -> list[str]:
     return nodes
 
 
-def changed_nodes(args: str, res_old: str, res_new: str) -> list[str]:
+def _changed_nodes(args: str, res_old: str, res_new: str) -> list[str]:
     """One line per node of a row draw (args x y xp *qs) whose outcome
     changed: its q, then the old and the new outcome; none where the row
     raised in either tree."""
@@ -545,7 +545,7 @@ def compare(old_src: Path, new_src: Path, seed: int, n: int, finite_rejects=(), 
         if bad <= n_examples or not n_examples:
             print(f"{verdict}: {name}({args})\n  old {res_old}\n  new {res_new}")
             if name.startswith("row_") and verdict == "unexpected difference":
-                for line in changed_nodes(args, res_old, res_new):
+                for line in _changed_nodes(args, res_old, res_new):
                     print(line)
     for p in procs:
         p.stdout.close()  # a worker that is still writing stops instead of blocking

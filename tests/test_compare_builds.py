@@ -96,10 +96,10 @@ def test_a_changed_row_lists_the_q_and_outcomes_of_its_changed_nodes():
     args = "0x0.0p+0 0x1.0p-1 0x1.0p+0 0x1.0p+0 0x1.8p+0 0x1.0p+1"  # x, y, xp, then q = 1, 1.5, 2
     old = "= 0x1.0p+0 0x0.0p+0 0x1.0p+1 -0x0.0p+0 'PoleAtBranchPoint: q = 2'"
     new = "= 0x1.0p+0 0x0.0p+0 'NonFiniteResult: overflow' 0x1.0p+2 0x0.0p+0"
-    assert tool.changed_nodes(args, old, new) == [
+    assert tool._changed_nodes(args, old, new) == [
         "    q = 1.5: 0x1.0p+1 -0x0.0p+0 -> 'NonFiniteResult: overflow'",
         "    q = 2.0: 'PoleAtBranchPoint: q = 2' -> 0x1.0p+2 0x0.0p+0"]
-    assert tool.changed_nodes(args, "! ValueError: y must be >= 0, got -1.0", new) == []
+    assert tool._changed_nodes(args, "! ValueError: y must be >= 0, got -1.0", new) == []
 
 
 def test_a_finite_call_that_now_raises_non_finite_result_is_an_expected_kind():

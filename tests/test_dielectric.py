@@ -348,7 +348,8 @@ def test_mermin_sigma_and_convention_b_match_the_reference_on_the_oracle_box():
     rng = random.Random(20261022)
     drawn = 0
     while drawn < 300:
-        x, y, q, xp = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-3.0, 1.0), rng.uniform(0.05, 5.0), rng.uniform(0.1, 10.0)
+        x, y = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-3.0, 1.0)
+        q, xp = rng.uniform(0.05, 5.0), rng.uniform(0.1, 10.0)
         if branch_distance(x, q) < 1e-3 or abs(q - 2.0) < 1e-3:
             continue
         drawn += 1
